@@ -13,12 +13,6 @@
 //   --metric-threads <n>  worker threads for the candidate scan inside each
 //                      flow-injection round (0 = all hardware threads,
 //                      default 1); same bit-identity guarantee
-//   --build-threads <n>  construction-parallelism mode (default 1 = legacy
-//                      serial recursion, the historical baselines); any
-//                      other value (0 = all hardware threads) fans
-//                      Algorithm-3 carves out per subtree — results are
-//                      identical for every such value but NOT comparable
-//                      to --build-threads 1 tables (docs/parallelism.md)
 //   --time-budget <s>  wall-clock budget per FLOW run (seconds); a fired
 //                      deadline returns the best partition found so far
 //                      (anytime semantics, docs/robustness.md) — costs are
@@ -68,7 +62,6 @@ struct Options {
   std::size_t trials = 1;  ///< independent seeds averaged by some benches
   std::size_t threads = 1;  ///< FLOW worker threads (0 = hardware)
   std::size_t metric_threads = 1;  ///< scan threads per injection round
-  std::size_t build_threads = 1;  ///< construction mode knob (1 = serial)
   /// Anytime knobs applied to every FLOW run (--time-budget / --max-rounds;
   /// default unlimited = the exact unbudgeted tables).
   Budget budget;
@@ -101,8 +94,6 @@ inline Options ParseArgs(int argc, char** argv) {
       options.threads = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--metric-threads") == 0 && i + 1 < argc) {
       options.metric_threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--build-threads") == 0 && i + 1 < argc) {
-      options.build_threads = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--time-budget") == 0 && i + 1 < argc) {
       char* end = nullptr;
       options.budget.time_budget_seconds = std::strtod(argv[++i], &end);
@@ -124,9 +115,8 @@ inline Options ParseArgs(int argc, char** argv) {
       std::fprintf(stderr,
                    "unknown argument '%s' (supported: --quick, --seed N, "
                    "--trials N, --threads N, --metric-threads N, "
-                   "--build-threads N, --time-budget S, --max-rounds N, "
-                   "--oracle-sample F, --bench-dir DIR, --obs-jsonl FILE, "
-                   "--report-dir DIR)\n",
+                   "--time-budget S, --max-rounds N, --oracle-sample F, "
+                   "--bench-dir DIR, --obs-jsonl FILE, --report-dir DIR)\n",
                    argv[i]);
       std::exit(2);
     }
@@ -295,12 +285,6 @@ inline void PrintHeader(const char* artifact, const char* description,
         "--metric-threads 1)\n",
         options.metric_threads,
         options.metric_threads == 0 ? " (all hardware)" : "");
-  if (options.build_threads != 1)
-    std::printf(
-        "build threads: %zu%s (tasked construction mode; identical for "
-        "every value != 1, NOT comparable to --build-threads 1 tables)\n",
-        options.build_threads,
-        options.build_threads == 0 ? " (all hardware)" : "");
   if (options.budget.HasDeadline())
     std::printf(
         "time budget: %.3gs per FLOW run (anytime best-so-far; costs are "

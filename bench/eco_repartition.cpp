@@ -16,8 +16,8 @@
 // signal; see the scope note in docs/incremental.md).
 //
 // Deterministic row fields: the whole ECO family is bit-identical across
-// threads x metric-threads x build-threads, so cost / injections /
-// dijkstra_pops are gated exactly; only normalized_wall is tolerance-gated.
+// threads x metric-threads, so cost / injections / dijkstra_pops are gated
+// exactly; only normalized_wall is tolerance-gated.
 //
 // Usage: eco_repartition --json out.json [--quick] [--seed N]
 //                        [--threads N] [--metric-threads N]

@@ -1,11 +1,9 @@
 #include "core/build_partition.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "netlist/subhypergraph.hpp"
 #include "obs/obs.hpp"
-#include "runtime/subtree_tasks.hpp"
 
 namespace htp {
 namespace {
@@ -15,19 +13,6 @@ obs::Counter c_carves("build.carves");
 obs::Counter c_blocks("build.blocks");
 obs::Counter c_max_depth("build.max_depth", obs::CounterKind::kMax);
 obs::Timer t_build("build.partition");
-// Task-engine telemetry (BuildPartitionTasked only; all zero in serial
-// builds, so legacy counter totals are untouched). Every value is a pure
-// function of the task tree — never of queue depth or completion order —
-// keeping the totals inside the determinism contract.
-obs::Counter c_tasked_builds("build.tasks_runs");
-obs::Counter c_tasks_spawned("build.tasks_spawned");
-obs::Counter c_tasks_committed_blocks("build.tasks_committed_blocks");
-// Node-set size handed to each carve task (log2 buckets): the skew of this
-// distribution is what bounds the engine's critical path.
-obs::Histogram h_task_nodes("build.task_nodes");
-// One journal record per tasked build, emitted from the serial commit walk.
-obs::Event e_subtree("build.subtree");
-
 // Per-level carve counts, `build.carves.l1` .. `build.carves.l8+` (carves
 // only happen at levels >= 1; everything above 8 shares the last bucket).
 obs::Counter& CarvesAtLevel(Level level) {
@@ -161,162 +146,6 @@ class Builder {
   double granularity_;
 };
 
-// --- Tasked (parallel) builder -------------------------------------------
-//
-// Two phases (docs/parallelism.md):
-//  1. PLAN, parallel: each engine task owns one future block. It repeats
-//     the serial builder's logic — chain descent, the carve loop — but
-//     writes the outcome (chain depth, leaf assignment, carved child node
-//     sets) into a private TaskNode its parent allocated before the spawn,
-//     and spawns one child task per carved block. The task's RNG stream is
-//     forked from its parent at the spawn point, so every stream is a pure
-//     function of the task's path.
-//  2. COMMIT, serial: a depth-first replay over the TaskNode tree performs
-//     every AddChild/AssignNode in the exact order the serial recursion
-//     would have, so block ids — which depend on AddChild call order — are
-//     schedule-independent.
-struct TaskNode {
-  std::size_t chain = 0;  ///< single-child descents before the split/leaf
-  bool leaf = false;
-  std::vector<NodeId> leaf_nodes;              ///< set iff `leaf`
-  std::vector<std::unique_ptr<TaskNode>> children;  ///< carve order
-};
-
-class TaskedBuilder {
- public:
-  TaskedBuilder(const Hypergraph& hg, const HierarchySpec& spec,
-                const SpreadingMetric& metric, const CarveFn& carve,
-                const CancellationToken& cancel)
-      : hg_(hg), spec_(spec), metric_(metric), carve_(carve), cancel_(cancel),
-        integral_(hg.unit_sizes()), granularity_(MaxNodeSize(hg)) {
-    HTP_CHECK(metric.size() == hg.num_nets());
-  }
-
-  // Phase 1, runs inside one engine task: plans the subtree of `tn` for
-  // `nodes` entering at `level`. Mirrors Builder::Build step for step; the
-  // only structural difference is that recursion becomes Spawn.
-  void Plan(SubtreeTasks::Context& ctx, TaskNode& tn,
-            std::vector<NodeId> nodes, Level level, std::size_t depth,
-            Rng rng) {
-    c_tasks_spawned.Add();
-    c_max_depth.Add(depth);
-    h_task_nodes.Record(nodes.size());
-    const double s = SetSize(hg_, nodes);
-    while (level > 0 &&
-           s <= spec_.AchievableCapacity(level - 1, integral_, granularity_)) {
-      ++tn.chain;
-      --level;
-    }
-    if (level == 0) {
-      HTP_CHECK_MSG(s <= spec_.capacity(0) + 1e-9,
-                    "node set does not fit a leaf (is some node > C_0?)");
-      tn.leaf = true;
-      tn.leaf_nodes = std::move(nodes);
-      return;
-    }
-
-    const Level l = level;
-    const double ub = spec_.AchievableCapacity(l - 1, integral_, granularity_);
-    const double lb = s / static_cast<double>(spec_.max_branches(l));
-    const std::size_t max_children = spec_.max_branches(l);
-
-    std::vector<NodeId> remaining = std::move(nodes);
-    std::size_t children = 0;
-    while (!remaining.empty()) {
-      const double rem_size = SetSize(hg_, remaining);
-      const std::size_t children_left = max_children - children;
-      if (rem_size <= ub || children_left <= 1) {
-        SpawnChild(ctx, tn, std::move(remaining), l - 1, depth + 1, rng);
-        ++children;
-        break;
-      }
-      const double j = static_cast<double>(children_left - 1);
-      const double slots =
-          integral_ ? j * ub : j * ub - std::max(0.0, j - 1.0) * granularity_;
-      const double lb_eff = std::max(lb, rem_size - slots);
-
-      // Safepoint: between carve steps, as in the serial builder. The
-      // engine rethrows the lowest failing path's CancelledError.
-      if (cancel_.Cancelled()) throw CancelledError();
-
-      SubHypergraph sub = InducedSubHypergraph(hg_, remaining);
-      std::vector<double> sub_metric(sub.hg.num_nets());
-      for (NetId e = 0; e < sub.hg.num_nets(); ++e)
-        sub_metric[e] = metric_[sub.net_to_parent[e]];
-
-      c_carves.Add();
-      CarvesAtLevel(l).Add();
-      const CarveResult cut =
-          carve_(sub.hg, sub_metric, std::min(lb_eff, ub), ub, rng);
-      HTP_CHECK_MSG(!cut.nodes.empty(), "carver returned an empty block");
-
-      std::vector<char> taken(sub.hg.num_nodes(), 0);
-      std::vector<NodeId> carved;
-      carved.reserve(cut.nodes.size());
-      for (NodeId local : cut.nodes) {
-        taken[local] = 1;
-        carved.push_back(sub.node_to_parent[local]);
-      }
-      std::vector<NodeId> rest;
-      rest.reserve(remaining.size() - carved.size());
-      for (NodeId local = 0; local < sub.hg.num_nodes(); ++local)
-        if (!taken[local]) rest.push_back(sub.node_to_parent[local]);
-
-      SpawnChild(ctx, tn, std::move(carved), l - 1, depth + 1, rng);
-      ++children;
-      remaining = std::move(rest);
-    }
-  }
-
-  // Phase 2: serial depth-first replay of the planned tree. AddChild calls
-  // happen in the exact order the serial recursion would issue them, so
-  // block ids are schedule-independent. Returns blocks created.
-  std::size_t Commit(TreePartition& tp, BlockId q, const TaskNode& tn,
-                     std::size_t& tasks, std::size_t& leaves,
-                     std::size_t& max_depth, std::size_t depth) {
-    ++tasks;
-    max_depth = std::max(max_depth, depth);
-    std::size_t created = tn.chain;
-    for (std::size_t i = 0; i < tn.chain; ++i) q = tp.AddChild(q);
-    if (tn.leaf) {
-      ++leaves;
-      for (NodeId v : tn.leaf_nodes) tp.AssignNode(v, q);
-      return created;
-    }
-    for (const std::unique_ptr<TaskNode>& child : tn.children) {
-      c_blocks.Add();
-      created += 1 + Commit(tp, tp.AddChild(q), *child, tasks, leaves,
-                            max_depth, depth + 1);
-    }
-    return created;
-  }
-
- private:
-  void SpawnChild(SubtreeTasks::Context& ctx, TaskNode& tn,
-                  std::vector<NodeId> nodes, Level level, std::size_t depth,
-                  Rng& rng) {
-    // The child's stream is forked here, at a fixed point in the parent's
-    // serial draw order, labelled by the spawn index — so it is a pure
-    // function of the task path, never of the schedule.
-    const std::uint64_t child_index = tn.children.size();
-    tn.children.push_back(std::make_unique<TaskNode>());
-    TaskNode* child = tn.children.back().get();
-    Rng child_rng = rng.fork(child_index);
-    ctx.Spawn([this, child, level, depth, child_rng,
-               nodes = std::move(nodes)](SubtreeTasks::Context& cctx) mutable {
-      Plan(cctx, *child, std::move(nodes), level, depth, child_rng);
-    });
-  }
-
-  const Hypergraph& hg_;
-  const HierarchySpec& spec_;
-  const SpreadingMetric& metric_;
-  const CarveFn& carve_;
-  const CancellationToken& cancel_;
-  bool integral_;
-  double granularity_;
-};
-
 }  // namespace
 
 void BuildPartitionSubtree(TreePartition& tp, BlockId q,
@@ -345,44 +174,6 @@ TreePartition BuildPartitionTopDown(const Hypergraph& hg,
   for (NodeId v = 0; v < hg.num_nodes(); ++v) all[v] = v;
   Builder builder(hg, spec, metric, carve, rng, tp, cancel);
   builder.Build(TreePartition::kRoot, std::move(all));
-  HTP_CHECK(tp.fully_assigned());
-  return tp;
-}
-
-TreePartition BuildPartitionTasked(const Hypergraph& hg,
-                                   const HierarchySpec& spec,
-                                   const SpreadingMetric& metric,
-                                   const CarveFn& carve, Rng& rng,
-                                   std::size_t build_threads,
-                                   const CancellationToken& cancel) {
-  HTP_CHECK(hg.num_nodes() > 0);
-  obs::PhaseScope obs_span(t_build);
-  c_builds.Add();
-  c_tasked_builds.Add();
-  TreePartition tp(hg, spec.LevelForSize(hg.total_size()));
-  std::vector<NodeId> all(hg.num_nodes());
-  for (NodeId v = 0; v < hg.num_nodes(); ++v) all[v] = v;
-
-  TaskedBuilder builder(hg, spec, metric, carve, cancel);
-  TaskNode root;
-  // fork(0) decouples the caller's stream from the task-path streams, so a
-  // caller drawing from `rng` after the build sees the same state whether
-  // the build was tasked or not run at all with this generator.
-  Rng root_rng = rng.fork(0);
-  SubtreeTasks::Run(build_threads, [&](SubtreeTasks::Context& ctx) {
-    builder.Plan(ctx, root, std::move(all), tp.root_level(), 1, root_rng);
-  });
-
-  std::size_t tasks = 0;
-  std::size_t leaves = 0;
-  std::size_t max_depth = 0;
-  const std::size_t blocks = builder.Commit(tp, TreePartition::kRoot, root,
-                                            tasks, leaves, max_depth, 1);
-  c_tasks_committed_blocks.Add(blocks);
-  e_subtree.Record({{"tasks", static_cast<double>(tasks)},
-                    {"blocks", static_cast<double>(blocks)},
-                    {"leaves", static_cast<double>(leaves)},
-                    {"max_depth", static_cast<double>(max_depth)}});
   HTP_CHECK(tp.fully_assigned());
   return tp;
 }

@@ -38,36 +38,6 @@ TreePartition BuildPartitionTopDown(const Hypergraph& hg,
                                     const CarveFn& carve, Rng& rng,
                                     const CancellationToken& cancel = {});
 
-/// Parallel Algorithm 3 on the disjoint-subtree task engine
-/// (runtime/subtree_tasks.hpp; docs/parallelism.md). Once a carve commits,
-/// each child's recursion is an independent task: tasks *plan* their
-/// subtree (chain depth, carved child node sets, leaf assignment) into
-/// private slots, and a serial depth-first replay after the engine drains
-/// performs every AddChild/AssignNode — so block numbering, the partition,
-/// and every build counter are bit-identical for all `build_threads`
-/// values the engine accepts (0 = all hardware threads, otherwise literal,
-/// including 1).
-///
-/// NOT bit-identical to BuildPartitionTopDown for the same `rng`: the
-/// serial recursion threads one RNG stream through depth-first order (each
-/// carve sees every prior subtree's draws), which no parallel schedule can
-/// reproduce. The tasked builder instead forks a per-task stream from the
-/// task's spawn path, making the result a pure function of (inputs, seed)
-/// — a *different* pure function than the serial one. Callers expose the
-/// choice as a mode knob (HtpFlowParams::build_threads: 1 = serial legacy,
-/// anything else = this builder) and never mix results across modes.
-///
-/// `carve` must be safe to call concurrently from pool workers; the Rng it
-/// receives is the calling task's private stream (draw local-metric seeds
-/// from it, never from shared state). Cancellation matches the serial
-/// builder: polled before every carve, a fired token throws CancelledError.
-TreePartition BuildPartitionTasked(const Hypergraph& hg,
-                                   const HierarchySpec& spec,
-                                   const SpreadingMetric& metric,
-                                   const CarveFn& carve, Rng& rng,
-                                   std::size_t build_threads,
-                                   const CancellationToken& cancel = {});
-
 /// Runs the serial Algorithm-3 recursion below block `q` of an existing
 /// partition, populating it with `nodes` (ids in `tp.hypergraph()`; the
 /// block must be childless). Exactly the recursion BuildPartitionTopDown

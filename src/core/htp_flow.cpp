@@ -1,7 +1,6 @@
 #include "core/htp_flow.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 
 #include "core/mst_carver.hpp"
@@ -31,37 +30,6 @@ obs::Timer t_construct("driver.construct");
 // One journal record per executed Algorithm-1 iteration; `iter` leads the
 // payload so the drained journal lists iterations in index order.
 obs::Event e_iteration("driver.iteration");
-
-// Wraps a carve in best-of-`attempts` restarts (in-window results strictly
-// dominate out-of-window ones). A fired token stops the restarts after the
-// first completed attempt — one attempt always runs, so the carve (and thus
-// the enclosing construction) stays valid.
-CarveResult BestOfCarves(const Hypergraph& hg,
-                         std::span<const double> metric, double lb, double ub,
-                         Rng& rng, std::size_t attempts, CarverKind carver,
-                         const CancellationToken& cancel) {
-  CarveResult best;
-  bool have = false;
-  std::size_t executed = 0;
-  for (std::size_t t = 0; t < attempts; ++t) {
-    CarveResult cut = carver == CarverKind::kMstSplit
-                          ? MstSplitCarve(hg, metric, lb, ub, rng)
-                          : MetricFindCut(hg, metric, lb, ub, rng);
-    ++executed;
-    const bool better =
-        !have ||
-        (cut.in_window && !best.in_window) ||
-        (cut.in_window == best.in_window && cut.cut_value < best.cut_value);
-    if (better) {
-      best = std::move(cut);
-      have = true;
-    }
-    // Safepoint: between attempts (an attempt is never abandoned midway).
-    if (cancel.Cancelled()) break;
-  }
-  c_carve_attempts.Add(executed);
-  return best;
-}
 
 // The RNG streams one iteration consumes, pre-forked from the master in the
 // exact order the serial loop drew them (injection seed, then the metric
@@ -119,8 +87,7 @@ IterationOutcome RunIteration(const Hypergraph& hg, const HierarchySpec& spec,
   injection.threads = params.metric_threads;
   // All metric computations route through the optional provider so a
   // caching layer can intercept both this global metric and the
-  // per-subproblem ones below. Must be thread-safe: the carve lambda calls
-  // it from pool workers under build_threads != 1.
+  // per-subproblem ones below.
   const auto compute_metric = [&params](const Hypergraph& g,
                                         const HierarchySpec& s,
                                         const FlowInjectionParams& p) {
@@ -143,13 +110,6 @@ IterationOutcome RunIteration(const Hypergraph& hg, const HierarchySpec& spec,
   // full multi-level lengths on boundary nets and so misguides
   // lower-level carves; see MetricScope).
   Rng& metric_rng = streams.metric_rng;
-  // build_threads != 1 routes construction through the subtree task engine,
-  // where the carve lambda runs concurrently on pool workers: the
-  // local-metric seed must come from the calling task's private stream
-  // (`rng`), not the iteration-shared metric_rng, and the truncation flag
-  // becomes an atomic folded into `out` after the build returns.
-  const bool tasked = params.build_threads != 1;
-  std::atomic<bool> carve_truncated{false};
   const CarveFn carve = [&](const Hypergraph& sub,
                             std::span<const double> sub_metric, double lb,
                             double ub, Rng& rng) {
@@ -158,15 +118,14 @@ IterationOutcome RunIteration(const Hypergraph& hg, const HierarchySpec& spec,
         sub.total_size() > spec.capacity(0)) {
       FlowInjectionParams local =
           BudgetedInjection(params.injection, params.budget, cancel);
-      local.seed = tasked ? rng.next_u64() : metric_rng.next_u64();
+      local.seed = metric_rng.next_u64();
       local.threads = params.metric_threads;
       // A warm seed (ECO, docs/incremental.md) is sized for the *input*
       // hypergraph; per-subproblem locals run on different net sets, so
       // they always inject cold (exactly what a cold run would do).
       local.warm_metric.reset();
       const FlowInjectionResult local_metric = compute_metric(sub, spec, local);
-      if (local_metric.cancelled)
-        carve_truncated.store(true, std::memory_order_relaxed);
+      if (local_metric.cancelled) out.truncated = true;
       return BestOfCarves(sub, local_metric.metric, lb, ub, rng,
                           params.carve_attempts, params.carver, cancel);
     }
@@ -188,12 +147,8 @@ IterationOutcome RunIteration(const Hypergraph& hg, const HierarchySpec& spec,
     try {
       const CancellationToken build_cancel =
           must_finish ? CancellationToken{} : cancel;
-      TreePartition tp =
-          tasked ? BuildPartitionTasked(hg, spec, metric.metric, carve,
-                                        streams.construct_rng,
-                                        params.build_threads, build_cancel)
-                 : BuildPartitionTopDown(hg, spec, metric.metric, carve,
-                                         streams.construct_rng, build_cancel);
+      TreePartition tp = BuildPartitionTopDown(
+          hg, spec, metric.metric, carve, streams.construct_rng, build_cancel);
       const double cost = PartitionCost(tp, spec);
       if (out.stats.best_partition_cost < 0.0 ||
           cost < out.stats.best_partition_cost)
@@ -207,7 +162,6 @@ IterationOutcome RunIteration(const Hypergraph& hg, const HierarchySpec& spec,
       break;
     }
   }
-  if (carve_truncated.load(std::memory_order_relaxed)) out.truncated = true;
   out.stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -215,6 +169,33 @@ IterationOutcome RunIteration(const Hypergraph& hg, const HierarchySpec& spec,
 }
 
 }  // namespace
+
+CarveResult BestOfCarves(const Hypergraph& hg,
+                         std::span<const double> metric, double lb, double ub,
+                         Rng& rng, std::size_t attempts, CarverKind carver,
+                         const CancellationToken& cancel) {
+  CarveResult best;
+  bool have = false;
+  std::size_t executed = 0;
+  for (std::size_t t = 0; t < attempts; ++t) {
+    CarveResult cut = carver == CarverKind::kMstSplit
+                          ? MstSplitCarve(hg, metric, lb, ub, rng)
+                          : MetricFindCut(hg, metric, lb, ub, rng);
+    ++executed;
+    const bool better =
+        !have ||
+        (cut.in_window && !best.in_window) ||
+        (cut.in_window == best.in_window && cut.cut_value < best.cut_value);
+    if (better) {
+      best = std::move(cut);
+      have = true;
+    }
+    // Safepoint: between attempts (an attempt is never abandoned midway).
+    if (cancel.Cancelled()) break;
+  }
+  c_carve_attempts.Add(executed);
+  return best;
+}
 
 HtpFlowResult RunHtpFlow(const Hypergraph& hg, const HierarchySpec& spec,
                          const HtpFlowParams& params) {
@@ -348,11 +329,6 @@ HtpFlowResult RunHtpFlow(const Hypergraph& hg, const HierarchySpec& spec,
     rb.MetaString("carver", params.carver == CarverKind::kMstSplit
                                 ? "mst_split"
                                 : "prim_prefix");
-    // The construction mode changes deterministic results (per-task RNG
-    // streams vs the serial stream), so it belongs in meta; the worker
-    // count does not, so it goes to the wall section below.
-    rb.MetaString("build_mode",
-                  params.build_threads == 1 ? "serial" : "tasked");
     rb.ResultNumber("cost", result.cost);
     rb.ResultBool("completed", result.completed);
     rb.ResultString("stop_reason", StopReasonName(result.stop_reason));
@@ -361,8 +337,6 @@ HtpFlowResult RunHtpFlow(const Hypergraph& hg, const HierarchySpec& spec,
     rb.WallNumber("threads", static_cast<double>(params.threads));
     rb.WallNumber("metric_threads",
                   static_cast<double>(params.metric_threads));
-    rb.WallNumber("build_threads",
-                  static_cast<double>(params.build_threads));
     result.report = rb.Render(obs::TakeSnapshot(), obs::DrainEvents());
   }
   return result;

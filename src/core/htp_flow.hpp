@@ -79,20 +79,6 @@ struct HtpFlowParams {
   /// are bit-identical for every combination (asserted by
   /// tests/core/htp_flow_parallel_test.cpp).
   std::size_t metric_threads = 1;
-  /// Worker threads for Algorithm 3's recursive carves *inside* each
-  /// construction (the disjoint-subtree task engine,
-  /// runtime/subtree_tasks.hpp). Unlike the other two knobs this is a
-  /// *mode* switch, not just a worker count: `1` (default) keeps the
-  /// legacy serial recursion, bit-identical to every release to date;
-  /// any other value (0 = all hardware threads) routes construction
-  /// through BuildPartitionTasked, whose results are bit-identical to
-  /// each other for every engine worker count — but not to the serial
-  /// mode, because per-task RNG streams replace the single stream the
-  /// serial recursion threads through depth-first order. Composes with
-  /// the other knobs via the nested-parallelism guard: inside a pool
-  /// worker (threads > 1) the task tree drains serially. See
-  /// docs/parallelism.md for the decision table.
-  std::size_t build_threads = 1;
   /// Anytime controls (docs/robustness.md): optional wall-clock deadline
   /// plus deterministic caps on injection rounds and outer iterations. The
   /// default (unlimited) budget reproduces the pre-anytime behaviour bit
@@ -119,8 +105,8 @@ struct HtpFlowParams {
   /// this function instead of calling ComputeSpreadingMetric directly. The
   /// artifact cache (src/server/cache.hpp) hooks in here to serve
   /// converged metrics from memory on repeat requests. The provider must
-  /// be thread-safe (called concurrently from pool workers when threads or
-  /// build_threads exceed 1) and must return exactly what
+  /// be thread-safe (called concurrently from pool workers when threads
+  /// exceeds 1) and must return exactly what
   /// ComputeSpreadingMetric(hg, spec, params) would — the determinism
   /// contract extends through it. Null (the default) is the direct call.
   std::function<FlowInjectionResult(
@@ -171,6 +157,17 @@ struct HtpFlowResult {
   /// a WarmStartState persists for incremental repartitioning.
   SpreadingMetric best_metric;
 };
+
+/// find_cut with best-of-`attempts` restarts: the cheapest in-window carve
+/// wins (in-window results strictly dominate out-of-window ones; first on
+/// ties). A fired token stops the restarts after the first completed
+/// attempt, so the carve (and the enclosing construction) stays valid.
+/// Every attempt run is credited to the `carve.attempts` counter. This is
+/// the carver of every FLOW construction — RunHtpFlow's and the ECO
+/// re-carver's (src/incremental/eco_repartition.cpp).
+CarveResult BestOfCarves(const Hypergraph& hg, std::span<const double> metric,
+                         double lb, double ub, Rng& rng, std::size_t attempts,
+                         CarverKind carver, const CancellationToken& cancel);
 
 /// Runs Algorithm 1 (FLOW) on `hg` with respect to `spec`.
 HtpFlowResult RunHtpFlow(const Hypergraph& hg, const HierarchySpec& spec,

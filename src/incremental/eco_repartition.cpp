@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/cost.hpp"
-#include "core/mst_carver.hpp"
 #include "obs/obs.hpp"
 #include "partition/htp_fm.hpp"
 
@@ -15,8 +14,7 @@ namespace {
 
 // ECO telemetry (docs/incremental.md has the counter table). Every total is
 // a pure function of (state, delta, knobs), so the whole family shares the
-// thread-invariance guarantee — including across build_threads, which the
-// ECO path deliberately ignores.
+// thread-invariance guarantee.
 obs::Counter c_runs("eco.runs");
 obs::Counter c_reused("eco.blocks_reused");
 obs::Counter c_recarved("eco.blocks_recarved");
@@ -30,31 +28,6 @@ obs::Timer t_stitch("eco.stitch");
 // One journal record per root subtree cloned verbatim from the prior
 // partition; `block` is the subtree's root id in the PRIOR partition.
 obs::Event e_reused("eco.block_reused");
-
-// Best-of-`attempts` carve restarts — the serial-path behaviour of the
-// FLOW driver's BestOfCarves (htp_flow.cpp keeps its copy file-local), so
-// a re-carved subtree is built exactly as a cold construction would.
-CarveResult BestOf(const Hypergraph& hg, std::span<const double> metric,
-                   double lb, double ub, Rng& rng, std::size_t attempts,
-                   CarverKind carver, const CancellationToken& cancel) {
-  CarveResult best;
-  bool have = false;
-  for (std::size_t t = 0; t < attempts; ++t) {
-    CarveResult cut = carver == CarverKind::kMstSplit
-                          ? MstSplitCarve(hg, metric, lb, ub, rng)
-                          : MetricFindCut(hg, metric, lb, ub, rng);
-    const bool better =
-        !have ||
-        (cut.in_window && !best.in_window) ||
-        (cut.in_window == best.in_window && cut.cut_value < best.cut_value);
-    if (better) {
-      best = std::move(cut);
-      have = true;
-    }
-    if (cancel.Cancelled()) break;
-  }
-  return best;
-}
 
 // Mirrors the old subtree rooted at `q_old` into the new partition under
 // `q_new`: children are recreated in stored (id) order — the depth-first
@@ -147,11 +120,12 @@ EcoResult RunEcoRepartition(const DeltaApplication& app,
       FlowInjectionParams local = local_injection();
       local.seed = metric_rng.next_u64();
       const FlowInjectionResult local_metric = compute(sub, spec, local);
-      return BestOf(sub, local_metric.metric, lb, ub, rng,
-                    params.flow.carve_attempts, params.flow.carver, cancel);
+      return BestOfCarves(sub, local_metric.metric, lb, ub, rng,
+                          params.flow.carve_attempts, params.flow.carver,
+                          cancel);
     }
-    return BestOf(sub, sub_metric, lb, ub, rng, params.flow.carve_attempts,
-                  params.flow.carver, cancel);
+    return BestOfCarves(sub, sub_metric, lb, ub, rng,
+                        params.flow.carve_attempts, params.flow.carver, cancel);
   };
 
   // Boundary-seeded FM polish for anything the carver touched (EcoParams::

@@ -22,13 +22,11 @@
 //      partition cloned onto the edited netlist and polished), returning
 //      whichever costs less.
 //
-// Determinism: unlike the cold pipeline, ECO results are bit-identical
-// across the FULL threads x metric_threads x build_threads matrix —
-// `threads` has no outer iterations to parallelize, `metric_threads` is
-// bit-transparent by the ViolationScanner contract, and construction always
-// uses the serial builder (`build_threads` is deliberately ignored; a
-// re-carve region is far below the scale where the tasked engine pays).
-// The warm-start property battery enforces this invariance.
+// Determinism: ECO results are bit-identical across the full
+// threads x metric_threads matrix — `threads` has no outer iterations to
+// parallelize and `metric_threads` is bit-transparent by the
+// ViolationScanner contract. The warm-start property battery enforces this
+// invariance.
 #pragma once
 
 #include "core/htp_flow.hpp"
@@ -40,8 +38,8 @@ namespace htp {
 /// Knobs for one incremental repartition. Reuses HtpFlowParams so drivers
 /// configure warm and cold runs identically; fields without an ECO meaning
 /// are ignored (`iterations` — ECO is one warm pass — plus `threads`,
-/// `build_threads`, `keep_best_metric`, and `collect_report`; the caller
-/// owns report assembly).
+/// `keep_best_metric`, and `collect_report`; the caller owns report
+/// assembly).
 struct EcoParams {
   HtpFlowParams flow;
   /// Construction replicas (>= 1). A warm metric re-converges to a feasible

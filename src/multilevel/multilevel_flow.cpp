@@ -6,7 +6,6 @@
 
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
-#include "partition/parallel_refine.hpp"
 
 namespace htp {
 namespace {
@@ -147,13 +146,7 @@ MultilevelResult RunMultilevelFlow(const Hypergraph& hg,
     obs::PhaseScope level_span(t_level, "level", i);
     const Hypergraph& fine = (i == 0) ? hg : stack[i - 1].coarse;
     TreePartition projected = ProjectPartition(tp, fine, stack[i].cluster_of);
-    // build_threads is a mode knob (htp_flow.hpp): != 1 opts every level's
-    // refinement into the per-block parallel refiner, which the coarse flow
-    // construction below the stack already used for its carves.
-    const HtpFmStats stats =
-        flow.build_threads != 1
-            ? RefineHtpFmBlocks(projected, spec, refine, flow.build_threads)
-            : RefineHtpFm(projected, spec, refine);
+    const HtpFmStats stats = RefineHtpFm(projected, spec, refine);
     const std::uint64_t gain_milli = static_cast<std::uint64_t>(
         std::llround((stats.initial_cost - stats.final_cost) * 1000.0));
     c_refine_gain_milli.Add(gain_milli);
@@ -205,8 +198,6 @@ MultilevelResult RunMultilevelFlow(const Hypergraph& hg,
     rb.WallNumber("threads", static_cast<double>(params.flow.threads));
     rb.WallNumber("metric_threads",
                   static_cast<double>(params.flow.metric_threads));
-    rb.WallNumber("build_threads",
-                  static_cast<double>(params.flow.build_threads));
     result.report = rb.Render(obs::TakeSnapshot(), obs::DrainEvents());
   }
   return result;

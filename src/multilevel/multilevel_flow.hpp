@@ -32,11 +32,7 @@ struct MultilevelParams {
   /// stage (coarse flow + each refinement), so a deadline bounds the whole
   /// pipeline, not just the coarse solve. The thread knobs inherit their
   /// RunHtpFlow semantics wholesale: `threads`/`metric_threads` apply to
-  /// the coarse solve, and `build_threads != 1` additionally switches
-  /// every per-level refinement to the per-block parallel refiner
-  /// (partition/parallel_refine.hpp) — the same mode caveat applies
-  /// (engine results are worker-count invariant but differ from the
-  /// serial mode; see docs/parallelism.md).
+  /// the coarse solve (see docs/parallelism.md).
   HtpFlowParams flow;
   /// Coarsening pass parameters. `max_cluster_size` 0 (auto) derives the
   /// largest supernode the hierarchy spec can still pack — see

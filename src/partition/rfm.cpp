@@ -47,13 +47,6 @@ TreePartition RunRfm(const Hypergraph& hg, const HierarchySpec& spec,
         params.cancel.Cancelled() ? 1 : params.fm_passes;
     return FmCarve(sub, lb, ub, r, passes);
   };
-  // The carve closure reads only immutable params plus the (thread-safe)
-  // token, and draws exclusively from the Rng it is handed — so it is safe
-  // under the task engine as-is.
-  if (params.build_threads != 1) {
-    return BuildPartitionTasked(hg, spec, zero, carve, rng,
-                                params.build_threads);
-  }
   return BuildPartitionTopDown(hg, spec, zero, carve, rng);
 }
 

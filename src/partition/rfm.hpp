@@ -29,12 +29,6 @@ struct RfmParams {
   /// carve to a single pass — the fastest valid construction. The returned
   /// partition is always complete and valid. Inert by default.
   CancellationToken cancel;
-  /// Construction-parallelism mode knob, same semantics as
-  /// HtpFlowParams::build_threads: 1 (default) = the legacy serial
-  /// recursion; anything else (0 = all hardware threads) = the disjoint
-  /// subtree task engine, worker-count invariant among engine values but a
-  /// different deterministic universe than serial (per-task RNG streams).
-  std::size_t build_threads = 1;
 };
 
 /// Runs the RFM baseline: Algorithm 3 with the FM carver.

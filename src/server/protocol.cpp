@@ -1,7 +1,10 @@
 #include "server/protocol.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "core/partition_io.hpp"
 #include "obs/json.hpp"
@@ -15,15 +18,15 @@ namespace {
 // rejected, so a typo ("iteration") cannot silently run with defaults.
 const std::set<std::string, std::less<>>& KnownRequestKeys() {
   static const std::set<std::string, std::less<>> keys = {
-      "schema",        "schema_version", "op",
-      "id",            "circuit",        "bench_text",
-      "algo",          "height",         "branching",
-      "slack",         "weights",        "iterations",
-      "threads",       "metric_threads", "build_threads",
-      "refine",        "multilevel",     "coarsen_threshold",
-      "oracle_sample", "seed",           "deadline_ms",
-      "max_rounds",    "report",         "delta_text",
-      "warm_text",     "warm_from_cache", "emit_warm_state",
+      "schema",          "schema_version",    "op",
+      "id",              "circuit",           "bench_text",
+      "algo",            "height",            "branching",
+      "slack",           "weights",           "iterations",
+      "threads",         "metric_threads",    "refine",
+      "multilevel",      "coarsen_threshold", "oracle_sample",
+      "seed",            "deadline_ms",       "max_rounds",
+      "report",          "delta_text",        "warm_text",
+      "warm_from_cache", "emit_warm_state",
   };
   return keys;
 }
@@ -40,13 +43,21 @@ double GetNumber(const JsonValue& doc, std::string_view key, double fallback) {
   return v->number_value;
 }
 
+// JSON numbers are doubles, exact for integers up to 2^53: larger counts
+// are rejected rather than rounded (or, past 2^64, cast with undefined
+// behaviour). `max` narrows the range for members with a smaller type.
+constexpr std::uint64_t kMaxExactCount = std::uint64_t{1} << 53;
+
 std::size_t GetCount(const JsonValue& doc, std::string_view key,
-                     std::size_t fallback) {
+                     std::size_t fallback,
+                     std::uint64_t max = kMaxExactCount) {
   const JsonValue* v = doc.Find(key);
   if (!v) return fallback;
   if (v->kind != JsonValue::Kind::kNumber || v->number_value < 0 ||
       v->number_value != std::floor(v->number_value))
     FailField(key, "must be a nonnegative integer");
+  if (v->number_value > static_cast<double>(max))
+    FailField(key, "must be at most " + std::to_string(max));
   return static_cast<std::size_t>(v->number_value);
 }
 
@@ -125,7 +136,8 @@ ServeRequest ParseServeRequest(const JsonValue& doc) {
   if (!s.circuit.empty() && !s.bench_text.empty())
     throw Error("request: circuit and bench_text are mutually exclusive");
   s.algo = GetString(doc, "algo", "flow");
-  s.height = static_cast<Level>(GetCount(doc, "height", 4));
+  s.height = static_cast<Level>(
+      GetCount(doc, "height", 4, std::numeric_limits<Level>::max()));
   s.branching = GetCount(doc, "branching", 2);
   s.slack = GetNumber(doc, "slack", 0.10);
   if (const JsonValue* weights = doc.Find("weights")) {
@@ -140,7 +152,6 @@ ServeRequest ParseServeRequest(const JsonValue& doc) {
   s.iterations = GetCount(doc, "iterations", 4);
   s.threads = GetCount(doc, "threads", 0);
   s.metric_threads = GetCount(doc, "metric_threads", 1);
-  s.build_threads = GetCount(doc, "build_threads", 1);
   s.refine = GetBool(doc, "refine", false);
   s.multilevel = GetBool(doc, "multilevel", false);
   s.coarsen_threshold = GetCount(doc, "coarsen_threshold", 800);
@@ -199,8 +210,6 @@ std::string RenderServeResponse(const ServeRequest& request,
   w.Number(static_cast<std::uint64_t>(request.session.seed));
   w.Key("iterations_requested");
   w.Number(static_cast<std::uint64_t>(request.session.iterations));
-  w.Key("build_mode");
-  w.String(request.session.build_threads == 1 ? "serial" : "tasked");
   w.Key("multilevel");
   w.Bool(result.used_multilevel);
   w.EndObject();  // meta

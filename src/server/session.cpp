@@ -17,7 +17,6 @@
 #include "netlist/rng.hpp"
 #include "obs/report.hpp"
 #include "partition/gfm.hpp"
-#include "partition/parallel_refine.hpp"
 #include "partition/rfm.hpp"
 #include "server/artifact_key.hpp"
 
@@ -194,7 +193,6 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     params.collect_report = request.collect_report;
     params.threads = request.threads;
     params.metric_threads = request.metric_threads;
-    params.build_threads = request.build_threads;
     params.budget.max_rounds = request.budget.max_rounds;
     params.cancel = run_token;
     params.injection.oracle_sample = request.oracle_sample;
@@ -315,7 +313,6 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     RfmParams rfm_params;
     rfm_params.seed = request.seed;
     rfm_params.cancel = run_token;
-    rfm_params.build_threads = request.build_threads;
     tp = RunRfm(hg, spec, rfm_params);
   } else if (request.algo == "gfm") {
     GfmParams gfm_params;
@@ -331,10 +328,7 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     HtpFmParams fm_params;
     fm_params.seed = request.seed;
     fm_params.cancel = run_token;
-    result.fm = request.build_threads != 1
-                    ? RefineHtpFmBlocks(tp, spec, fm_params,
-                                        request.build_threads)
-                    : RefineHtpFm(tp, spec, fm_params);
+    result.fm = RefineHtpFm(tp, spec, fm_params);
     result.refined = true;
   }
   RequireValidPartition(tp, spec);
@@ -359,8 +353,6 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     rb.MetaNumber("seed", static_cast<double>(request.seed));
     rb.ResultNumber("cost", PartitionCost(*result.partition, spec));
     rb.WallNumber("threads", static_cast<double>(request.threads));
-    rb.WallNumber("build_threads",
-                  static_cast<double>(request.build_threads));
     result.report = rb.Render(obs::TakeSnapshot(), obs::DrainEvents());
   }
 

@@ -52,7 +52,6 @@ struct SessionRequest {
   std::size_t iterations = 4;
   std::size_t threads = 0;
   std::size_t metric_threads = 1;
-  std::size_t build_threads = 1;
   bool refine = false;
   bool multilevel = false;
   std::size_t coarsen_threshold = 800;

@@ -18,9 +18,12 @@
 //
 // Exit codes: 0 success, 2 bad usage (including malformed numeric
 // arguments), 1 runtime failure.
+#include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -60,17 +63,6 @@ void Usage(const char* argv0) {
                "(default 1;\n"
                "                     0 = all); results are identical for "
                "every M\n"
-               "  --build-threads B  construction-parallelism mode "
-               "(default 1 =\n"
-               "                     legacy serial recursion); any other "
-               "value\n"
-               "                     (0 = all) fans recursive carves and "
-               "--refine\n"
-               "                     out per subtree — identical for every "
-               "such B,\n"
-               "                     but a different deterministic universe "
-               "than\n"
-               "                     B=1 (see docs/parallelism.md)\n"
                "  --time-budget SEC  wall-clock budget in seconds; when it "
                "fires,\n"
                "                     the best partition found so far is "
@@ -134,6 +126,31 @@ void Usage(const char* argv0) {
                argv0);
 }
 
+// Numeric flags must consume their whole argument: std::stoull and
+// std::stod alone stop at the first bad character ("3x" reads as 3) and
+// stoull wraps a leading '-'. Failures throw std::invalid_argument or
+// std::out_of_range, which main maps to exit 2.
+std::uint64_t ParseUnsigned(
+    const std::string& text,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+    throw std::invalid_argument(text);
+  std::size_t used = 0;
+  const unsigned long long value = std::stoull(text, &used);
+  if (used != text.size()) throw std::invalid_argument(text);
+  if (value > max) throw std::out_of_range(text);
+  return value;
+}
+
+double ParseDouble(const std::string& text) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])))
+    throw std::invalid_argument(text);
+  std::size_t used = 0;
+  const double value = std::stod(text, &used);
+  if (used != text.size()) throw std::invalid_argument(text);
+  return value;
+}
+
 std::vector<double> ParseWeights(const std::string& csv) {
   std::vector<double> weights;
   std::size_t start = 0;
@@ -142,7 +159,7 @@ std::vector<double> ParseWeights(const std::string& csv) {
     const std::string piece = comma == std::string::npos
                                   ? csv.substr(start)
                                   : csv.substr(start, comma - start);
-    weights.push_back(std::stod(piece));
+    weights.push_back(ParseDouble(piece));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -161,9 +178,9 @@ int main(int argc, char** argv) {
   std::string weights_csv;
   bool stats = false;
 
-  // Bad usage — unknown flags, missing values, and malformed numbers alike
-  // (std::stoul and friends throw on garbage) — exits 2 with the usage
-  // message, as docs/file-formats.md promises.
+  // Bad usage — unknown flags, missing values, and malformed or
+  // out-of-range numbers alike — exits 2 with the usage message, as
+  // docs/file-formats.md promises.
   try {
     for (int i = 1; i < argc; ++i) {
       auto arg = [&](const char* name) {
@@ -178,27 +195,27 @@ int main(int argc, char** argv) {
       else if (arg("--circuit")) request.circuit = argv[++i];
       else if (arg("--algo")) request.algo = argv[++i];
       else if (arg("--height"))
-        request.height = static_cast<Level>(std::stoul(argv[++i]));
-      else if (arg("--branching")) request.branching = std::stoul(argv[++i]);
-      else if (arg("--slack")) request.slack = std::stod(argv[++i]);
+        request.height = static_cast<Level>(
+            ParseUnsigned(argv[++i], std::numeric_limits<Level>::max()));
+      else if (arg("--branching")) request.branching = ParseUnsigned(argv[++i]);
+      else if (arg("--slack")) request.slack = ParseDouble(argv[++i]);
       else if (arg("--weights")) weights_csv = argv[++i];
-      else if (arg("--iterations")) request.iterations = std::stoul(argv[++i]);
-      else if (arg("--threads")) request.threads = std::stoul(argv[++i]);
+      else if (arg("--iterations"))
+        request.iterations = ParseUnsigned(argv[++i]);
+      else if (arg("--threads")) request.threads = ParseUnsigned(argv[++i]);
       else if (arg("--metric-threads"))
-        request.metric_threads = std::stoul(argv[++i]);
-      else if (arg("--build-threads"))
-        request.build_threads = std::stoul(argv[++i]);
+        request.metric_threads = ParseUnsigned(argv[++i]);
       else if (arg("--time-budget"))
-        request.budget.time_budget_seconds = std::stod(argv[++i]);
+        request.budget.time_budget_seconds = ParseDouble(argv[++i]);
       else if (arg("--max-rounds"))
-        request.budget.max_rounds = std::stoul(argv[++i]);
+        request.budget.max_rounds = ParseUnsigned(argv[++i]);
       else if (arg("--coarsen-threshold"))
-        request.coarsen_threshold = std::stoul(argv[++i]);
+        request.coarsen_threshold = ParseUnsigned(argv[++i]);
       else if (arg("--oracle-sample"))
-        request.oracle_sample = std::stod(argv[++i]);
+        request.oracle_sample = ParseDouble(argv[++i]);
       else if (std::strcmp(argv[i], "--multilevel") == 0)
         request.multilevel = true;
-      else if (arg("--seed")) request.seed = std::stoull(argv[++i]);
+      else if (arg("--seed")) request.seed = ParseUnsigned(argv[++i]);
       else if (arg("--out")) out_file = argv[++i];
       else if (arg("--dot")) dot_file = argv[++i];
       else if (arg("--trace")) trace_file = argv[++i];
@@ -261,13 +278,10 @@ int main(int argc, char** argv) {
       // fact; print the resolved worker counts up front.
       std::printf(
           "flow: %zu iterations on %zu threads (--threads %zu), "
-          "%zu scan threads (--metric-threads %zu), "
-          "build %s (--build-threads %zu)\n",
+          "%zu scan threads (--metric-threads %zu)\n",
           request.iterations, ResolveThreadCount(request.threads),
           request.threads, ResolveThreadCount(request.metric_threads),
-          request.metric_threads,
-          request.build_threads == 1 ? "serial" : "tasked",
-          request.build_threads);
+          request.metric_threads);
       if (run.used_multilevel) {
         std::printf(
             "multilevel: %zu coarsening levels, coarsest %u nodes, "

@@ -1,8 +1,8 @@
 # The empty-delta bit-identity gate (docs/incremental.md): a cold run
 # emits its warm-start state; resuming from that state with an empty delta
 # must reproduce the cold partition byte for byte, and two warm resumes
-# differing only in thread knobs (threads x metric-threads x build-threads)
-# must produce RunReports whose deterministic sections diff clean under
+# differing only in thread knobs (threads x metric-threads) must produce
+# RunReports whose deterministic sections diff clean under
 # scripts/obs_report.py. This is the CLI-artifact form of the contract
 # tests/incremental/warm_start_property_test.cpp asserts in-process.
 #
@@ -22,12 +22,11 @@ if(NOT cold_status EQUAL 0)
 endif()
 
 # Two warm resumes across the knob matrix; ECO results are bit-identical
-# across ALL of threads x metric-threads x build-threads (a stronger
-# contract than the cold pipeline's, which excludes build-threads).
+# across threads x metric-threads.
 execute_process(
   COMMAND ${CLI} --circuit c1355 --height 3 --iterations 1
           --warm-start ${COLD_WARM} --delta ${EMPTY_DELTA}
-          --threads 1 --metric-threads 1 --build-threads 1
+          --threads 1 --metric-threads 1
           --out ${WORK_DIR}/warm1.part --report ${WORK_DIR}/warm1.report.json
   RESULT_VARIABLE warm1_status)
 if(NOT warm1_status EQUAL 0)
@@ -36,7 +35,7 @@ endif()
 execute_process(
   COMMAND ${CLI} --circuit c1355 --height 3 --iterations 1
           --warm-start ${COLD_WARM} --delta ${EMPTY_DELTA}
-          --threads 4 --metric-threads 3 --build-threads 4
+          --threads 4 --metric-threads 3
           --out ${WORK_DIR}/warm2.part --report ${WORK_DIR}/warm2.report.json
   RESULT_VARIABLE warm2_status)
 if(NOT warm2_status EQUAL 0)

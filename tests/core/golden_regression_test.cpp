@@ -35,6 +35,12 @@ struct GoldenCase {
   double flow_cost;
 };
 
+// Without this, gtest prints the case as a raw byte dump that includes the
+// `circuit` pointer, so the listed test name changed with every load address.
+void PrintTo(const GoldenCase& golden, std::ostream* os) {
+  *os << golden.circuit << " (cost " << golden.flow_cost << ")";
+}
+
 class Table2QuickGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(Table2QuickGoldenTest, QuickModeFlowCostIsPinned) {

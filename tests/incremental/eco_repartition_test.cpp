@@ -1,19 +1,32 @@
 // RunEcoRepartition unit semantics: the empty-delta resume reproduces the
 // prior run bit for bit with every root subtree cloned; single-net deltas
 // re-carve only the touched subtree; results are bit-identical across the
-// FULL threads x metric_threads x build_threads matrix (the contract
-// docs/incremental.md states, stronger than the cold pipeline's).
+// full threads x metric_threads matrix (the contract docs/incremental.md
+// states).
 #include "incremental/eco_repartition.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "core/cost.hpp"
 #include "core/hierarchy.hpp"
 #include "core/partition_io.hpp"
+#include "obs/obs.hpp"
 #include "test_util.hpp"
 
 namespace htp {
 namespace {
+
+#if HTP_OBS_ENABLED
+std::uint64_t CounterTotal(const std::string& name) {
+  for (const obs::CounterValue& c : obs::TakeSnapshot().counters)
+    if (c.name == name) return c.value;
+  ADD_FAILURE() << "counter not in snapshot: " << name;
+  return 0;
+}
+#endif
 
 struct ConvergedRun {
   std::shared_ptr<const Hypergraph> hg;
@@ -117,6 +130,9 @@ TEST(EcoRepartition, SingleNetDeltaRecarvesOnlyTouchedSubtrees) {
   // Pin the pure delta-scoped path: with the race on, a rebuild can
   // legitimately win and report zero reuse.
   eco.race_rebuild = false;
+#if HTP_OBS_ENABLED
+  const std::uint64_t attempts_before = CounterTotal("carve.attempts");
+#endif
   const EcoResult result = RunEcoRepartition(app, run.spec, old_tp, warm, eco);
   RequireValidPartition(result.partition, run.spec);
   const std::size_t root_children =
@@ -124,6 +140,11 @@ TEST(EcoRepartition, SingleNetDeltaRecarvesOnlyTouchedSubtrees) {
   EXPECT_FALSE(result.full_rebuild);
   EXPECT_EQ(result.blocks_recarved, 1u);
   EXPECT_EQ(result.blocks_reused, root_children - 1);
+#if HTP_OBS_ENABLED
+  // The re-carve runs FLOW's best-of-carves, so it is credited to the same
+  // counter a cold construction is.
+  EXPECT_GT(CounterTotal("carve.attempts"), attempts_before);
+#endif
 }
 
 TEST(EcoRepartition, BitIdenticalAcrossFullKnobMatrix) {
@@ -140,30 +161,23 @@ TEST(EcoRepartition, BitIdenticalAcrossFullKnobMatrix) {
                                                 run.flow.partition, warm, eco);
   const std::string reference_text = WritePartitionText(reference.partition);
 
-  // Unlike the cold pipeline, build_threads is part of the invariance:
-  // ECO construction always uses the serial builder.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (const std::size_t metric_threads :
          {std::size_t{1}, std::size_t{3}, std::size_t{0}}) {
-      for (const std::size_t build_threads : {std::size_t{1}, std::size_t{4}}) {
-        SCOPED_TRACE(testing::Message()
-                     << "threads=" << threads
-                     << " metric_threads=" << metric_threads
-                     << " build_threads=" << build_threads);
-        EcoParams knobs;
-        knobs.flow = run.params;
-        knobs.flow.threads = threads;
-        knobs.flow.metric_threads = metric_threads;
-        knobs.flow.build_threads = build_threads;
-        const EcoResult other = RunEcoRepartition(
-            app, run.spec, run.flow.partition, warm, knobs);
-        ASSERT_EQ(WritePartitionText(other.partition), reference_text);
-        ASSERT_EQ(other.cost, reference.cost);
-        ASSERT_EQ(other.warm_rounds, reference.warm_rounds);
-        ASSERT_EQ(other.warm_injections, reference.warm_injections);
-        ASSERT_EQ(other.blocks_reused, reference.blocks_reused);
-        ASSERT_EQ(other.blocks_recarved, reference.blocks_recarved);
-      }
+      SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                      << " metric_threads=" << metric_threads);
+      EcoParams knobs;
+      knobs.flow = run.params;
+      knobs.flow.threads = threads;
+      knobs.flow.metric_threads = metric_threads;
+      const EcoResult other = RunEcoRepartition(app, run.spec,
+                                                run.flow.partition, warm, knobs);
+      ASSERT_EQ(WritePartitionText(other.partition), reference_text);
+      ASSERT_EQ(other.cost, reference.cost);
+      ASSERT_EQ(other.warm_rounds, reference.warm_rounds);
+      ASSERT_EQ(other.warm_injections, reference.warm_injections);
+      ASSERT_EQ(other.blocks_reused, reference.blocks_reused);
+      ASSERT_EQ(other.blocks_recarved, reference.blocks_recarved);
     }
   }
 }

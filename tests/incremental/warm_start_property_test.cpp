@@ -5,9 +5,9 @@
 //      on the same edited netlist (cost <= cold x 1.05).
 //   2. Empty-delta warm starts are bit-identical — partition bytes, cost,
 //      and the deterministic report section — to the converged run that
-//      produced the state, across the full threads x metric_threads x
-//      build_threads matrix (driven through serve::RunSession, the same
-//      pipeline htp_cli and htp_serve share).
+//      produced the state, across the full threads x metric_threads matrix
+//      (driven through serve::RunSession, the same pipeline htp_cli and
+//      htp_serve share).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -135,40 +135,35 @@ TEST(WarmStartProperty, EmptyDeltaSessionResumeBitIdentical) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       for (const std::size_t metric_threads :
            {std::size_t{1}, std::size_t{3}}) {
-        for (const std::size_t build_threads :
-             {std::size_t{1}, std::size_t{4}}) {
-          SCOPED_TRACE(testing::Message()
-                       << "threads=" << threads
-                       << " metric_threads=" << metric_threads
-                       << " build_threads=" << build_threads);
-          serve::SessionRequest warm_request = cold_request;
-          warm_request.emit_warm_state = false;
-          warm_request.warm_text = cold.warm_state;
-          warm_request.threads = threads;
-          warm_request.metric_threads = metric_threads;
-          warm_request.build_threads = build_threads;
-          warm_request.collect_report = true;
-          // Counters and the journal are process-global and cumulative;
-          // reset so each report covers exactly this run.
-          obs::ResetAll();
-          obs::DrainEvents();
-          const serve::SessionResult warm =
-              serve::RunSession(warm_request, nullptr);
+        SCOPED_TRACE(testing::Message()
+                     << "threads=" << threads
+                     << " metric_threads=" << metric_threads);
+        serve::SessionRequest warm_request = cold_request;
+        warm_request.emit_warm_state = false;
+        warm_request.warm_text = cold.warm_state;
+        warm_request.threads = threads;
+        warm_request.metric_threads = metric_threads;
+        warm_request.collect_report = true;
+        // Counters and the journal are process-global and cumulative;
+        // reset so each report covers exactly this run.
+        obs::ResetAll();
+        obs::DrainEvents();
+        const serve::SessionResult warm =
+            serve::RunSession(warm_request, nullptr);
 
-          EXPECT_TRUE(warm.eco);
-          EXPECT_EQ(warm.warm_source, "state");
-          EXPECT_FALSE(warm.eco_full_rebuild);
-          EXPECT_EQ(warm.eco_warm_injections, 0u);
-          ASSERT_EQ(WritePartitionText(*warm.partition), cold_partition);
-          ASSERT_EQ(warm.cost, cold.cost);
+        EXPECT_TRUE(warm.eco);
+        EXPECT_EQ(warm.warm_source, "state");
+        EXPECT_FALSE(warm.eco_full_rebuild);
+        EXPECT_EQ(warm.eco_warm_injections, 0u);
+        ASSERT_EQ(WritePartitionText(*warm.partition), cold_partition);
+        ASSERT_EQ(warm.cost, cold.cost);
 
-          const std::string section{obs::DeterministicSection(warm.report)};
-          ASSERT_FALSE(section.empty());
-          if (reference_section.empty())
-            reference_section = section;
-          else
-            ASSERT_EQ(section, reference_section);
-        }
+        const std::string section{obs::DeterministicSection(warm.report)};
+        ASSERT_FALSE(section.empty());
+        if (reference_section.empty())
+          reference_section = section;
+        else
+          ASSERT_EQ(section, reference_section);
       }
     }
   }

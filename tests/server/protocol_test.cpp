@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "server/json_parse.hpp"
 
 namespace htp::serve {
@@ -95,6 +97,33 @@ TEST(Protocol, RejectsUnknownMembersAndBadTypes) {
   EXPECT_THROW(
       ParseServeRequest(ParseJson(R"({"circuit":"c1355","weights":[true]})")),
       Error);
+  // The construction-mode knob was removed from the v1 wire format.
+  EXPECT_THROW(
+      ParseServeRequest(ParseJson(R"({"circuit":"c1355","build_threads":2})")),
+      Error);
+  // Counts past the exact-integer range of a JSON number (2^53), or past
+  // the member's own type, are rejected instead of truncated.
+  EXPECT_THROW(ParseServeRequest(
+                   ParseJson(R"({"circuit":"c1355","height":4294967297})")),
+               Error);
+  EXPECT_THROW(
+      ParseServeRequest(ParseJson(R"({"circuit":"c1355","seed":1e300})")),
+      Error);
+  EXPECT_THROW(
+      ParseServeRequest(ParseJson(R"({"circuit":"c1355","iterations":1e30})")),
+      Error);
+  EXPECT_THROW(ParseServeRequest(ParseJson(
+                   R"({"circuit":"c1355","seed":9007199254740994})")),
+               Error);
+  // The range ends are still accepted.
+  EXPECT_EQ(ParseServeRequest(
+                ParseJson(R"({"circuit":"c1355","height":4294967295})"))
+                .session.height,
+            4294967295u);
+  EXPECT_EQ(ParseServeRequest(
+                ParseJson(R"({"circuit":"c1355","seed":9007199254740992})"))
+                .session.seed,
+            std::uint64_t{1} << 53);
 }
 
 TEST(Protocol, RejectsBadSourceCombinations) {
