@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   std::printf("%8s %12s %14s %12s %10s %14s %12s\n", "rounds", "violated",
               "injections", "metric cost", "converged", "dijkstra pops",
               "metric ms");
+  ViolationScanner scanner(hg, spec, 1);
   const std::size_t caps[] = {1, 2, 3, 4, 6, 8, 12, 16, 24, 32};
   for (std::size_t cap : caps) {
     bench::ObsSection obs_section(options, "convergence_series",
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
     // Count still-violated sources under the produced metric.
     std::size_t violated = 0;
     for (NodeId v = 0; v < hg.num_nodes(); ++v)
-      if (FindViolationFrom(hg, spec, r.metric, v)) ++violated;
+      if (scanner.FindViolationFrom(v, r.metric)) ++violated;
     std::printf("%8zu %12zu %14zu %12.2f %10s %14llu %12.2f\n", r.rounds,
                 violated, r.injections, r.metric_cost,
                 r.converged ? "yes" : "no",

@@ -3,9 +3,12 @@
 //   * the heuristic flow-injection metric's objective,
 //   * the true optimal partition cost (exhaustive),
 //   * the FLOW heuristic's partition cost.
-// Paper ordering that must hold: LP <= OPT <= FLOW. The flow-injected
-// metric is feasible for (5) but not optimal, so its objective lands at or
-// above the LP value (it is NOT itself a certified lower bound).
+// Paper ordering that must hold: LP <= OPT <= FLOW. The bench exits 1 when
+// a row breaks it, or when the LP does not converge to an optimum or the
+// exhaustive search finds no partition, so CI runs it as a check. The
+// flow-injected metric is feasible for (5) but not optimal, so its
+// objective lands at or above the LP value (it is NOT itself a certified
+// lower bound).
 #include "bench_common.hpp"
 #include "core/htp_flow.hpp"
 #include "core/paper_examples.hpp"
@@ -55,6 +58,10 @@ int main(int argc, char** argv) {
     cases.push_back({"rand10-" + std::to_string(i), std::move(hg), spec});
   }
 
+  // Absolute slack on both comparisons for the LP's floating-point
+  // round-off: figure 2's bound is 20 + 1.07e-13 against OPT = 20.
+  constexpr double kSlack = 1e-6;
+  std::size_t violations = 0;
   for (Case& c : cases) {
     const SpreadingLpResult lp = SolveSpreadingLp(c.hg, c.spec);
     const auto exact = ExhaustiveHtp(c.hg, c.spec);
@@ -69,7 +76,21 @@ int main(int argc, char** argv) {
                 lp.lower_bound, opt, flow.cost,
                 flow.iterations.back().metric_cost,
                 opt > 0 ? lp.lower_bound / opt : 1.0);
+    const char* broken = nullptr;
+    if (lp.status != LpStatus::kOptimal || !lp.converged)
+      broken = "the LP did not converge to an optimum";
+    else if (!exact)
+      broken = "the exhaustive search found no partition";
+    else if (lp.lower_bound > opt + kSlack)
+      broken = "LP bound > optimum";
+    else if (opt > flow.cost + kSlack)
+      broken = "optimum > FLOW";
+    if (broken) {
+      std::fprintf(stderr, "%s: invariant broken: %s\n", c.name.c_str(),
+                   broken);
+      ++violations;
+    }
   }
   std::printf("\ninvariant: LP bound <= optimum <= FLOW on every row\n");
-  return 0;
+  return violations == 0 ? 0 : 1;
 }

@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the kernels whose complexity
 // Section 3.3 analyzes:
 //   * Dijkstra shortest-path trees: O((n + p) log n) per source,
-//   * Prim growth / find_cut: O((n + p) log n) per carve,
+//   * find_cut: O((n + p) log n) per carve,
 //   * Algorithm 2 (spreading metric): O(b_c log b_d * m (n + p) log n),
 //   * one generalized-FM refinement pass,
 //   * Equation (1) cost evaluation.
@@ -19,7 +19,6 @@
 #include "core/htp_flow.hpp"
 #include "graph/csr_view.hpp"
 #include "graph/dijkstra.hpp"
-#include "graph/prim.hpp"
 #include "netlist/generators.hpp"
 #include "obs/obs.hpp"
 #include "partition/htp_fm.hpp"
@@ -62,24 +61,6 @@ void BM_Dijkstra(benchmark::State& state) {
 BENCHMARK(BM_Dijkstra)->RangeMultiplier(4)->Range(256, 4096)
     ->Complexity(benchmark::oNLogN);
 
-// The pre-CSR walk over the Hypergraph itself (kept as the diff-test
-// reference): the BM_Dijkstra / BM_DijkstraLegacy ratio is the headline
-// single-core win of the CSR + 4-ary-heap engine.
-void BM_DijkstraLegacy(benchmark::State& state) {
-  Hypergraph hg = Circuit(state.range(0));
-  std::vector<double> len(hg.num_nets());
-  Rng rng(3);
-  for (double& d : len) d = rng.next_double();
-  NodeId source = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Dijkstra(hg, source, len));
-    source = (source + 17) % hg.num_nodes();
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_DijkstraLegacy)->RangeMultiplier(4)->Range(256, 4096)
-    ->Complexity(benchmark::oNLogN);
-
 // One-time cost of lowering the star expansion (paid once per metric
 // computation, amortized over ~n growths).
 void BM_CsrBuild(benchmark::State& state) {
@@ -89,18 +70,6 @@ void BM_CsrBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrBuild)->RangeMultiplier(4)->Range(256, 4096)
     ->Complexity(benchmark::oN);
-
-void BM_PrimGrow(benchmark::State& state) {
-  Hypergraph hg = Circuit(state.range(0));
-  std::vector<double> len(hg.num_nets());
-  Rng rng(3);
-  for (double& d : len) d = rng.next_double();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(GrowPrimTree(hg, 0, len));
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_PrimGrow)->RangeMultiplier(4)->Range(256, 4096)
-    ->Complexity(benchmark::oNLogN);
 
 void BM_FindCut(benchmark::State& state) {
   Hypergraph hg = Circuit(state.range(0));
@@ -153,8 +122,7 @@ BENCHMARK(BM_SpreadingMetricScan)->RangeMultiplier(4)->Range(256, 4096)
 // One batch scan over every node of a satisfied metric — the worst case for
 // the scanner (no early hit, full window) and the best case for workspace
 // reuse: zero allocations after the first batch. The serial baseline for
-// this shape is BM_Dijkstra times n sources plus the legacy per-call tree
-// construction it no longer pays.
+// this shape is BM_Dijkstra times n sources.
 void BM_ViolationScanFullWindow(benchmark::State& state) {
   Hypergraph hg = Circuit(state.range(0));
   const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 3);

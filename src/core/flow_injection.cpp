@@ -218,6 +218,9 @@ FlowInjectionResult ComputePairPathSpreadingMetric(
   std::vector<NodeId> worklist(hg.num_nodes());
   for (NodeId v = 0; v < hg.num_nodes(); ++v) worklist[v] = v;
   MaybeSampleWorklist(worklist, params.oracle_sample, rng);
+  // Serial: the injection step walks the violating tree's parent links,
+  // which only the single-source form returns.
+  ViolationScanner scanner(hg, spec, 1, params.csr);
 
   while (!worklist.empty() && result.rounds < params.max_rounds) {
     // Same safepoint placement as ComputeSpreadingMetric: round top and
@@ -232,7 +235,7 @@ FlowInjectionResult ComputePairPathSpreadingMetric(
     for (NodeId v : worklist) {
       if (result.cancelled) break;
       auto violation =
-          FindViolationFrom(hg, spec, result.metric, v, params.tolerance);
+          scanner.FindViolationFrom(v, result.metric, params.tolerance);
       if (!violation) continue;
       // Pair-path injection: pick a random partner inside the violating
       // (under-spread) region and flood only the v -> u shortest path.

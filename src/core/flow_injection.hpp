@@ -57,7 +57,7 @@ struct FlowInjectionParams {
   /// bit-identical for every value; only wall-clock changes. Ignored by
   /// ComputePairPathSpreadingMetric, whose injection step needs the full
   /// violating tree (a path walk through parent links) rather than just its
-  /// net set, so it stays on the serial oracle.
+  /// net set, so it runs the scanner's serial single-source form.
   std::size_t threads = 1;
   /// Cooperative cancellation handle, polled at the algorithm's safepoints:
   /// the top of every worklist round and after every commit (an injection
@@ -72,8 +72,8 @@ struct FlowInjectionParams {
   /// per computation). A caching layer (src/server) passes the shared view
   /// here so repeat requests skip the lowering; null (the default) keeps
   /// the private per-computation build. Never affects results — the view
-  /// is a pure function of the hypergraph. Ignored by
-  /// ComputePairPathSpreadingMetric, which stays on the serial oracle.
+  /// is a pure function of the hypergraph. Both ComputeSpreadingMetric and
+  /// ComputePairPathSpreadingMetric scan on it.
   std::shared_ptr<const CsrView> csr;
   /// Warm-start seed for incremental (ECO) repartitioning
   /// (docs/incremental.md). When set it must carry exactly one value per

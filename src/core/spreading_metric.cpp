@@ -43,40 +43,12 @@ double MetricCost(const Hypergraph& hg, const SpreadingMetric& metric) {
   return total;
 }
 
-std::optional<SpreadingViolation> FindViolationFrom(
-    const Hypergraph& hg, const HierarchySpec& spec,
-    const SpreadingMetric& metric, NodeId source, double tolerance) {
-  HTP_CHECK(metric.size() == hg.num_nets());
-  std::optional<SpreadingViolation> found;
-  // g is nondecreasing (weights are validated nonnegative), so g(s(V))
-  // bounds every rhs the growth can still produce; once the nondecreasing
-  // lhs clears it no later prefix can violate — stop growing.
-  const double g_cap = spec.g(hg.total_size());
-  ShortestPathTree tree = GrowShortestPathTree(
-      hg, source, metric, [&](const GrowState& state) {
-        const double rhs = spec.g(state.tree_size);
-        if (state.weighted_dist + tolerance < rhs) {
-          found = SpreadingViolation{source,
-                                     state.tree_nodes,
-                                     state.tree_size,
-                                     state.weighted_dist,
-                                     rhs,
-                                     {}};
-          return GrowAction::kStop;
-        }
-        if (state.weighted_dist + tolerance >= g_cap)
-          return GrowAction::kStop;
-        return GrowAction::kContinue;
-      });
-  if (found) found->tree = std::move(tree);
-  return found;
-}
-
 std::optional<SpreadingViolation> CheckSpreadingMetric(
     const Hypergraph& hg, const HierarchySpec& spec,
     const SpreadingMetric& metric, double tolerance) {
+  ViolationScanner scanner(hg, spec, 1);
   for (NodeId v = 0; v < hg.num_nodes(); ++v)
-    if (auto violation = FindViolationFrom(hg, spec, metric, v, tolerance))
+    if (auto violation = scanner.FindViolationFrom(v, metric, tolerance))
       return violation;
   return std::nullopt;
 }
@@ -129,6 +101,45 @@ ViolationScanner::ViolationScanner(const Hypergraph& hg,
 
 ViolationScanner::~ViolationScanner() = default;
 
+// On a violated prefix, records it into `slot` and stops the growth. Also
+// stops once no remaining prefix can violate: lhs is nondecreasing and
+// g_cap_ = g(s(V)) bounds every future rhs (g is nondecreasing because
+// weights are validated nonnegative). Deterministic — a pure function of
+// (source, metric) — so thread-invariant.
+inline GrowAction ViolationScanner::CheckPrefix(const GrowState& state,
+                                                double tolerance,
+                                                Slot& slot) const {
+  const double rhs = spec_.g(state.tree_size);
+  if (state.weighted_dist + tolerance < rhs) {
+    slot.violated = true;
+    slot.tree_nodes = state.tree_nodes;
+    slot.tree_size = state.tree_size;
+    slot.lhs = state.weighted_dist;
+    slot.rhs = rhs;
+    return GrowAction::kStop;
+  }
+  if (state.weighted_dist + tolerance >= g_cap_) return GrowAction::kStop;
+  return GrowAction::kContinue;
+}
+
+std::optional<SpreadingViolation> ViolationScanner::FindViolationFrom(
+    NodeId source, const SpreadingMetric& metric, double tolerance) {
+  HTP_CHECK(metric.size() == hg_.num_nets());
+  Worker& worker = worker_state_[0];
+  Slot slot;
+  worker.workspace.Grow(
+      *csr_, source, metric,
+      [&](const GrowState& state) {
+        return CheckPrefix(state, tolerance, slot);
+      },
+      worker.tree, &slot.stats);
+  RecordDijkstraCounters(slot.stats, 1);
+  if (!slot.violated) return std::nullopt;
+  return SpreadingViolation{source,         slot.tree_nodes,
+                            slot.tree_size, slot.lhs,
+                            slot.rhs,       std::move(worker.tree)};
+}
+
 std::optional<ViolationScanner::ScanHit> ViolationScanner::FindFirstViolation(
     std::span<const NodeId> candidates, std::size_t begin,
     const SpreadingMetric& metric, double tolerance) {
@@ -164,21 +175,7 @@ std::optional<ViolationScanner::ScanHit> ViolationScanner::FindFirstViolation(
               cancelled = true;
               return GrowAction::kStop;
             }
-            const double rhs = spec_.g(state.tree_size);
-            if (state.weighted_dist + tolerance < rhs) {
-              slot.violated = true;
-              slot.tree_nodes = state.tree_nodes;
-              slot.tree_size = state.tree_size;
-              slot.lhs = state.weighted_dist;
-              slot.rhs = rhs;
-              return GrowAction::kStop;
-            }
-            // No remaining prefix can violate: lhs is nondecreasing and
-            // g_cap_ = g(s(V)) bounds every future rhs. Deterministic —
-            // a pure function of (source, metric) — so thread-invariant.
-            if (state.weighted_dist + tolerance >= g_cap_)
-              return GrowAction::kStop;
-            return GrowAction::kContinue;
+            return CheckPrefix(state, tolerance, slot);
           },
           worker.tree, &slot.stats);
       if (cancelled) return;  // a lower index already won; nothing after

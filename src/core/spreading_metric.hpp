@@ -11,10 +11,11 @@
 //   for all v, k:  sum_{u ∈ S(v,k)} s(u) * dist_d(v, u) >= g(s(S(v,k)))  (5)
 //
 // This header provides: metrics induced by partitions (Lemma 1), the metric
-// objective sum_e c(e) d(e), the constraint checker / separation oracle
-// over family (5) shared by Algorithm 2, the exact LP solver, and the
-// tests, and ViolationScanner — the deterministic (optionally parallel)
-// batch form of that oracle that Algorithm 2's injection rounds run on.
+// objective sum_e c(e) d(e), and ViolationScanner — the one separation
+// oracle over family (5). Algorithm 2's injection rounds run its
+// deterministic (optionally parallel) batch form; the pair-path baseline,
+// the exact LP solver, and the full feasibility check CheckSpreadingMetric
+// run its serial single-source form.
 #pragma once
 
 #include <cstddef>
@@ -56,16 +57,9 @@ struct SpreadingViolation {
   ShortestPathTree tree;
 };
 
-/// Checks constraints (5) rooted at one node; returns the *first* violation
-/// met while growing S(v,k) for k = 1..n, or nullopt when v is satisfied.
-/// `tolerance` is the absolute slack granted to the left-hand side.
-std::optional<SpreadingViolation> FindViolationFrom(
-    const Hypergraph& hg, const HierarchySpec& spec,
-    const SpreadingMetric& metric, NodeId source, double tolerance = 1e-7);
-
-/// Full feasibility check of family (5) over all sources. Returns the first
-/// violation found (scanning sources in id order), or nullopt when `metric`
-/// is a feasible spreading metric.
+/// Full feasibility check of family (5) over all sources, on one serial
+/// ViolationScanner. Returns the first violation found (scanning sources in
+/// id order), or nullopt when `metric` is a feasible spreading metric.
 std::optional<SpreadingViolation> CheckSpreadingMetric(
     const Hypergraph& hg, const HierarchySpec& spec,
     const SpreadingMetric& metric, double tolerance = 1e-7);
@@ -136,12 +130,26 @@ class ViolationScanner {
                                             const SpreadingMetric& metric,
                                             double tolerance);
 
+  /// Checks constraints (5) rooted at one node, serially: returns the
+  /// *first* violation met while growing S(v,k) for k = 1..n, together
+  /// with the violating tree, or nullopt when v is satisfied. `tolerance`
+  /// is the absolute slack granted to the left-hand side. The growth is
+  /// credited to the dijkstra.* counters as one call. This is the form for
+  /// callers that need the whole tree (the LP's Equation-(6) rows, the
+  /// pair-path walk); a batch call commits the same verdict per candidate.
+  std::optional<SpreadingViolation> FindViolationFrom(
+      NodeId source, const SpreadingMetric& metric, double tolerance = 1e-7);
+
   /// Resolved worker count (1 when serial; never affects results).
   std::size_t workers() const { return workers_; }
 
  private:
   struct Slot;
   struct Worker;
+
+  /// The family-(5) test on one prefix S(v,k), shared by both scan forms.
+  GrowAction CheckPrefix(const GrowState& state, double tolerance,
+                         Slot& slot) const;
 
   const Hypergraph& hg_;
   const HierarchySpec& spec_;

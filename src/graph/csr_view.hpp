@@ -1,8 +1,8 @@
 // CsrView: an immutable CSR lowering of the hypergraph star expansion for
 // the Dijkstra hot path.
 //
-// Hypergraph already stores both incidence directions in CSR form, but the
-// growth loop of DijkstraWorkspace::Grow pays three indirections per relaxed
+// Hypergraph already stores both incidence directions in CSR form, but a
+// Dijkstra growth walking it pays three indirections per relaxed
 // net — node -> incident-net list, net -> pin offset, offset -> pins — plus
 // a bounds-checked span construction (HTP_CHECK is active in Release) for
 // every one of them. Profiling (PR 3's phase timers) puts that loop at
@@ -23,14 +23,15 @@
 //     over memory. Costs sum_e |e|*(|e|-1) entries — the star/clique
 //     expansion — which is ~2x the pin count for short-net netlists.
 //   * kShared — each net's pin list is stored once and every arc points at
-//     it (the owning node stays in the list; the settled-node test skips it
-//     exactly as the legacy walk does). Costs |pins| entries.
+//     it (the owning node stays in the list; the growth's settled-node test
+//     skips it). Costs |pins| entries.
 //
 // kAuto picks kDuplicated unless a hub net blows the expansion past
 // kDuplicationLimit times the pin count. Results are bit-identical across
-// layouts and with the legacy Hypergraph walk: arcs preserve the node ->
-// nets order and pins preserve the per-net pin order, so relaxations happen
-// in the same sequence with the same tie-breaks.
+// layouts and with the reference walk over the Hypergraph itself
+// (tests/test_util.hpp): arcs preserve the node -> nets order and pins
+// preserve the per-net pin order, so relaxations happen in the same
+// sequence with the same tie-breaks.
 //
 // Scale limit: pin offsets are 32-bit, so the chosen layout's pin-entry
 // count (sum_e |e|*(|e|-1) duplicated, |pins| shared) must fit in uint32 —

@@ -12,14 +12,6 @@ obs::Counter c_settled("dijkstra.settled");
 obs::Counter c_pops("dijkstra.pops");
 obs::Counter c_relaxations("dijkstra.relaxations");
 
-// Scratch for the convenience entry points: per-thread, sized once for the
-// largest graph the thread has seen. The re-entrant scan path owns explicit
-// workspaces instead (core/spreading_metric.hpp).
-DijkstraWorkspace& ThreadWorkspace() {
-  thread_local DijkstraWorkspace workspace;
-  return workspace;
-}
-
 }  // namespace
 
 void RecordDijkstraCounters(const DijkstraStats& stats, std::uint64_t calls) {
@@ -27,38 +19,6 @@ void RecordDijkstraCounters(const DijkstraStats& stats, std::uint64_t calls) {
   c_settled.Add(stats.settled);
   c_pops.Add(stats.pops);
   c_relaxations.Add(stats.relaxations);
-}
-
-ShortestPathTree GrowShortestPathTree(
-    const Hypergraph& hg, NodeId source, std::span<const double> net_length,
-    const std::function<GrowAction(const GrowState&)>& visitor) {
-  ShortestPathTree tree;
-  DijkstraStats stats;
-  ThreadWorkspace().Grow(hg, source, net_length, visitor, tree, &stats);
-  RecordDijkstraCounters(stats, 1);
-  return tree;
-}
-
-ShortestPathTree Dijkstra(const Hypergraph& hg, NodeId source,
-                          std::span<const double> net_length) {
-  return GrowShortestPathTree(hg, source, net_length,
-                              [](const GrowState&) { return GrowAction::kContinue; });
-}
-
-ShortestPathTree GrowShortestPathTree(
-    const CsrView& view, NodeId source, std::span<const double> net_length,
-    const std::function<GrowAction(const GrowState&)>& visitor) {
-  ShortestPathTree tree;
-  DijkstraStats stats;
-  ThreadWorkspace().Grow(view, source, net_length, visitor, tree, &stats);
-  RecordDijkstraCounters(stats, 1);
-  return tree;
-}
-
-ShortestPathTree Dijkstra(const CsrView& view, NodeId source,
-                          std::span<const double> net_length) {
-  return GrowShortestPathTree(view, source, net_length,
-                              [](const GrowState&) { return GrowAction::kContinue; });
 }
 
 std::vector<NetId> TreeNets(const ShortestPathTree& tree) {

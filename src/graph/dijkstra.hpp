@@ -7,34 +7,28 @@
 // each net needs to be relaxed only from its first settled pin (any later
 // settled pin offers a distance at least as large), giving O((n+p) log n).
 //
-// GrowShortestPathTree additionally exposes the incremental S(v,k) trees of
-// constraint family (5): after the k-th node is settled the visitor sees the
-// prefix sums needed to evaluate the spreading constraint and may stop the
-// growth early, which is what makes Algorithm 2 affordable.
+// DijkstraWorkspace::Grow additionally exposes the incremental S(v,k) trees
+// of constraint family (5): after the k-th node is settled the visitor sees
+// the prefix sums needed to evaluate the spreading constraint and may stop
+// the growth early, which is what makes Algorithm 2 affordable.
 //
-// Two entry styles share the growth logic (DijkstraWorkspace::Grow):
-//   * the free functions below — allocation-friendly convenience API; they
-//     run on a thread-local workspace and record the dijkstra.* counters;
-//   * an explicit DijkstraWorkspace — the re-entrant form for parallel
-//     candidate scans (core/spreading_metric.hpp): the caller owns one
-//     workspace per worker, scratch state is reused across calls with
-//     epoch-stamped validity (no per-call allocation, no O(nets) clearing),
-//     and telemetry is *returned* via DijkstraStats instead of recorded, so
-//     speculative work can be discarded without perturbing the
-//     deterministic counter totals (see docs/observability.md).
-//
-// Each style exists in two adjacency flavors: the legacy walk over the
-// Hypergraph itself, and the hot-path engine over a prebuilt CsrView
-// (graph/csr_view.hpp) with a cache-friendly 4-ary heap. The two are
-// bit-identical — same distances, parents, settling (pop) order, and work
-// counts — which tests/graph/csr_dijkstra_diff_test.cpp asserts; the CSR
-// flavor amortizes its one-time lowering across the many growths of an
-// Algorithm-2 metric computation.
+// Growth runs over a prebuilt CsrView (graph/csr_view.hpp), whose one-time
+// lowering is amortized across the many growths of a metric computation,
+// on a caller-owned DijkstraWorkspace: scratch state is reused across calls
+// with epoch-stamped validity (no per-call allocation, no O(nets)
+// clearing), one workspace per worker makes growth re-entrant for parallel
+// candidate scans, and telemetry is *returned* via DijkstraStats instead of
+// recorded, so speculative work can be discarded without perturbing the
+// deterministic counter totals (see docs/observability.md). In the library
+// the one caller is ViolationScanner (core/spreading_metric.hpp), the
+// family-(5) oracle. tests/graph/csr_dijkstra_diff_test.cpp checks the
+// engine bit for bit (distances, parents, settling (pop) order, and work
+// counts) against the plain binary-heap walk over the Hypergraph that
+// tests/test_util.hpp keeps as the reference.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <vector>
@@ -100,97 +94,32 @@ struct DijkstraStats {
 };
 
 /// Reusable scratch state for Dijkstra growths: tentative distances, the
-/// per-net relaxed marks, and the binary-heap storage. Validity of the
+/// per-net relaxed marks, and the frontier storage. Validity of the
 /// tentative/relaxed cells is tracked by an epoch stamp, so starting a new
 /// growth costs O(1) besides sizing the arrays on first use (or after the
 /// graph grows). Not thread-safe: use one workspace per worker thread.
 class DijkstraWorkspace {
  public:
-  /// Runs Dijkstra from `source` with lengths `net_length` (size = num_nets,
-  /// entries >= 0), writing the (possibly truncated) tree into `out` — the
-  /// caller owns and may reuse it; its previous contents are discarded. The
-  /// visitor is called after every settled node (including the source) and
-  /// may stop the growth. When `stats` is non-null the growth's work counts
-  /// are *added* to it; nothing is recorded into the obs counters (that is
-  /// the caller's decision — see RecordDijkstraCounters).
-  template <typename Visitor>
-  void Grow(const Hypergraph& hg, NodeId source,
-            std::span<const double> net_length, Visitor&& visitor,
-            ShortestPathTree& out, DijkstraStats* stats = nullptr) {
-    HTP_CHECK(source < hg.num_nodes());
-    HTP_CHECK(net_length.size() == hg.num_nets());
-    BeginEpoch(hg.num_nodes(), hg.num_nets());
-
-    out.source = source;
-    out.dist.assign(hg.num_nodes(), kInfDist);
-    out.parent.assign(hg.num_nodes(), TreeParent{});
-    out.order.clear();
-
-    // Tentative distances live separately: out.dist is set only on settle so
-    // `settled()` stays meaningful for truncated runs.
-    SetTentative(source, 0.0);
-    heap_.push_back({0.0, source});
-
-    double tree_size = 0.0;
-    double weighted_dist = 0.0;
-    std::uint64_t pops = 0, relaxations = 0;
-
-    while (!heap_.empty()) {
-      const HeapEntry top = heap_.front();
-      std::pop_heap(heap_.begin(), heap_.end(), HeapAfter);
-      heap_.pop_back();
-      ++pops;
-      const NodeId u = top.node;
-      if (out.settled(u) || top.dist > Tentative(u)) continue;  // stale entry
-
-      out.dist[u] = top.dist;
-      // Parents are published only on settle (from the staged scratch) so
-      // unsettled nodes keep the invalid parent the struct documents, even
-      // when a visitor truncates the growth mid-frontier.
-      out.parent[u] = {node_scratch_[u].parent_net,
-                       node_scratch_[u].parent_node};
-      out.order.push_back(u);
-      tree_size += hg.node_size(u);
-      weighted_dist += hg.node_size(u) * top.dist;
-
-      const GrowState state{u, top.dist, tree_size, weighted_dist,
-                            out.order.size()};
-      if (visitor(state) == GrowAction::kStop) break;
-
-      for (NetId e : hg.nets(u)) {
-        if (net_scratch_[e].epoch == epoch_) continue;  // already relaxed
-        net_scratch_[e].epoch = epoch_;
-        const double cand = top.dist + net_length[e];
-        for (NodeId x : hg.pins(e)) {
-          if (out.settled(x) || cand >= Tentative(x)) continue;
-          SetTentativeAndParent(x, cand, e, u);
-          heap_.push_back({cand, x});
-          std::push_heap(heap_.begin(), heap_.end(), HeapAfter);
-          ++relaxations;
-        }
-      }
-    }
-    heap_.clear();
-    if (stats) {
-      stats->pops += pops;
-      stats->relaxations += relaxations;
-      stats->settled += out.order.size();
-    }
-  }
-
-  /// The CSR fast path: the same growth with the same results, run over a
-  /// prebuilt CsrView instead of the Hypergraph (one pointer-chase per arc
-  /// instead of three bounds-checked span constructions) and a three-level
-  /// frontier instead of the std binary heap: a one-entry hot register, an
-  /// ascending sorted run popped from a drifting head, and a 4-ary heap
-  /// that absorbs deep inserts (see the loop comments). Bit-identical to
-  /// the Hypergraph overload above — distances, parents, settling order,
-  /// and work counts — because all frontier keys (dist, node) are distinct
-  /// (a node is re-pushed only with a strictly smaller distance), so ANY
-  /// exact min-priority structure pops them in the one sorted order; each
-  /// pop takes the minimum of the three levels' minima, which is the
-  /// global frontier minimum. Asserted by
-  /// tests/graph/csr_dijkstra_diff_test.cpp.
+  /// Runs Dijkstra from `source` over `view` with lengths `net_length`
+  /// (size = num_nets, entries >= 0), writing the (possibly truncated) tree
+  /// into `out` — the caller owns and may reuse it; its previous contents
+  /// are discarded. The visitor is called after every settled node
+  /// (including the source) and may stop the growth; the tree then holds
+  /// exactly the settled prefix, the shortest-path tree S(v,k) of the paper.
+  /// When `stats` is non-null the growth's work counts are *added* to it;
+  /// nothing is recorded into the obs counters (that is the caller's
+  /// decision — see RecordDijkstraCounters).
+  ///
+  /// The frontier has three levels instead of one binary heap: a one-entry
+  /// hot register, an ascending sorted run popped from a drifting head, and
+  /// a 4-ary heap that absorbs deep inserts (see the loop comments). All
+  /// frontier keys (dist, node) are distinct (a node is re-pushed only with
+  /// a strictly smaller distance), so ANY exact min-priority structure pops
+  /// them in the one sorted order; each pop takes the minimum of the three
+  /// levels' minima, which is the global frontier minimum. Distances,
+  /// parents, settling order, and work counts therefore equal those of the
+  /// binary-heap reference walk, as tests/graph/csr_dijkstra_diff_test.cpp
+  /// asserts.
   template <typename Visitor>
   void Grow(const CsrView& view, NodeId source,
             std::span<const double> net_length, Visitor&& visitor,
@@ -274,7 +203,7 @@ class DijkstraWorkspace {
     // ascending, so its head is its minimum) — the global frontier minimum.
     // All keys are distinct, so the pop sequence is the one sorted order
     // any exact priority queue would produce: results and work counts are
-    // bit-identical to the legacy binary heap.
+    // bit-identical to a binary heap's.
     HeapEntry hot{0.0, source};
     bool has_hot = true;
     std::size_t run_head = 0, run_tail = 0;
@@ -385,15 +314,10 @@ class DijkstraWorkspace {
     double dist;
     NodeId node;
   };
-  /// Min-heap order on (dist, node): `a` comes after `b`. The node tie-break
-  /// pins the settling order of equidistant nodes, part of the library-wide
-  /// determinism contract.
-  static bool HeapAfter(const HeapEntry& a, const HeapEntry& b) {
-    return a.dist > b.dist || (a.dist == b.dist && a.node > b.node);
-  }
-  /// Strict (dist, node) min order — the same total order as HeapAfter seen
-  /// from the other side, shared by the 4-ary heap below. Written with
-  /// non-short-circuit operators on purpose: both sides compile to setcc and
+  /// Strict (dist, node) min order of frontier entries, shared by the sorted
+  /// run and the 4-ary heap below. The node tie-break pins the settling
+  /// order of equidistant nodes, part of the library-wide determinism
+  /// contract. Written with non-short-circuit operators on purpose: both sides compile to setcc and
   /// the result feeds conditional moves in the sift-down, where a
   /// short-circuit branch on effectively random doubles would mispredict
   /// half the time.
@@ -454,7 +378,7 @@ class DijkstraWorkspace {
   /// record per pin instead of scattering across separate arrays; the
   /// winning parents reach the output once per SETTLED node, at settle time
   /// (settled <= relaxations, and losers never reach the output at all).
-  /// The trailing `size` is the per-view node-size cache (see the CSR Grow);
+  /// The trailing `size` is the per-view node-size cache (see Grow);
   /// updates must write the other fields individually to preserve it.
   struct NodeScratch {
     double tentative;
@@ -470,21 +394,6 @@ class DijkstraWorkspace {
     std::uint32_t epoch;
     double length;
   };
-
-  double Tentative(NodeId v) const {
-    return node_scratch_[v].epoch == epoch_ ? node_scratch_[v].tentative
-                                            : kInfDist;
-  }
-  void SetTentative(NodeId v, double d) {
-    SetTentativeAndParent(v, d, kInvalidNet, kInvalidNode);
-  }
-  void SetTentativeAndParent(NodeId v, double d, NetId net, NodeId node) {
-    NodeScratch& s = node_scratch_[v];
-    s.tentative = d;
-    s.epoch = epoch_;
-    s.parent_net = net;
-    s.parent_node = node;
-  }
 
   /// Sizes the arrays for (num_nodes, num_nets) and invalidates every cell
   /// by bumping the epoch (O(1) except on first use, growth, or the ~4e9th
@@ -521,33 +430,9 @@ class DijkstraWorkspace {
   std::uint64_t sizes_view_id_ = 0;
 };
 
-/// Runs Dijkstra from `source` with lengths `net_length` on a thread-local
-/// workspace (no scratch allocation after the first call per thread) and
-/// records the dijkstra.* counters. The visitor is called after every
-/// settled node (including the source) and may stop the growth; the
-/// returned tree then contains exactly the settled prefix — the
-/// shortest-path tree S(v,k) of the paper.
-ShortestPathTree GrowShortestPathTree(
-    const Hypergraph& hg, NodeId source, std::span<const double> net_length,
-    const std::function<GrowAction(const GrowState&)>& visitor);
-
-/// Full single-source shortest paths (no early stop).
-ShortestPathTree Dijkstra(const Hypergraph& hg, NodeId source,
-                          std::span<const double> net_length);
-
-/// CSR flavors of the two convenience entry points: identical results, run
-/// on the CsrView fast path (the caller amortizes the lowering across many
-/// sources). Counters are recorded exactly like the Hypergraph flavors.
-ShortestPathTree GrowShortestPathTree(
-    const CsrView& view, NodeId source, std::span<const double> net_length,
-    const std::function<GrowAction(const GrowState&)>& visitor);
-ShortestPathTree Dijkstra(const CsrView& view, NodeId source,
-                          std::span<const double> net_length);
-
-/// Credits `calls` growths worth `stats` to the dijkstra.* counters. The
-/// free functions above call this themselves; explicit-workspace callers
-/// use it to commit exactly the deterministic (serial-order) portion of a
-/// speculative scan.
+/// Credits `calls` growths worth `stats` to the dijkstra.* counters.
+/// Workspace callers use it to commit exactly the deterministic
+/// (serial-order) portion of a speculative scan.
 void RecordDijkstraCounters(const DijkstraStats& stats, std::uint64_t calls);
 
 /// Distinct nets used as parent edges by the settled nodes of `tree` —

@@ -14,6 +14,9 @@ SpreadingLpResult SolveSpreadingLp(const Hypergraph& hg,
   for (NetId e = 0; e < m; ++e) lp.objective[e] = hg.net_capacity(e);
 
   SpreadingMetric metric(m, 0.0);
+  // Serial: each cut row needs the violating tree's subtree sizes, which
+  // only the single-source form returns.
+  ViolationScanner scanner(hg, spec, 1);
   for (std::size_t round = 1; round <= options.max_rounds; ++round) {
     result.rounds = round;
 
@@ -25,8 +28,7 @@ SpreadingLpResult SolveSpreadingLp(const Hypergraph& hg,
         pool_capped = true;
         break;
       }
-      auto violation =
-          FindViolationFrom(hg, spec, metric, v, options.tolerance);
+      auto violation = scanner.FindViolationFrom(v, metric, options.tolerance);
       if (!violation) continue;
       LpRow row;
       row.coeffs.assign(m, 0.0);

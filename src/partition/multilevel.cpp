@@ -64,7 +64,7 @@ std::vector<BlockId> HeavyEdgeMatching(const Hypergraph& hg,
 
 Bipartition MultilevelBipartition(const Hypergraph& hg,
                                   const FmBipartitionParams& window, Rng& rng,
-                                  const MultilevelParams& params) {
+                                  const VCycleParams& params) {
   HTP_CHECK(hg.num_nodes() >= 2);
   HTP_CHECK(params.min_shrink > 0.0 && params.min_shrink < 1.0);
 
@@ -103,7 +103,7 @@ Bipartition MultilevelBipartition(const Hypergraph& hg,
   return part;
 }
 
-CarveFn MultilevelCarver(MultilevelParams params) {
+CarveFn MultilevelCarver(VCycleParams params) {
   return [params](const Hypergraph& hg, std::span<const double>, double lb,
                   double ub, Rng& rng) {
     CarveResult result;

@@ -23,7 +23,7 @@
 namespace htp {
 
 /// V-cycle parameters.
-struct MultilevelParams {
+struct VCycleParams {
   /// Stop coarsening at or below this node count.
   std::size_t coarsest_nodes = 64;
   /// Give up when a matching pass shrinks the graph by less than 10%.
@@ -39,16 +39,16 @@ struct MultilevelParams {
 /// [window.min_size0, window.max_size0].
 Bipartition MultilevelBipartition(const Hypergraph& hg,
                                   const FmBipartitionParams& window, Rng& rng,
-                                  const MultilevelParams& params = {});
+                                  const VCycleParams& params = {});
 
 /// CarveFn adapter: carve a [lb..ub] min-cut block via the V-cycle
 /// (ignores the metric argument, like the flat FM carver).
-CarveFn MultilevelCarver(MultilevelParams params = {});
+CarveFn MultilevelCarver(VCycleParams params = {});
 
 /// The Algorithm-3 skeleton driven by the multilevel carver — the modern
 /// top-down baseline ("MLFM") compared in bench/modern_baseline.
 struct MlfmParams {
-  MultilevelParams multilevel;
+  VCycleParams multilevel;
   std::uint64_t seed = 1;
 };
 TreePartition RunMlfm(const Hypergraph& hg, const HierarchySpec& spec,

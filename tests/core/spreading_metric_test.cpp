@@ -92,15 +92,13 @@ struct SweepResult {
   std::size_t index;
   SpreadingViolation violation;
 };
-std::optional<SweepResult> SerialSweep(const Hypergraph& hg,
-                                       const HierarchySpec& spec,
+std::optional<SweepResult> SerialSweep(ViolationScanner& serial,
                                        const std::vector<NodeId>& candidates,
                                        std::size_t begin,
                                        const SpreadingMetric& metric,
                                        double tolerance) {
   for (std::size_t i = begin; i < candidates.size(); ++i)
-    if (auto v =
-            FindViolationFrom(hg, spec, metric, candidates[i], tolerance))
+    if (auto v = serial.FindViolationFrom(candidates[i], metric, tolerance))
       return SweepResult{i, std::move(*v)};
   return std::nullopt;
 }
@@ -120,6 +118,7 @@ TEST_P(ViolationScannerTest, MatchesSerialSweepOnEveryCursor) {
   // A uniformly short metric violates from many sources; scaling it up
   // sweeps the hit across the candidate list and eventually to "feasible".
   ViolationScanner scanner(hg, spec, GetParam());
+  ViolationScanner serial(hg, spec, 1);
   for (double scale : {0.001, 0.01, 0.1, 1.0, 100.0}) {
     const SpreadingMetric metric(hg.num_nets(), scale);
     for (std::size_t begin : {std::size_t{0}, std::size_t{17},
@@ -127,7 +126,7 @@ TEST_P(ViolationScannerTest, MatchesSerialSweepOnEveryCursor) {
       SCOPED_TRACE(testing::Message() << "scale " << scale << " begin "
                                       << begin);
       const auto expect =
-          SerialSweep(hg, spec, candidates, begin, metric, 1e-7);
+          SerialSweep(serial, candidates, begin, metric, 1e-7);
       const auto hit = scanner.FindFirstViolation(candidates, begin, metric,
                                                   1e-7);
       ASSERT_EQ(expect.has_value(), hit.has_value());

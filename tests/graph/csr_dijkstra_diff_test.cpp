@@ -1,8 +1,9 @@
 // Differential tests for the CSR Dijkstra engine (graph/csr_view.hpp):
-// the CsrView + 4-ary-heap growth must be bit-identical to the legacy
-// Hypergraph walk — distances, parents, settling (pop) order, and work
-// counts — for every layout, including tie-heavy length functions that
-// exercise the (dist, node) heap tie-break.
+// the CsrView + 4-ary-heap growth must be bit-identical to the reference
+// binary-heap walk over the Hypergraph (testutil::ReferenceGrow) —
+// distances, parents, settling (pop) order, and work counts — for every
+// layout, including tie-heavy length functions that exercise the
+// (dist, node) heap tie-break.
 #include <gtest/gtest.h>
 
 #include "graph/csr_view.hpp"
@@ -11,6 +12,10 @@
 
 namespace htp {
 namespace {
+
+using testutil::CsrDijkstra;
+using testutil::ReferenceDijkstra;
+using testutil::ReferenceGrow;
 
 void ExpectSameTree(const ShortestPathTree& a, const ShortestPathTree& b) {
   EXPECT_EQ(a.source, b.source);
@@ -101,9 +106,9 @@ TEST_P(CsrDijkstraDiffTest, FullGrowthBitIdenticalEverySourceBothLayouts) {
   const CsrView dup(hg, CsrLayout::kDuplicated);
   const CsrView shared(hg, CsrLayout::kShared);
   for (NodeId source = 0; source < hg.num_nodes(); ++source) {
-    const ShortestPathTree expect = Dijkstra(hg, source, len);
-    ExpectSameTree(expect, Dijkstra(dup, source, len));
-    ExpectSameTree(expect, Dijkstra(shared, source, len));
+    const ShortestPathTree expect = ReferenceDijkstra(hg, source, len);
+    ExpectSameTree(expect, CsrDijkstra(dup, source, len));
+    ExpectSameTree(expect, CsrDijkstra(shared, source, len));
   }
 }
 
@@ -118,7 +123,8 @@ TEST_P(CsrDijkstraDiffTest, TieHeavyLengthsPopInSameOrder) {
   for (double c : {0.0, 1.0}) {
     const std::vector<double> len(hg.num_nets(), c);
     for (NodeId source = 0; source < hg.num_nodes(); source += 3)
-      ExpectSameTree(Dijkstra(hg, source, len), Dijkstra(view, source, len));
+      ExpectSameTree(ReferenceDijkstra(hg, source, len),
+                     CsrDijkstra(view, source, len));
   }
 }
 
@@ -128,20 +134,21 @@ TEST_P(CsrDijkstraDiffTest, TruncatedGrowthAndStatsMatch) {
       30 + seed % 15, 25 + seed % 15, 4, seed + 17);
   const std::vector<double> len = RandomLengths(hg, seed, 2.0);
   const CsrView view(hg);
-  DijkstraWorkspace legacy_ws, csr_ws;
-  ShortestPathTree legacy_tree, csr_tree;
+  DijkstraWorkspace csr_ws;
+  ShortestPathTree csr_tree;
   for (std::size_t stop_k : {std::size_t{1}, std::size_t{5},
                              static_cast<std::size_t>(hg.num_nodes())}) {
     auto stop_at = [stop_k](const GrowState& s) {
       return s.tree_nodes >= stop_k ? GrowAction::kStop : GrowAction::kContinue;
     };
-    DijkstraStats legacy_stats, csr_stats;
-    legacy_ws.Grow(hg, 2, len, stop_at, legacy_tree, &legacy_stats);
+    DijkstraStats reference_stats, csr_stats;
+    const ShortestPathTree reference_tree =
+        ReferenceGrow(hg, 2, len, stop_at, &reference_stats);
     csr_ws.Grow(view, 2, len, stop_at, csr_tree, &csr_stats);
-    ExpectSameTree(legacy_tree, csr_tree);
-    EXPECT_EQ(legacy_stats.pops, csr_stats.pops);
-    EXPECT_EQ(legacy_stats.relaxations, csr_stats.relaxations);
-    EXPECT_EQ(legacy_stats.settled, csr_stats.settled);
+    ExpectSameTree(reference_tree, csr_tree);
+    EXPECT_EQ(reference_stats.pops, csr_stats.pops);
+    EXPECT_EQ(reference_stats.relaxations, csr_stats.relaxations);
+    EXPECT_EQ(reference_stats.settled, csr_stats.settled);
   }
 }
 
@@ -151,50 +158,27 @@ TEST_P(CsrDijkstraDiffTest, VisitorSeesIdenticalGrowStates) {
       testutil::RandomConnectedHypergraph(24, 20, 3, seed ^ 0x9e3779b9);
   const std::vector<double> len = RandomLengths(hg, seed * 7, 1.0);
   const CsrView view(hg);
-  std::vector<GrowState> legacy_states, csr_states;
-  GrowShortestPathTree(hg, 0, len, [&](const GrowState& s) {
-    legacy_states.push_back(s);
+  std::vector<GrowState> reference_states, csr_states;
+  ReferenceGrow(hg, 0, len, [&](const GrowState& s) {
+    reference_states.push_back(s);
     return GrowAction::kContinue;
   });
-  GrowShortestPathTree(view, 0, len, [&](const GrowState& s) {
+  testutil::GrowOnView(view, 0, len, [&](const GrowState& s) {
     csr_states.push_back(s);
     return GrowAction::kContinue;
   });
-  ASSERT_EQ(legacy_states.size(), csr_states.size());
-  for (std::size_t i = 0; i < legacy_states.size(); ++i) {
-    EXPECT_EQ(legacy_states[i].node, csr_states[i].node);
-    EXPECT_EQ(legacy_states[i].distance, csr_states[i].distance);    // bitwise
-    EXPECT_EQ(legacy_states[i].tree_size, csr_states[i].tree_size);  // bitwise
-    EXPECT_EQ(legacy_states[i].weighted_dist, csr_states[i].weighted_dist);
-    EXPECT_EQ(legacy_states[i].tree_nodes, csr_states[i].tree_nodes);
+  ASSERT_EQ(reference_states.size(), csr_states.size());
+  for (std::size_t i = 0; i < reference_states.size(); ++i) {  // bitwise
+    EXPECT_EQ(reference_states[i].node, csr_states[i].node);
+    EXPECT_EQ(reference_states[i].distance, csr_states[i].distance);
+    EXPECT_EQ(reference_states[i].tree_size, csr_states[i].tree_size);
+    EXPECT_EQ(reference_states[i].weighted_dist, csr_states[i].weighted_dist);
+    EXPECT_EQ(reference_states[i].tree_nodes, csr_states[i].tree_nodes);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsrDijkstraDiffTest,
                          ::testing::Range<std::uint64_t>(1, 11));
-
-TEST(CsrDijkstraDiff, WorkspaceSharedAcrossViewAndHypergraphCalls) {
-  // One workspace alternating between the two flavors (and across graphs)
-  // must stay correct: epoch stamps, not clears, isolate the growths.
-  DijkstraWorkspace ws;
-  ShortestPathTree tree;
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    Hypergraph hg =
-        testutil::RandomConnectedHypergraph(15 + seed * 9, 10 + seed * 6, 3,
-                                            seed);
-    const std::vector<double> len = RandomLengths(hg, seed, 3.0);
-    const CsrView view(hg);
-    for (NodeId source = 0; source < hg.num_nodes(); source += 4) {
-      const ShortestPathTree expect = Dijkstra(hg, source, len);
-      ws.Grow(view, source, len,
-              [](const GrowState&) { return GrowAction::kContinue; }, tree);
-      ExpectSameTree(expect, tree);
-      ws.Grow(hg, source, len,
-              [](const GrowState&) { return GrowAction::kContinue; }, tree);
-      ExpectSameTree(expect, tree);
-    }
-  }
-}
 
 }  // namespace
 }  // namespace htp

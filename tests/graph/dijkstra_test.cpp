@@ -1,11 +1,18 @@
+// Properties of the library's shortest-path engine, DijkstraWorkspace::Grow
+// over a CsrView: distances, truncation, prefix sums, agreement with
+// Bellman-Ford, parent-edge consistency, and Equation (6).
 #include "graph/dijkstra.hpp"
 
 #include <gtest/gtest.h>
 
+#include "graph/csr_view.hpp"
 #include "test_util.hpp"
 
 namespace htp {
 namespace {
+
+using testutil::CsrDijkstra;
+using testutil::GrowOnView;
 
 Hypergraph PathGraph(NodeId n) {
   HypergraphBuilder builder;
@@ -17,7 +24,7 @@ Hypergraph PathGraph(NodeId n) {
 TEST(Dijkstra, PathGraphDistances) {
   Hypergraph hg = PathGraph(5);
   const std::vector<double> len{1.0, 2.0, 3.0, 4.0};
-  const ShortestPathTree tree = Dijkstra(hg, 0, len);
+  const ShortestPathTree tree = CsrDijkstra(CsrView(hg), 0, len);
   EXPECT_DOUBLE_EQ(tree.dist[0], 0.0);
   EXPECT_DOUBLE_EQ(tree.dist[1], 1.0);
   EXPECT_DOUBLE_EQ(tree.dist[2], 3.0);
@@ -35,7 +42,7 @@ TEST(Dijkstra, HyperedgeActsAsSwitchbox) {
   builder.add_net({0u, 1u, 2u, 3u}, 1.0);
   Hypergraph hg = builder.build();
   const std::vector<double> len{2.0};
-  const ShortestPathTree tree = Dijkstra(hg, 1, len);
+  const ShortestPathTree tree = CsrDijkstra(CsrView(hg), 1, len);
   for (NodeId v : {0u, 2u, 3u}) EXPECT_DOUBLE_EQ(tree.dist[v], 2.0);
 }
 
@@ -45,7 +52,7 @@ TEST(Dijkstra, UnreachableNodesStayInfinite) {
   builder.add_net({0u, 1u});
   Hypergraph hg = builder.build();
   const std::vector<double> len{1.0};
-  const ShortestPathTree tree = Dijkstra(hg, 0, len);
+  const ShortestPathTree tree = CsrDijkstra(CsrView(hg), 0, len);
   EXPECT_TRUE(tree.settled(1));
   EXPECT_FALSE(tree.settled(2));
   EXPECT_FALSE(tree.settled(3));
@@ -55,7 +62,7 @@ TEST(Dijkstra, UnreachableNodesStayInfinite) {
 TEST(Dijkstra, ZeroLengthsAllowed) {
   Hypergraph hg = PathGraph(4);
   const std::vector<double> len{0.0, 0.0, 0.0};
-  const ShortestPathTree tree = Dijkstra(hg, 2, len);
+  const ShortestPathTree tree = CsrDijkstra(CsrView(hg), 2, len);
   for (NodeId v = 0; v < 4; ++v) EXPECT_DOUBLE_EQ(tree.dist[v], 0.0);
 }
 
@@ -64,7 +71,7 @@ TEST(Dijkstra, EarlyStopTruncatesTree) {
   const std::vector<double> len(hg.num_nets(), 1.0);
   std::size_t count = 0;
   const ShortestPathTree tree =
-      GrowShortestPathTree(hg, 0, len, [&](const GrowState&) {
+      GrowOnView(CsrView(hg), 0, len, [&](const GrowState&) {
         return ++count == 4 ? GrowAction::kStop : GrowAction::kContinue;
       });
   EXPECT_EQ(tree.order.size(), 4u);
@@ -77,7 +84,7 @@ TEST(Dijkstra, GrowStateSumsAreConsistent) {
   Rng rng(77);
   for (double& d : len) d = rng.next_double() * 3.0;
   double expect_size = 0.0, expect_wd = 0.0;
-  GrowShortestPathTree(hg, 3, len, [&](const GrowState& s) {
+  GrowOnView(CsrView(hg), 3, len, [&](const GrowState& s) {
     expect_size += hg.node_size(s.node);
     expect_wd += hg.node_size(s.node) * s.distance;
     EXPECT_DOUBLE_EQ(s.tree_size, expect_size);
@@ -98,7 +105,7 @@ TEST_P(DijkstraPropertyTest, MatchesBruteForce) {
   std::vector<double> len(hg.num_nets());
   for (double& d : len) d = rng.next_double() * 5.0;
   const NodeId source = static_cast<NodeId>(rng.next_below(hg.num_nodes()));
-  const ShortestPathTree tree = Dijkstra(hg, source, len);
+  const ShortestPathTree tree = CsrDijkstra(CsrView(hg), source, len);
   const std::vector<double> expect =
       testutil::BruteForceDistances(hg, source, len);
   for (NodeId v = 0; v < hg.num_nodes(); ++v)
@@ -112,7 +119,7 @@ TEST_P(DijkstraPropertyTest, ParentEdgesFormConsistentTree) {
   Rng rng(seed);
   std::vector<double> len(hg.num_nets());
   for (double& d : len) d = rng.next_double();
-  const ShortestPathTree tree = Dijkstra(hg, 0, len);
+  const ShortestPathTree tree = CsrDijkstra(CsrView(hg), 0, len);
   for (NodeId v : tree.order) {
     if (v == 0) continue;
     const NodeId p = tree.parent[v].node;
@@ -133,7 +140,7 @@ TEST_P(DijkstraPropertyTest, SubtreeSizesMatchEquationSix) {
   Rng rng(seed + 3);
   std::vector<double> len(hg.num_nets());
   for (double& d : len) d = rng.next_double() * 2.0;
-  const ShortestPathTree tree = Dijkstra(hg, 1, len);
+  const ShortestPathTree tree = CsrDijkstra(CsrView(hg), 1, len);
   double lhs = 0.0;
   for (NodeId v : tree.order) lhs += hg.node_size(v) * tree.dist[v];
   double rhs = 0.0;
@@ -155,20 +162,23 @@ void ExpectSameTree(const ShortestPathTree& a, const ShortestPathTree& b) {
 }
 
 TEST(DijkstraWorkspace, GrowMatchesLegacyEntryPoint) {
-  // The legacy free function and an explicit workspace share one growth
-  // loop; an explicit workspace reused across sources and graphs must
-  // reproduce its trees bit-for-bit (same heap tie-breaks, same order).
+  // One workspace reused across sources, views, and graphs must reproduce
+  // the reference walk's trees bit-for-bit (same tie-breaks, same order):
+  // epoch stamps and the per-view size staging, not clears, isolate the
+  // growths.
   DijkstraWorkspace workspace;
   ShortestPathTree reused;
   for (std::uint64_t seed : {3u, 4u, 5u}) {
     Hypergraph hg = testutil::RandomConnectedHypergraph(
         20 + seed * 7, 15 + seed * 5, 3, seed);
+    const CsrView view(hg);
     Rng rng(seed * 31);
     std::vector<double> len(hg.num_nets());
     for (double& d : len) d = rng.next_double() * 4.0;
     for (NodeId source = 0; source < hg.num_nodes(); source += 5) {
-      const ShortestPathTree expect = Dijkstra(hg, source, len);
-      workspace.Grow(hg, source, len,
+      const ShortestPathTree expect =
+          testutil::ReferenceDijkstra(hg, source, len);
+      workspace.Grow(view, source, len,
                      [](const GrowState&) { return GrowAction::kContinue; },
                      reused);
       ExpectSameTree(expect, reused);
@@ -186,16 +196,18 @@ TEST(DijkstraWorkspace, TruncatedGrowMatchesLegacyAndReturnsStats) {
       return s.tree_nodes >= k ? GrowAction::kStop : GrowAction::kContinue;
     };
   };
-  const ShortestPathTree expect = GrowShortestPathTree(hg, 2, len, stop_at(7));
+  const ShortestPathTree expect =
+      testutil::ReferenceGrow(hg, 2, len, stop_at(7));
+  const CsrView view(hg);
   DijkstraWorkspace workspace;
   ShortestPathTree tree;
   DijkstraStats stats;
-  workspace.Grow(hg, 2, len, stop_at(7), tree, &stats);
+  workspace.Grow(view, 2, len, stop_at(7), tree, &stats);
   ExpectSameTree(expect, tree);
   EXPECT_EQ(stats.settled, 7u);
   EXPECT_GE(stats.pops, stats.settled);  // stale entries only add pops
   // Stats accumulate across calls (the scan engine sums per-batch).
-  workspace.Grow(hg, 2, len, stop_at(7), tree, &stats);
+  workspace.Grow(view, 2, len, stop_at(7), tree, &stats);
   EXPECT_EQ(stats.settled, 14u);
 }
 
@@ -204,9 +216,10 @@ TEST(DijkstraWorkspace, TreeNetsIntoMatchesTreeNetsAndReusesCapacity) {
   Rng rng(7);
   std::vector<double> len(hg.num_nets());
   for (double& d : len) d = rng.next_double();
+  const CsrView view(hg);
   std::vector<NetId> reused;
   for (NodeId source : {0u, 4u, 9u}) {
-    const ShortestPathTree tree = Dijkstra(hg, source, len);
+    const ShortestPathTree tree = CsrDijkstra(view, source, len);
     TreeNetsInto(tree, reused);
     EXPECT_EQ(reused, TreeNets(tree));
     EXPECT_TRUE(std::is_sorted(reused.begin(), reused.end()));

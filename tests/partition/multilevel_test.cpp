@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "multilevel/multilevel_flow.hpp"
 #include "netlist/generators.hpp"
 #include "test_util.hpp"
 
@@ -24,7 +25,7 @@ TEST(Multilevel, FindsTheBridgeOnTwoClusters) {
   window.min_size0 = 12.0;
   window.max_size0 = 12.0;
   Rng rng(3);
-  MultilevelParams params;
+  VCycleParams params;
   params.coarsest_nodes = 6;
   const Bipartition part = MultilevelBipartition(hg, window, rng, params);
   EXPECT_DOUBLE_EQ(part.cut, 1.0);
@@ -39,7 +40,7 @@ TEST(Multilevel, WindowAlwaysRespected) {
     window.min_size0 = hg.total_size() * 0.4;
     window.max_size0 = hg.total_size() * 0.6;
     Rng rng(seed);
-    MultilevelParams params;
+    VCycleParams params;
     params.coarsest_nodes = 20;
     const Bipartition part = MultilevelBipartition(hg, window, rng, params);
     EXPECT_GE(part.size0, window.min_size0 - 1e-9);
@@ -91,6 +92,24 @@ TEST(RunMlfm, DeterministicForSeed) {
   const TreePartition b = RunMlfm(hg, spec, params);
   for (NodeId v = 0; v < hg.num_nodes(); ++v)
     EXPECT_EQ(a.leaf_of(v), b.leaf_of(v));
+}
+
+TEST(Multilevel, VCycleAndFlowDriverShareOneTranslationUnit) {
+  // Both multilevel drivers live in namespace htp, and this file includes
+  // both headers: their parameter structs must have distinct names, or
+  // this file does not compile and a binary linking both breaks the
+  // one-definition rule.
+  Hypergraph hg = testutil::RandomConnectedHypergraph(90, 110, 3, 7);
+  const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 3, 0.2);
+  MlfmParams mlfm;
+  mlfm.multilevel.coarsest_nodes = 20;
+  RequireValidPartition(RunMlfm(hg, spec, mlfm), spec);
+  MultilevelParams flow;
+  flow.flow.iterations = 1;
+  flow.coarsen_threshold = 40;
+  const MultilevelResult result = RunMultilevelFlow(hg, spec, flow);
+  RequireValidPartition(result.partition, spec);
+  EXPECT_GE(result.coarsen_levels, 1u);
 }
 
 }  // namespace
