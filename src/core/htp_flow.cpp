@@ -5,7 +5,6 @@
 
 #include "core/mst_carver.hpp"
 #include "obs/obs.hpp"
-#include "obs/report.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace htp {
@@ -54,18 +53,6 @@ struct IterationOutcome {
   SpreadingMetric metric;
 };
 
-// Applies the budget's deterministic round cap to one metric computation
-// and attaches the shared token.
-FlowInjectionParams BudgetedInjection(const FlowInjectionParams& base,
-                                      const Budget& budget,
-                                      const CancellationToken& cancel) {
-  FlowInjectionParams injection = base;
-  if (budget.max_rounds > 0)
-    injection.max_rounds = std::min(injection.max_rounds, budget.max_rounds);
-  injection.cancel = cancel;
-  return injection;
-}
-
 // One Algorithm-1 iteration: compute a metric, construct
 // `constructions_per_metric` partitions on it, keep the cheapest (first on
 // ties). Reads only shared immutable state plus its own stream slot.
@@ -81,20 +68,10 @@ IterationOutcome RunIteration(const Hypergraph& hg, const HierarchySpec& spec,
                               const CancellationToken& cancel,
                               bool guarantee_result) {
   const auto start = std::chrono::steady_clock::now();
-  FlowInjectionParams injection =
-      BudgetedInjection(params.injection, params.budget, cancel);
+  FlowInjectionParams injection = FlowMetricInjection(params, cancel);
   injection.seed = streams.injection_seed;
-  injection.threads = params.metric_threads;
-  // All metric computations route through the optional provider so a
-  // caching layer can intercept both this global metric and the
-  // per-subproblem ones below.
-  const auto compute_metric = [&params](const Hypergraph& g,
-                                        const HierarchySpec& s,
-                                        const FlowInjectionParams& p) {
-    return params.metric_compute ? params.metric_compute(g, s, p)
-                                 : ComputeSpreadingMetric(g, s, p);
-  };
-  const FlowInjectionResult metric = compute_metric(hg, spec, injection);
+  const FlowInjectionResult metric =
+      ComputeFlowMetric(params, hg, spec, injection);
 
   IterationOutcome out;
   out.stats.metric_cost = metric.metric_cost;
@@ -104,34 +81,10 @@ IterationOutcome RunIteration(const Hypergraph& hg, const HierarchySpec& spec,
   out.truncated = metric.cancelled;
   if (params.keep_best_metric) out.metric = metric.metric;
 
-  // The carver: in kPerSubproblem mode the whole-graph carves use the
-  // metric computed above, and every proper subproblem gets a freshly
-  // injected local metric (the restriction of a global metric keeps
-  // full multi-level lengths on boundary nets and so misguides
-  // lower-level carves; see MetricScope).
-  Rng& metric_rng = streams.metric_rng;
-  const CarveFn carve = [&](const Hypergraph& sub,
-                            std::span<const double> sub_metric, double lb,
-                            double ub, Rng& rng) {
-    if (params.metric_scope == MetricScope::kPerSubproblem &&
-        sub.num_nodes() < hg.num_nodes() &&
-        sub.total_size() > spec.capacity(0)) {
-      FlowInjectionParams local =
-          BudgetedInjection(params.injection, params.budget, cancel);
-      local.seed = metric_rng.next_u64();
-      local.threads = params.metric_threads;
-      // A warm seed (ECO, docs/incremental.md) is sized for the *input*
-      // hypergraph; per-subproblem locals run on different net sets, so
-      // they always inject cold (exactly what a cold run would do).
-      local.warm_metric.reset();
-      const FlowInjectionResult local_metric = compute_metric(sub, spec, local);
-      if (local_metric.cancelled) out.truncated = true;
-      return BestOfCarves(sub, local_metric.metric, lb, ub, rng,
-                          params.carve_attempts, params.carver, cancel);
-    }
-    return BestOfCarves(sub, sub_metric, lb, ub, rng,
-                        params.carve_attempts, params.carver, cancel);
-  };
+  // The whole-graph carves use the metric computed above; FlowCarver gives
+  // proper subproblems their own local metrics (MetricScope).
+  const CarveFn carve = FlowCarver(hg, spec, params, cancel,
+                                   streams.metric_rng, &out.truncated);
 
   for (std::size_t c = 0; c < params.constructions_per_metric; ++c) {
     // Floor guarantee: the first construction must complete while no
@@ -169,6 +122,52 @@ IterationOutcome RunIteration(const Hypergraph& hg, const HierarchySpec& spec,
 }
 
 }  // namespace
+
+FlowInjectionParams FlowMetricInjection(const HtpFlowParams& params,
+                                        const CancellationToken& cancel) {
+  FlowInjectionParams injection = params.injection;
+  if (params.budget.max_rounds > 0)
+    injection.max_rounds =
+        std::min(injection.max_rounds, params.budget.max_rounds);
+  injection.cancel = cancel;
+  injection.threads = params.metric_threads;
+  return injection;
+}
+
+FlowInjectionResult ComputeFlowMetric(const HtpFlowParams& params,
+                                      const Hypergraph& hg,
+                                      const HierarchySpec& spec,
+                                      const FlowInjectionParams& injection) {
+  return params.metric_compute ? params.metric_compute(hg, spec, injection)
+                               : ComputeSpreadingMetric(hg, spec, injection);
+}
+
+CarveFn FlowCarver(const Hypergraph& hg, const HierarchySpec& spec,
+                   const HtpFlowParams& params,
+                   const CancellationToken& cancel, Rng& metric_rng,
+                   bool* truncated) {
+  return [&hg, &spec, &params, cancel, &metric_rng, truncated](
+             const Hypergraph& sub, std::span<const double> sub_metric,
+             double lb, double ub, Rng& rng) {
+    if (params.metric_scope == MetricScope::kPerSubproblem &&
+        sub.num_nodes() < hg.num_nodes() &&
+        sub.total_size() > spec.capacity(0)) {
+      FlowInjectionParams local = FlowMetricInjection(params, cancel);
+      local.seed = metric_rng.next_u64();
+      // A warm seed (ECO, docs/incremental.md) is sized for the *input*
+      // hypergraph; per-subproblem locals run on different net sets, so
+      // they always inject cold (exactly what a cold run would do).
+      local.warm_metric.reset();
+      const FlowInjectionResult local_metric =
+          ComputeFlowMetric(params, sub, spec, local);
+      if (local_metric.cancelled && truncated) *truncated = true;
+      return BestOfCarves(sub, local_metric.metric, lb, ub, rng,
+                          params.carve_attempts, params.carver, cancel);
+    }
+    return BestOfCarves(sub, sub_metric, lb, ub, rng, params.carve_attempts,
+                        params.carver, cancel);
+  };
+}
 
 CarveResult BestOfCarves(const Hypergraph& hg,
                          std::span<const double> metric, double lb, double ub,
@@ -281,7 +280,6 @@ HtpFlowResult RunHtpFlow(const Hypergraph& hg, const HierarchySpec& spec,
                        {},
                        true,
                        StopReason::kCompleted,
-                       {},
                        {}};
   if (params.keep_best_metric)
     result.best_metric = std::move(outcomes[winner].metric);
@@ -308,36 +306,6 @@ HtpFlowResult RunHtpFlow(const Hypergraph& hg, const HierarchySpec& spec,
   if (remaining < Budget::kNoTimeLimit) {
     c_budget_remaining_ms.Add(
         static_cast<std::uint64_t>(remaining * 1000.0));
-  }
-  if (params.collect_report) {
-    obs::RunReportBuilder rb("htp_flow");
-    rb.MetaString("algorithm", "flow");
-    rb.MetaNumber("nodes", static_cast<double>(hg.num_nodes()));
-    rb.MetaNumber("nets", static_cast<double>(hg.num_nets()));
-    rb.MetaNumber("levels", static_cast<double>(spec.num_levels()));
-    rb.MetaNumber("seed", static_cast<double>(params.seed));
-    rb.MetaNumber("iterations_requested",
-                  static_cast<double>(params.iterations));
-    rb.MetaNumber("constructions_per_metric",
-                  static_cast<double>(params.constructions_per_metric));
-    rb.MetaNumber("carve_attempts",
-                  static_cast<double>(params.carve_attempts));
-    rb.MetaString("metric_scope",
-                  params.metric_scope == MetricScope::kPerSubproblem
-                      ? "per_subproblem"
-                      : "global_once");
-    rb.MetaString("carver", params.carver == CarverKind::kMstSplit
-                                ? "mst_split"
-                                : "prim_prefix");
-    rb.ResultNumber("cost", result.cost);
-    rb.ResultBool("completed", result.completed);
-    rb.ResultString("stop_reason", StopReasonName(result.stop_reason));
-    rb.ResultNumber("iterations_run",
-                    static_cast<double>(result.iterations.size()));
-    rb.WallNumber("threads", static_cast<double>(params.threads));
-    rb.WallNumber("metric_threads",
-                  static_cast<double>(params.metric_threads));
-    result.report = rb.Render(obs::TakeSnapshot(), obs::DrainEvents());
   }
   return result;
 }

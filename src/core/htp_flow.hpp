@@ -14,7 +14,6 @@
 
 #include <functional>
 #include <optional>
-#include <string>
 
 #include "core/build_partition.hpp"
 #include "core/flow_injection.hpp"
@@ -91,14 +90,6 @@ struct HtpFlowParams {
   /// Manual() token). Linked as the parent of the budget deadline, so
   /// either source stops the run. Inert by default.
   CancellationToken cancel;
-  /// When true, RunHtpFlow assembles a RunReport (obs/report.hpp) into
-  /// `HtpFlowResult::report` from the telemetry of this run. Side effect:
-  /// assembly *drains* the obs journal (DrainEvents) — so leave this false
-  /// when a larger pipeline (e.g. the multilevel driver) owns the report
-  /// and wants the inner runs' events to accumulate into its own journal.
-  /// Counter/timer totals are snapshotted, not reset. With obs compiled
-  /// out the report still renders; its telemetry sections are just empty.
-  bool collect_report = false;
   /// Optional metric provider. When set, every spreading-metric
   /// computation FLOW performs — the global per-iteration metric *and* the
   /// per-subproblem metrics of MetricScope::kPerSubproblem — goes through
@@ -147,11 +138,6 @@ struct HtpFlowResult {
   /// Why the run stopped (kCompleted, kIterationCap, kDeadline,
   /// kCancelled). A fired token outranks the deterministic iteration cap.
   StopReason stop_reason = StopReason::kCompleted;
-  /// The RunReport JSON document (schema "htp-run-report"), populated iff
-  /// `params.collect_report` was set. Its `deterministic` section is
-  /// bit-identical across `threads` × `metric_threads` on unbudgeted runs
-  /// (tests/obs/report_test.cpp).
-  std::string report;
   /// The winning iteration's converged global metric d(e), populated iff
   /// `params.keep_best_metric` was set (empty otherwise). This is the seed
   /// a WarmStartState persists for incremental repartitioning.
@@ -162,12 +148,41 @@ struct HtpFlowResult {
 /// wins (in-window results strictly dominate out-of-window ones; first on
 /// ties). A fired token stops the restarts after the first completed
 /// attempt, so the carve (and the enclosing construction) stays valid.
-/// Every attempt run is credited to the `carve.attempts` counter. This is
-/// the carver of every FLOW construction — RunHtpFlow's and the ECO
-/// re-carver's (src/incremental/eco_repartition.cpp).
+/// Every attempt run is credited to the `carve.attempts` counter.
 CarveResult BestOfCarves(const Hypergraph& hg, std::span<const double> metric,
                          double lb, double ub, Rng& rng, std::size_t attempts,
                          CarverKind carver, const CancellationToken& cancel);
+
+/// The injection parameters of one FLOW metric computation:
+/// `params.injection` with the budget's deterministic round cap, `cancel`,
+/// and `metric_threads` applied. The seed (and any warm seed) is the
+/// caller's to set.
+FlowInjectionParams FlowMetricInjection(const HtpFlowParams& params,
+                                        const CancellationToken& cancel);
+
+/// One spreading-metric computation, routed through `params.metric_compute`
+/// when it is set (the artifact cache's hook) and ComputeSpreadingMetric
+/// otherwise.
+FlowInjectionResult ComputeFlowMetric(const HtpFlowParams& params,
+                                      const Hypergraph& hg,
+                                      const HierarchySpec& spec,
+                                      const FlowInjectionParams& injection);
+
+/// Algorithm 3's carver as FLOW runs it on `hg`. In
+/// MetricScope::kPerSubproblem mode every proper subproblem above leaf
+/// capacity gets a freshly injected, always-cold local metric seeded from
+/// `metric_rng` (the restriction of a global metric keeps full multi-level
+/// lengths on boundary nets and so misguides lower-level carves); every
+/// other carve uses the metric it is handed. Either way BestOfCarves picks
+/// the carve. `truncated`, when given, is set once a local metric was cut
+/// short by `cancel`. The returned function references `hg`, `spec`,
+/// `params`, `metric_rng` and `truncated`, which must outlive it. This is
+/// the carver of RunHtpFlow's constructions and of the ECO re-carver
+/// (src/incremental/eco_repartition.cpp).
+CarveFn FlowCarver(const Hypergraph& hg, const HierarchySpec& spec,
+                   const HtpFlowParams& params,
+                   const CancellationToken& cancel, Rng& metric_rng,
+                   bool* truncated = nullptr);
 
 /// Runs Algorithm 1 (FLOW) on `hg` with respect to `spec`.
 HtpFlowResult RunHtpFlow(const Hypergraph& hg, const HierarchySpec& spec,

@@ -83,56 +83,21 @@ EcoResult RunEcoRepartition(const DeltaApplication& app,
   const std::size_t replicas =
       std::max<std::size_t>(1, params.construction_replicas);
 
-  const auto compute = [&params](const Hypergraph& g, const HierarchySpec& s,
-                                 const FlowInjectionParams& p) {
-    return params.flow.metric_compute ? params.flow.metric_compute(g, s, p)
-                                      : ComputeSpreadingMetric(g, s, p);
-  };
-
   // --- 1. Warm metric re-convergence (the only budget-scoped stage). ---
-  FlowInjectionParams inj = params.flow.injection;
-  if (params.flow.budget.max_rounds > 0)
-    inj.max_rounds = std::min(inj.max_rounds, params.flow.budget.max_rounds);
-  inj.cancel = cancel;
+  FlowInjectionParams inj = FlowMetricInjection(params.flow, cancel);
   inj.seed = injection_seed;
-  inj.threads = params.flow.metric_threads;
   inj.warm_metric = std::make_shared<const SpreadingMetric>(warm);
-  const FlowInjectionResult converged = compute(hg, spec, inj);
+  const FlowInjectionResult converged =
+      ComputeFlowMetric(params.flow, hg, spec, inj);
 
-  // The carver, identical to the FLOW driver's: per-subproblem local
-  // metrics inject cold (a warm seed never fits a subgraph's net set).
-  const auto local_injection = [&]() {
-    FlowInjectionParams local = params.flow.injection;
-    if (params.flow.budget.max_rounds > 0)
-      local.max_rounds =
-          std::min(local.max_rounds, params.flow.budget.max_rounds);
-    local.cancel = cancel;
-    local.threads = params.flow.metric_threads;
-    local.warm_metric.reset();
-    return local;
-  };
-  const CarveFn carve = [&](const Hypergraph& sub,
-                            std::span<const double> sub_metric, double lb,
-                            double ub, Rng& rng) {
-    if (params.flow.metric_scope == MetricScope::kPerSubproblem &&
-        sub.num_nodes() < hg.num_nodes() &&
-        sub.total_size() > spec.capacity(0)) {
-      FlowInjectionParams local = local_injection();
-      local.seed = metric_rng.next_u64();
-      const FlowInjectionResult local_metric = compute(sub, spec, local);
-      return BestOfCarves(sub, local_metric.metric, lb, ub, rng,
-                          params.flow.carve_attempts, params.flow.carver,
-                          cancel);
-    }
-    return BestOfCarves(sub, sub_metric, lb, ub, rng,
-                        params.flow.carve_attempts, params.flow.carver, cancel);
-  };
+  // FLOW's own carver: per-subproblem local metrics inject cold (a warm
+  // seed never fits a subgraph's net set).
+  const CarveFn carve = FlowCarver(hg, spec, params.flow, cancel, metric_rng);
 
-  // Boundary-seeded FM polish for anything the carver touched (EcoParams::
-  // refine); each replica is polished before the cost comparison, so the
-  // best-of pick sees post-refinement basins, not raw carves.
+  // Boundary-seeded FM polish for anything the carver touched; each
+  // replica is polished before the cost comparison, so the best-of pick
+  // sees post-refinement basins, not raw carves.
   const auto polish = [&](TreePartition& candidate) {
-    if (!params.refine) return;
     HtpFmParams fm;
     fm.boundary_only = true;
     fm.seed = params.flow.seed;

@@ -37,9 +37,12 @@ namespace htp {
 
 /// Knobs for one incremental repartition. Reuses HtpFlowParams so drivers
 /// configure warm and cold runs identically; fields without an ECO meaning
-/// are ignored (`iterations` — ECO is one warm pass — plus `threads`,
-/// `keep_best_metric`, and `collect_report`; the caller owns report
-/// assembly).
+/// are ignored (`iterations` — ECO is one warm pass — plus `threads` and
+/// `keep_best_metric`). Every re-carved or rebuilt result is polished with
+/// a boundary-seeded hierarchical FM pass (RefineHtpFm — the paper's
+/// Table-3 "+" treatment), closing the quality gap a delta-anchored metric
+/// leaves versus a cold run; pure clone runs (empty delta) skip it, so the
+/// bit-identity resume contract holds.
 struct EcoParams {
   HtpFlowParams flow;
   /// Construction replicas (>= 1). A warm metric re-converges to a feasible
@@ -52,13 +55,6 @@ struct EcoParams {
   /// regardless of this knob. The warm-vs-cold battery pins the default:
   /// warm cost <= cold x 1.05 across 200 seeded (netlist, delta) pairs.
   std::size_t construction_replicas = 6;
-  /// Polish every re-carved or rebuilt result with a boundary-seeded
-  /// hierarchical FM pass (RefineHtpFm — the paper's Table-3 "+" treatment),
-  /// closing the quality gap a delta-anchored metric leaves versus a cold
-  /// run. Never worsens cost, never violates a capacity the input
-  /// respected. Pure clone runs (empty delta) skip it unconditionally, so
-  /// the bit-identity resume contract is independent of this knob.
-  bool refine = true;
   /// Race every stitched result against full warm-metric rebuild replicas
   /// and return whichever costs less. A stitch is pinned to the prior run's
   /// root split; when the delta shifts where the congestion lives, that

@@ -189,19 +189,14 @@ void CheckWarmStartMatches(const WarmStartState& state, const Hypergraph& hg) {
 
 SpreadingMetric RemapWarmMetric(const WarmStartState& state,
                                 const DeltaApplication& app) {
-  return RemapWarmMetric(state.metric, app);
-}
-
-SpreadingMetric RemapWarmMetric(const SpreadingMetric& metric,
-                                const DeltaApplication& app) {
-  if (metric.size() != app.net_to_new.size())
+  if (state.metric.size() != app.net_to_new.size())
     throw WarmStartError(
         "warm-start metric does not span the pre-delta netlist's nets");
   SpreadingMetric warm(app.net_touched.size(), 0.0);
   for (NetId e = 0; e < app.net_to_new.size(); ++e) {
     const NetId mapped = app.net_to_new[e];
     if (mapped == kInvalidNet) continue;  // removed or dropped
-    if (!app.net_touched[mapped]) warm[mapped] = metric[e];
+    if (!app.net_touched[mapped]) warm[mapped] = state.metric[e];
   }
   return warm;
 }

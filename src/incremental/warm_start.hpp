@@ -75,10 +75,4 @@ void CheckWarmStartMatches(const WarmStartState& state, const Hypergraph& hg);
 SpreadingMetric RemapWarmMetric(const WarmStartState& state,
                                 const DeltaApplication& app);
 
-/// Same remap for a bare metric (the cache-interop path, where the seed
-/// comes from a recomputed pre-delta metric instead of a state file).
-/// `metric` must span the pre-delta netlist's nets.
-SpreadingMetric RemapWarmMetric(const SpreadingMetric& metric,
-                                const DeltaApplication& app);
-
 }  // namespace htp

@@ -16,6 +16,19 @@ obs::Counter c_nodes_merged("coarsen.nodes_merged");
 obs::Counter c_stalled("coarsen.stalled_passes");
 obs::Timer t_pass("coarsen.pass");
 
+// Safety cap on coarsening passes.
+constexpr std::size_t kMaxLevels = 64;
+
+// The cluster rating: connection / (size * size) — KaHyPar's heavy-edge
+// rating, which prefers tightly connected *small* partners and so keeps
+// supernode sizes balanced. `connection` is the accumulated weight between
+// a node and a candidate (sum over shared nets of c(e)/(|e|-1)). Higher
+// wins; ties fall to the smaller candidate id.
+double HeavyEdgeRating(double connection, double node_size,
+                       double candidate_size) {
+  return connection / (node_size * candidate_size);
+}
+
 // Accumulates the connection weight between `v` and each eligible neighbor
 // (matching) or neighbor cluster (label propagation) into `conn`, recording
 // the touched keys in `touched`. `key_of(u)` maps a pin to its scoring key
@@ -47,7 +60,6 @@ void AccumulateConnections(const Hypergraph& hg, NodeId v,
 
 std::vector<BlockId> HeavyEdgeMatchingPass(const Hypergraph& hg,
                                            const CoarsenParams& params,
-                                           const RatingFn& rating,
                                            BlockId& num_clusters) {
   const NodeId n = hg.num_nodes();
   std::vector<BlockId> cluster_of(n, kInvalidBlock);
@@ -69,7 +81,7 @@ std::vector<BlockId> HeavyEdgeMatchingPass(const Hypergraph& hg,
       if (params.max_cluster_size > 0.0 &&
           sv + hg.node_size(u) > params.max_cluster_size)
         continue;
-      const double r = rating(conn[u], sv, hg.node_size(u));
+      const double r = HeavyEdgeRating(conn[u], sv, hg.node_size(u));
       if (r > best_rating) {  // strict: ties keep the smallest id
         best = u;
         best_rating = r;
@@ -86,7 +98,6 @@ std::vector<BlockId> HeavyEdgeMatchingPass(const Hypergraph& hg,
 
 std::vector<BlockId> LabelPropagationPass(const Hypergraph& hg,
                                           const CoarsenParams& params,
-                                          const RatingFn& rating,
                                           BlockId& num_clusters) {
   const NodeId n = hg.num_nodes();
   std::vector<BlockId> cluster_of(n, kInvalidBlock);
@@ -108,7 +119,7 @@ std::vector<BlockId> LabelPropagationPass(const Hypergraph& hg,
       if (params.max_cluster_size > 0.0 &&
           cluster_size[c] + sv > params.max_cluster_size)
         continue;
-      const double r = rating(conn[c], sv, cluster_size[c]);
+      const double r = HeavyEdgeRating(conn[c], sv, cluster_size[c]);
       if (r > best_rating) {  // strict: ties keep the smallest cluster id
         best = c;
         best_rating = r;
@@ -129,26 +140,19 @@ std::vector<BlockId> LabelPropagationPass(const Hypergraph& hg,
 
 }  // namespace
 
-double HeavyEdgeRating(double connection, double node_size,
-                       double candidate_size) {
-  return connection / (node_size * candidate_size);
-}
-
 CoarsenLevel CoarsenOnce(const Hypergraph& fine, const CoarsenParams& params) {
   HTP_CHECK_MSG(fine.num_nodes() > 0, "cannot coarsen an empty hypergraph");
   obs::PhaseScope obs_span(t_pass);
   c_passes.Add();
-  const RatingFn& rating =
-      params.rating ? params.rating : RatingFn(HeavyEdgeRating);
   CoarsenLevel level;
   switch (params.scheme) {
     case CoarsenScheme::kHeavyEdgeMatching:
       level.cluster_of =
-          HeavyEdgeMatchingPass(fine, params, rating, level.num_clusters);
+          HeavyEdgeMatchingPass(fine, params, level.num_clusters);
       break;
     case CoarsenScheme::kLabelPropagation:
       level.cluster_of =
-          LabelPropagationPass(fine, params, rating, level.num_clusters);
+          LabelPropagationPass(fine, params, level.num_clusters);
       break;
   }
   level.coarse =
@@ -160,12 +164,11 @@ CoarsenLevel CoarsenOnce(const Hypergraph& fine, const CoarsenParams& params) {
 
 std::vector<CoarsenLevel> CoarsenToThreshold(const Hypergraph& hg,
                                              NodeId threshold,
-                                             const CoarsenParams& params,
-                                             std::size_t max_levels) {
+                                             const CoarsenParams& params) {
   std::vector<CoarsenLevel> stack;
-  stack.reserve(max_levels);
+  stack.reserve(kMaxLevels);
   const Hypergraph* cur = &hg;
-  while (cur->num_nodes() > threshold && stack.size() < max_levels) {
+  while (cur->num_nodes() > threshold && stack.size() < kMaxLevels) {
     CoarsenLevel level = CoarsenOnce(*cur, params);
     // Stall guard: a pass that shrinks by < 5% is not worth stacking —
     // whatever blocked it (isolated nodes, the size cap) will block the

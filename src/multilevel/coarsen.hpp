@@ -15,7 +15,6 @@
 // pipeline is bit-identical across seeds, threads, and runs.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "netlist/hypergraph.hpp"
@@ -37,26 +36,9 @@ enum class CoarsenScheme {
   kLabelPropagation,
 };
 
-/// Pluggable cluster rating: given the accumulated connection weight
-/// between a node and a candidate (sum over shared nets of c(e)/(|e|-1)),
-/// the node's size, and the candidate's size, returns a score. Higher wins;
-/// ties fall to the smaller candidate id. Must be pure (called in a
-/// deterministic order, its results are baked into the level structure).
-using RatingFn =
-    std::function<double(double connection, double node_size,
-                         double candidate_size)>;
-
-/// The default rating: connection / (size * size) — KaHyPar's heavy-edge
-/// rating, which prefers tightly connected *small* partners and so keeps
-/// supernode sizes balanced.
-double HeavyEdgeRating(double connection, double node_size,
-                       double candidate_size);
-
 /// Parameters of one coarsening pass.
 struct CoarsenParams {
   CoarsenScheme scheme = CoarsenScheme::kLabelPropagation;
-  /// Rating function; HeavyEdgeRating when empty.
-  RatingFn rating;
   /// Upper bound on the total fine size of a cluster (0 = unlimited). The
   /// multilevel driver derives this from the hierarchy spec so supernodes
   /// never exceed what the coarse-level construction can pack
@@ -85,13 +67,12 @@ struct CoarsenLevel {
 CoarsenLevel CoarsenOnce(const Hypergraph& fine, const CoarsenParams& params);
 
 /// Repeats CoarsenOnce until the coarsest graph has at most `threshold`
-/// nodes, a pass shrinks by less than ~5% (stall guard), or `max_levels`
-/// passes ran. Returns the stack finest-first; entry i maps level-i nodes
-/// to level-(i+1) supernodes. An empty result means the input was already
-/// at or below the threshold.
+/// nodes, a pass shrinks by less than ~5% (stall guard), or 64 passes ran.
+/// Returns the stack finest-first; entry i maps level-i nodes to
+/// level-(i+1) supernodes. An empty result means the input was already at
+/// or below the threshold.
 std::vector<CoarsenLevel> CoarsenToThreshold(const Hypergraph& hg,
                                              NodeId threshold,
-                                             const CoarsenParams& params,
-                                             std::size_t max_levels = 64);
+                                             const CoarsenParams& params);
 
 }  // namespace htp

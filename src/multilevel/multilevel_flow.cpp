@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "obs/obs.hpp"
-#include "obs/report.hpp"
 
 namespace htp {
 namespace {
@@ -97,16 +96,13 @@ MultilevelResult RunMultilevelFlow(const Hypergraph& hg,
   const CancellationToken token = StartBudget(flow.budget, flow.cancel);
   flow.cancel = token;
   flow.budget.time_budget_seconds = Budget::kNoTimeLimit;
-  // The pipeline owns the RunReport: the inner flow must not drain the
-  // journal, or the coarse run's records would vanish from this report.
-  flow.collect_report = false;
 
   CoarsenParams coarsen = params.coarsen;
   if (coarsen.max_cluster_size <= 0.0)
     coarsen.max_cluster_size = FeasibleClusterCap(hg, spec);
 
-  std::vector<CoarsenLevel> stack = CoarsenToThreshold(
-      hg, params.coarsen_threshold, coarsen, params.max_levels);
+  std::vector<CoarsenLevel> stack =
+      CoarsenToThreshold(hg, params.coarsen_threshold, coarsen);
 
   // Solve the coarsest level. Supernodes raise the node granularity, and a
   // spec can be too tight for it (AchievableCapacity throws); retry one
@@ -175,31 +171,6 @@ MultilevelResult RunMultilevelFlow(const Hypergraph& hg,
   result.level_stats = std::move(level_stats);
   result.completed = completed;
   result.stop_reason = stop_reason;
-  if (params.collect_report) {
-    obs::RunReportBuilder rb("multilevel_flow");
-    rb.MetaString("algorithm", "multilevel_flow");
-    rb.MetaNumber("nodes", static_cast<double>(hg.num_nodes()));
-    rb.MetaNumber("nets", static_cast<double>(hg.num_nets()));
-    rb.MetaNumber("levels", static_cast<double>(spec.num_levels()));
-    rb.MetaNumber("seed", static_cast<double>(params.flow.seed));
-    rb.MetaNumber("coarsen_threshold",
-                  static_cast<double>(params.coarsen_threshold));
-    rb.MetaNumber("max_levels", static_cast<double>(params.max_levels));
-    rb.ResultNumber("cost", result.cost);
-    rb.ResultNumber("coarse_cost", result.coarse_cost);
-    rb.ResultNumber("coarsen_levels",
-                    static_cast<double>(result.coarsen_levels));
-    rb.ResultNumber("coarsest_nodes",
-                    static_cast<double>(result.coarsest_nodes));
-    rb.ResultNumber("feasibility_fallbacks",
-                    static_cast<double>(result.feasibility_fallbacks));
-    rb.ResultBool("completed", result.completed);
-    rb.ResultString("stop_reason", StopReasonName(result.stop_reason));
-    rb.WallNumber("threads", static_cast<double>(params.flow.threads));
-    rb.WallNumber("metric_threads",
-                  static_cast<double>(params.flow.metric_threads));
-    result.report = rb.Render(obs::TakeSnapshot(), obs::DrainEvents());
-  }
   return result;
 }
 

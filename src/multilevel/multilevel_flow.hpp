@@ -42,8 +42,6 @@ struct MultilevelParams {
   /// exact O(n^2 log n) oracle is affordable below it. Inputs already at or
   /// below the threshold run flat (identical to RunHtpFlow).
   NodeId coarsen_threshold = 800;
-  /// Safety cap on coarsening passes.
-  std::size_t max_levels = 64;
   /// Per-level FM refinement after each projection. `boundary_only`
   /// defaults to true here (unlike HtpFmParams): on a projected partition
   /// almost every node is interior, so full seeding would cost O(n) per
@@ -56,13 +54,6 @@ struct MultilevelParams {
     p.boundary_only = true;
     return p;
   }
-
-  /// When true, RunMultilevelFlow assembles a RunReport into
-  /// `MultilevelResult::report` covering the whole pipeline (coarse flow
-  /// journal + per-level records). The inner RunHtpFlow always runs with
-  /// `collect_report` off so its events accumulate into this pipeline-wide
-  /// journal; assembly drains it (see HtpFlowParams::collect_report).
-  bool collect_report = false;
 };
 
 /// What happened at one uncoarsening level (coarsest first).
@@ -88,10 +79,6 @@ struct MultilevelResult {
   std::vector<MultilevelLevelStats> level_stats;  ///< coarsest-first
   bool completed = true;
   StopReason stop_reason = StopReason::kCompleted;
-  /// RunReport JSON (schema "htp-run-report"), populated iff
-  /// `params.collect_report` was set; same determinism contract as
-  /// HtpFlowResult::report.
-  std::string report;
 };
 
 /// Largest cluster size for which a coarse graph with that node granularity

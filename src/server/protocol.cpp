@@ -26,7 +26,7 @@ const std::set<std::string, std::less<>>& KnownRequestKeys() {
       "multilevel",      "coarsen_threshold", "oracle_sample",
       "seed",            "deadline_ms",       "max_rounds",
       "report",          "delta_text",        "warm_text",
-      "warm_from_cache", "emit_warm_state",
+      "emit_warm_state",
   };
   return keys;
 }
@@ -160,7 +160,6 @@ ServeRequest ParseServeRequest(const JsonValue& doc) {
   // never opens request-named paths, mirroring bench_text vs bench_file.
   s.delta_text = GetString(doc, "delta_text", "");
   s.warm_text = GetString(doc, "warm_text", "");
-  s.warm_from_cache = GetBool(doc, "warm_from_cache", false);
   s.emit_warm_state = GetBool(doc, "emit_warm_state", false);
   // Seeds ride a JSON number: exact up to 2^53, documented in
   // docs/file-formats.md.
@@ -244,9 +243,8 @@ std::string RenderServeResponse(const ServeRequest& request,
   }
   if (result.eco) {
     // ECO summary. Deterministic by construction: every field is a pure
-    // function of the request (warm_from_cache recomputes its seed through
-    // the provider rather than probing cache presence), so this object is
-    // safe inside the deterministic section.
+    // function of the request, so this object is safe inside the
+    // deterministic section.
     w.Key("eco");
     w.BeginObject();
     w.Key("pre_delta_hash");

@@ -1,6 +1,5 @@
 #include "server/session.hpp"
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -14,7 +13,6 @@
 #include "incremental/eco_repartition.hpp"
 #include "netlist/bench_parser.hpp"
 #include "netlist/generators.hpp"
-#include "netlist/rng.hpp"
 #include "obs/report.hpp"
 #include "partition/gfm.hpp"
 #include "partition/rfm.hpp"
@@ -66,6 +64,68 @@ struct ProviderStats {
   std::atomic<std::size_t> metric_misses{0};
 };
 
+// The run's one RunReport (obs/report.hpp), rendered after the last stage
+// so it covers every stage: `cost` is the final (post-refinement) cost and
+// `algo_cost` the constructor's, as in the wire response. Snapshotting and
+// draining the obs journal here makes RunSession the one place a run's
+// telemetry is collected.
+std::string RenderRunReport(const SessionRequest& request,
+                            const SessionResult& result) {
+  const Hypergraph& hg = *result.netlist;
+  obs::RunReportBuilder rb(request.report_tool);
+  rb.MetaString("algorithm", request.algo);
+  rb.MetaNumber("nodes", static_cast<double>(hg.num_nodes()));
+  rb.MetaNumber("nets", static_cast<double>(hg.num_nets()));
+  rb.MetaNumber("levels", static_cast<double>(result.spec.num_levels()));
+  rb.MetaNumber("seed", static_cast<double>(request.seed));
+  rb.MetaNumber("iterations_requested",
+                static_cast<double>(request.iterations));
+  rb.MetaBool("multilevel", request.multilevel);
+  if (request.multilevel)
+    rb.MetaNumber("coarsen_threshold",
+                  static_cast<double>(request.coarsen_threshold));
+
+  rb.ResultNumber("cost",
+                  result.refined ? result.fm.final_cost : result.cost);
+  rb.ResultNumber("algo_cost", result.cost);
+  rb.ResultBool("completed", result.completed);
+  rb.ResultString("stop_reason", StopReasonName(result.stop_reason));
+  if (!result.iterations.empty())
+    rb.ResultNumber("iterations_run",
+                    static_cast<double>(result.iterations.size()));
+  rb.ResultBool("refined", result.refined);
+  if (result.refined) {
+    rb.ResultNumber("fm_moves_kept", static_cast<double>(result.fm.moves_kept));
+    rb.ResultNumber("fm_passes", static_cast<double>(result.fm.passes));
+  }
+  if (result.used_multilevel) {
+    rb.ResultNumber("coarse_cost", result.coarse_cost);
+    rb.ResultNumber("coarsen_levels",
+                    static_cast<double>(result.coarsen_levels));
+    rb.ResultNumber("coarsest_nodes",
+                    static_cast<double>(result.coarsest_nodes));
+    rb.ResultNumber("feasibility_fallbacks",
+                    static_cast<double>(result.feasibility_fallbacks));
+  }
+  if (result.eco) {
+    rb.ResultString("eco_pre_delta_hash", HexKey(result.pre_delta_hash));
+    rb.ResultString("eco_warm_source", result.warm_source);
+    rb.ResultNumber("eco_blocks_reused",
+                    static_cast<double>(result.eco_blocks_reused));
+    rb.ResultNumber("eco_blocks_recarved",
+                    static_cast<double>(result.eco_blocks_recarved));
+    rb.ResultBool("eco_full_rebuild", result.eco_full_rebuild);
+    rb.ResultNumber("eco_warm_rounds",
+                    static_cast<double>(result.eco_warm_rounds));
+    rb.ResultNumber("eco_warm_injections",
+                    static_cast<double>(result.eco_warm_injections));
+    rb.ResultBool("eco_converged", result.eco_converged);
+  }
+  rb.WallNumber("threads", static_cast<double>(request.threads));
+  rb.WallNumber("metric_threads", static_cast<double>(request.metric_threads));
+  return rb.Render(obs::TakeSnapshot(), obs::DrainEvents());
+}
+
 }  // namespace
 
 SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
@@ -114,9 +174,6 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     throw Error("session: warm_text and warm_file are mutually exclusive");
   const bool have_warm_state =
       !request.warm_text.empty() || !request.warm_file.empty();
-  if (request.warm_from_cache && have_warm_state)
-    throw Error(
-        "session: warm_from_cache excludes an explicit warm-start state");
   const bool have_delta =
       !request.delta_text.empty() || !request.delta_file.empty();
   // A warm source without a delta is the empty-delta resume: the delta
@@ -132,8 +189,7 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
   else if (!request.warm_text.empty())
     warm_state = ParseWarmStartText(request.warm_text);
 
-  const bool eco_mode =
-      have_delta || have_warm_state || request.warm_from_cache;
+  const bool eco_mode = have_delta || have_warm_state;
   if ((eco_mode || request.emit_warm_state) &&
       (request.algo != "flow" && request.algo != "flow-mst"))
     throw Error(
@@ -190,7 +246,6 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     params.iterations = request.iterations;
     params.seed = request.seed;
     params.keep_best_metric = request.emit_warm_state;
-    params.collect_report = request.collect_report;
     params.threads = request.threads;
     params.metric_threads = request.metric_threads;
     params.budget.max_rounds = request.budget.max_rounds;
@@ -232,7 +287,6 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     if (request.multilevel) {
       MultilevelParams ml;
       ml.flow = params;
-      ml.collect_report = request.collect_report;
       ml.coarsen_threshold = static_cast<NodeId>(request.coarsen_threshold);
       MultilevelResult ml_result = RunMultilevelFlow(hg, spec, ml);
       result.used_multilevel = true;
@@ -243,7 +297,6 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
       result.level_stats = std::move(ml_result.level_stats);
       result.completed = ml_result.completed;
       result.stop_reason = ml_result.stop_reason;
-      result.report = std::move(ml_result.report);
       tp = std::move(ml_result.partition);
     } else if (warm_state) {
       // Full ECO: warm metric re-convergence plus delta-scoped re-carving,
@@ -271,37 +324,15 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
       tp = std::move(er.partition);
       if (request.emit_warm_state) emit_metric = std::move(er.metric);
     } else {
-      if (request.warm_from_cache) {
-        // Metric-cache interop: recompute the PRE-delta iteration-0
-        // converged metric through the provider — with a warm cache this
-        // is a hit on the exact entry the prior cold run stored (same
-        // key: pre-delta hash x spec x injection params). Deliberately an
-        // inert token and deterministic caps only, so the seed — and with
-        // it the deterministic response section — is a pure function of
-        // the request, never of cache state.
-        FlowInjectionParams pre = params.injection;
-        if (request.budget.max_rounds > 0)
-          pre.max_rounds = std::min(pre.max_rounds, request.budget.max_rounds);
-        pre.seed = Rng(request.seed).fork(0).next_u64();
-        pre.threads = request.metric_threads;
-        const FlowInjectionResult pre_metric =
-            params.metric_compute
-                ? params.metric_compute(*base, spec, pre)
-                : ComputeSpreadingMetric(*base, spec, pre);
-        params.injection.warm_metric = std::make_shared<const SpreadingMetric>(
-            RemapWarmMetric(pre_metric.metric, *app));
-        result.warm_source = "cache";
-      }
       HtpFlowResult flow_result = RunHtpFlow(hg, spec, params);
       result.completed = flow_result.completed;
       result.stop_reason = flow_result.stop_reason;
       result.iterations = std::move(flow_result.iterations);
-      result.report = std::move(flow_result.report);
       tp = std::move(flow_result.partition);
       if (request.emit_warm_state)
         emit_metric = std::move(flow_result.best_metric);
       if (result.eco) {
-        // No prior partition to stitch from on this path.
+        // A delta without warm state: a cold run on the edited netlist.
         result.eco_full_rebuild = true;
         if (!result.iterations.empty()) {
           result.eco_warm_injections = result.iterations[0].injections;
@@ -341,20 +372,8 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
         hg, *emit_metric, *result.partition, request.seed));
   }
 
-  // rfm/gfm runs assemble a driver-level report so collect_report always
-  // yields a valid artifact (the flow pipelines build their own richer
-  // one). Field-for-field the fallback htp_cli used to build inline.
-  if (request.collect_report && result.report.empty()) {
-    obs::RunReportBuilder rb(request.report_tool);
-    rb.MetaString("algorithm", request.algo);
-    rb.MetaNumber("nodes", static_cast<double>(hg.num_nodes()));
-    rb.MetaNumber("nets", static_cast<double>(hg.num_nets()));
-    rb.MetaNumber("levels", static_cast<double>(spec.num_levels()));
-    rb.MetaNumber("seed", static_cast<double>(request.seed));
-    rb.ResultNumber("cost", PartitionCost(*result.partition, spec));
-    rb.WallNumber("threads", static_cast<double>(request.threads));
-    result.report = rb.Render(obs::TakeSnapshot(), obs::DrainEvents());
-  }
+  if (request.collect_report)
+    result.report = RenderRunReport(request, result);
 
   result.cache.csr_hits =
       provider_stats->csr_hits.load(std::memory_order_relaxed);

@@ -4,8 +4,9 @@
 // source, hierarchy shape, algorithm, parallelism knobs, budget — and
 // RunSession executes the exact pipeline htp_cli used to inline: resolve
 // the netlist, build the hierarchy spec, arm the budget once, run the
-// chosen algorithm (flow / flow-mst, optionally multilevel; rfm; gfm),
-// optionally refine with generalized FM, and validate the result. htp_cli
+// chosen algorithm (flow / flow-mst, optionally multilevel or ECO; rfm;
+// gfm), optionally refine with generalized FM, validate the result, and
+// render the run's one RunReport after the last stage. htp_cli
 // is now a thin driver over this function (parse argv, call, print), and
 // htp_serve drives the same function per request — the library/driver
 // split ROADMAP calls for, so the two binaries cannot drift apart.
@@ -71,17 +72,10 @@ struct SessionRequest {
   /// through RunEcoRepartition: Algorithm 2 resumes injection and the
   /// prior partition's untouched root subtrees are cloned. Without a
   /// delta, this is the empty-delta resume (bit-identical to the run that
-  /// produced the state).
+  /// produced the state). A delta without warm state runs cold on the
+  /// edited netlist.
   std::string warm_text;
   std::string warm_file;
-  /// Derive the warm metric from the metric-cache interop instead of a
-  /// state file: the PRE-delta iteration-0 converged metric is recomputed
-  /// through the metric provider — a pure function of this request, so the
-  /// deterministic response section never depends on cache state; with a
-  /// warm cache it is served as a hit keyed by the pre-delta hash. No
-  /// prior partition is available, so construction runs in full (the
-  /// remapped metric seeds a plain flow run). Excludes warm_text/warm_file.
-  bool warm_from_cache = false;
   /// Serialize the run's winning converged metric plus the FINAL
   /// (post-refine) partition into SessionResult::warm_state — the next
   /// run's warm-start input. Requires algo flow/flow-mst, no multilevel.
@@ -92,8 +86,8 @@ struct SessionRequest {
   Budget budget;
   /// Optional external cancellation, linked as the budget's parent.
   CancellationToken cancel;
-  /// Assemble a RunReport into SessionResult::report. For rfm/gfm the
-  /// fallback CLI-level report is built here, under `report_tool`.
+  /// Assemble the run's RunReport into SessionResult::report, under
+  /// `report_tool`, after the last stage (so it covers FM refinement).
   bool collect_report = false;
   std::string report_tool = "htp_cli";
 };
@@ -142,10 +136,10 @@ struct SessionResult {
   /// ECO extras, populated iff `eco` (a delta or warm source was given).
   /// All of them are deterministic — pure functions of the request.
   bool eco = false;
-  /// Structural hash of the PRE-delta netlist (the metric-cache interop
-  /// key component; `netlist_hash` above is the post-delta hash).
+  /// Structural hash of the PRE-delta netlist (`netlist_hash` above is
+  /// the post-delta hash).
   std::uint64_t pre_delta_hash = 0;
-  std::string warm_source = "none";  ///< "state" | "cache" | "none"
+  std::string warm_source = "none";  ///< "state" | "none"
   std::size_t eco_blocks_reused = 0;
   std::size_t eco_blocks_recarved = 0;
   bool eco_full_rebuild = false;

@@ -18,8 +18,6 @@
 //
 // Exit codes: 0 success, 2 bad usage (including malformed numeric
 // arguments), 1 runtime failure.
-#include <cctype>
-#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <cstring>
@@ -33,10 +31,10 @@
 #include "incremental/netlist_delta.hpp"
 #include "incremental/warm_start.hpp"
 #include "obs/obs.hpp"
-#include "obs/report.hpp"
 #include "obs/sinks.hpp"
 #include "runtime/thread_pool.hpp"
 #include "server/session.hpp"
+#include "tools/numeric_flags.hpp"
 
 namespace {
 
@@ -126,30 +124,8 @@ void Usage(const char* argv0) {
                argv0);
 }
 
-// Numeric flags must consume their whole argument: std::stoull and
-// std::stod alone stop at the first bad character ("3x" reads as 3) and
-// stoull wraps a leading '-'. Failures throw std::invalid_argument or
-// std::out_of_range, which main maps to exit 2.
-std::uint64_t ParseUnsigned(
-    const std::string& text,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-    throw std::invalid_argument(text);
-  std::size_t used = 0;
-  const unsigned long long value = std::stoull(text, &used);
-  if (used != text.size()) throw std::invalid_argument(text);
-  if (value > max) throw std::out_of_range(text);
-  return value;
-}
-
-double ParseDouble(const std::string& text) {
-  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])))
-    throw std::invalid_argument(text);
-  std::size_t used = 0;
-  const double value = std::stod(text, &used);
-  if (used != text.size()) throw std::invalid_argument(text);
-  return value;
-}
+using htp::tools::ParseDouble;
+using htp::tools::ParseUnsigned;
 
 std::vector<double> ParseWeights(const std::string& csv) {
   std::vector<double> weights;

@@ -13,8 +13,8 @@
 //     | nc -U /tmp/htp.sock
 //   printf '%s\n' '{"op":"shutdown"}' | nc -U /tmp/htp.sock
 //
-// Exit codes mirror htp_cli: 0 clean shutdown, 2 bad usage, 1 runtime
-// failure (cannot bind, etc.).
+// Exit codes mirror htp_cli: 0 clean shutdown, 2 bad usage (including
+// malformed numeric arguments), 1 runtime failure (cannot bind, etc.).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -24,6 +24,7 @@
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
 #include "server/server.hpp"
+#include "tools/numeric_flags.hpp"
 
 namespace {
 
@@ -55,6 +56,8 @@ void Usage(const char* argv0) {
                argv0);
 }
 
+using htp::tools::ParseUnsigned;
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,15 +76,15 @@ int main(int argc, char** argv) {
         return true;
       };
       if (arg("--socket")) options.socket_path = argv[++i];
-      else if (arg("--threads")) options.threads = std::stoul(argv[++i]);
+      else if (arg("--threads")) options.threads = ParseUnsigned(argv[++i]);
       else if (arg("--cache-netlists"))
-        options.cache.netlist_capacity = std::stoul(argv[++i]);
+        options.cache.netlist_capacity = ParseUnsigned(argv[++i]);
       else if (arg("--cache-csr"))
-        options.cache.csr_capacity = std::stoul(argv[++i]);
+        options.cache.csr_capacity = ParseUnsigned(argv[++i]);
       else if (arg("--cache-metrics"))
-        options.cache.metric_capacity = std::stoul(argv[++i]);
+        options.cache.metric_capacity = ParseUnsigned(argv[++i]);
       else if (arg("--max-requests"))
-        options.max_requests = std::stoul(argv[++i]);
+        options.max_requests = ParseUnsigned(argv[++i]);
       else if (arg("--report")) report_file = argv[++i];
       else if (std::strcmp(argv[i], "--help") == 0) {
         Usage(argv[0]);

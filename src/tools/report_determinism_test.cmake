@@ -1,4 +1,5 @@
-# The report-determinism gate: two runs differing only in thread counts
+# The report-determinism gate: two FLOW+ runs (FM refinement on, so the
+# report covers the FM stage) differing only in thread counts
 # (--threads 1 --metric-threads 1 vs --threads 8 --metric-threads 8) must
 # produce RunReports whose deterministic sections diff clean under
 # scripts/obs_report.py. This is the same contract
@@ -11,7 +12,7 @@ set(REPORT_SERIAL ${WORK_DIR}/serial.report.json)
 set(REPORT_PARALLEL ${WORK_DIR}/parallel.report.json)
 
 execute_process(
-  COMMAND ${CLI} --circuit c1355 --height 3 --iterations 2
+  COMMAND ${CLI} --circuit c1355 --height 3 --iterations 2 --refine
           --threads 1 --metric-threads 1 --report ${REPORT_SERIAL}
   RESULT_VARIABLE serial_status)
 if(NOT serial_status EQUAL 0)
@@ -19,7 +20,7 @@ if(NOT serial_status EQUAL 0)
 endif()
 
 execute_process(
-  COMMAND ${CLI} --circuit c1355 --height 3 --iterations 2
+  COMMAND ${CLI} --circuit c1355 --height 3 --iterations 2 --refine
           --threads 8 --metric-threads 8 --report ${REPORT_PARALLEL}
   RESULT_VARIABLE parallel_status)
 if(NOT parallel_status EQUAL 0)

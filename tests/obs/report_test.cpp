@@ -1,20 +1,22 @@
 // Tests for the RunReport artifact (obs/report.hpp): section routing
 // (deterministic vs wall), DeterministicSection extraction, and the
-// headline contract — the deterministic section of a RunHtpFlow /
-// RunMultilevelFlow report is bit-identical for every threads x
-// metric_threads combination. The builder operates on plain data, so the
-// shape tests run with HTP_OBS_ENABLED=OFF too; the pipeline tests then
-// pin the (weaker, still exact) compiled-out artifact.
+// headline contracts of the report RunSession renders — it covers the
+// whole run (FM refinement included) and its deterministic section is
+// bit-identical for every threads x metric_threads combination. The
+// builder operates on plain data, so the shape tests run with
+// HTP_OBS_ENABLED=OFF too; the pipeline tests then pin the (weaker, still
+// exact) compiled-out artifact.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/htp_flow.hpp"
-#include "multilevel/multilevel_flow.hpp"
 #include "netlist/generators.hpp"
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
+#include "server/session.hpp"
 
 namespace htp {
 namespace {
@@ -105,15 +107,51 @@ TEST(DeterministicSection, ExtractsTheExactBraceMatchedSlice) {
   EXPECT_TRUE(obs::DeterministicSection("{\"deterministic\":[]}").empty());
 }
 
+// A RunSession request over c1355-like instance `instance_seed`, with the
+// 3-level binary hierarchy and a RunReport collected from a clean slate
+// (counters and the journal are process-global and cumulative).
+serve::SessionRequest ReportRequest(std::uint64_t instance_seed) {
+  serve::SessionRequest request;
+  request.netlist = std::make_shared<const Hypergraph>(
+      MakeIscas85Like("c1355", instance_seed));
+  request.height = 3;
+  request.iterations = 2;
+  request.seed = 11;
+  request.refine = true;
+  request.collect_report = true;
+  obs::ResetAll();
+  obs::DrainEvents();
+  return request;
+}
+
+// The deterministic `result` object of a report (it nests no objects).
+std::string ResultSection(const std::string& report) {
+  const std::size_t begin = report.find("\"result\":{");
+  if (begin == std::string::npos) return {};
+  return report.substr(begin, report.find('}', begin) - begin + 1);
+}
+
+std::string JsonNumber(double value) {
+  obs::JsonWriter w;
+  w.Number(value);
+  return std::move(w).Take();
+}
+
+// True iff deterministic section `det` holds counter `name` == `value`.
+bool HasCounter(std::string_view det, const std::string& name,
+                std::uint64_t value) {
+  const std::string needle = "\"" + name + "\":" + std::to_string(value);
+  const std::size_t at = det.find(needle);
+  return at != std::string_view::npos &&
+         (det[at + needle.size()] == ',' || det[at + needle.size()] == '}');
+}
+
 // The tentpole contract. Every {threads} x {metric_threads} combination
 // must produce a byte-identical deterministic section: same result, same
-// counter totals, same value histograms, same journal. The wall section
-// (thread counts, timers) is allowed to differ — that is the whole point
-// of the split.
+// counter totals, same value histograms, same journal — FM stage included.
+// The wall section (thread counts, timers) is allowed to differ — that is
+// the whole point of the split.
 TEST(RunReportPipeline, DeterministicSectionIsThreadCountInvariant) {
-  const Hypergraph hg = MakeIscas85Like("c1355", 3);
-  const HierarchySpec spec = UniformHierarchy(hg.total_size(), 3, 2, 0.10,
-                                              std::vector<double>(3, 1.0));
   std::string reference;
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     for (std::size_t metric_threads :
@@ -121,17 +159,12 @@ TEST(RunReportPipeline, DeterministicSectionIsThreadCountInvariant) {
       SCOPED_TRACE(testing::Message()
                    << "threads=" << threads
                    << " metric_threads=" << metric_threads);
-      obs::ResetAll();
-      obs::DrainEvents();
-      HtpFlowParams params;
-      params.iterations = 2;
-      params.seed = 11;
-      params.threads = threads;
-      params.metric_threads = metric_threads;
-      params.collect_report = true;
-      const HtpFlowResult result = RunHtpFlow(hg, spec, params);
-      ASSERT_FALSE(result.report.empty());
-      const std::string_view det = obs::DeterministicSection(result.report);
+      serve::SessionRequest request = ReportRequest(3);
+      request.threads = threads;
+      request.metric_threads = metric_threads;
+      const serve::SessionResult run = serve::RunSession(request, nullptr);
+      ASSERT_FALSE(run.report.empty());
+      const std::string_view det = obs::DeterministicSection(run.report);
       ASSERT_FALSE(det.empty());
       if (reference.empty())
         reference = std::string(det);
@@ -143,49 +176,71 @@ TEST(RunReportPipeline, DeterministicSectionIsThreadCountInvariant) {
   EXPECT_NE(reference.find("\"event\":\"driver.iteration\""),
             std::string::npos);
   EXPECT_NE(reference.find("\"event\":\"flow.round\""), std::string::npos);
+  EXPECT_TRUE(HasCounter(reference, "fm.refines", 1));
 #else
   EXPECT_NE(reference.find("\"journal\":[]"), std::string::npos)
       << "compiled-out builds render reports with empty telemetry";
 #endif
 }
 
-TEST(RunReportPipeline, MultilevelReportCoversTheWholePipeline) {
-  const Hypergraph hg = MakeIscas85Like("c1355", 5);
-  const HierarchySpec spec = UniformHierarchy(hg.total_size(), 3, 2, 0.10,
-                                              std::vector<double>(3, 1.0));
-  obs::ResetAll();
-  obs::DrainEvents();
-  MultilevelParams params;
-  params.flow.iterations = 2;
-  params.flow.seed = 11;
-  params.coarsen_threshold = 64;
-  params.collect_report = true;
-  const MultilevelResult result = RunMultilevelFlow(hg, spec, params);
-  ASSERT_FALSE(result.report.empty());
-  const std::string_view det = obs::DeterministicSection(result.report);
-  ASSERT_FALSE(det.empty());
-  EXPECT_NE(det.find("\"algorithm\":\"multilevel_flow\""),
-            std::string_view::npos);
-  EXPECT_NE(det.find("\"cost\":"), std::string_view::npos);
+// FLOW+ is FLOW followed by generalized FM: the report is rendered after
+// the FM stage, so its `cost` is the post-FM cost and `algo_cost` the
+// constructor's. `htp_cli --circuit c1355 --height 3 --iterations 1
+// --refine` is this run: FM takes the cost from 32 to 24.
+TEST(RunReportPipeline, FlowRefineReportCarriesTheFinalCost) {
+  serve::SessionRequest request = ReportRequest(1);
+  request.iterations = 1;
+  request.seed = 1;
+  request.report_tool = "report_test";
+  const serve::SessionResult run = serve::RunSession(request, nullptr);
+  ASSERT_TRUE(run.refined);
+  ASSERT_LT(run.fm.final_cost, run.cost);
+  const std::string result = ResultSection(run.report);
+  EXPECT_NE(result.find("\"cost\":" + JsonNumber(run.fm.final_cost) + ","),
+            std::string::npos)
+      << result;
+  EXPECT_NE(result.find("\"algo_cost\":" + JsonNumber(run.cost) + ","),
+            std::string::npos)
+      << result;
+  EXPECT_NE(result.find("\"refined\":true"), std::string::npos) << result;
+  EXPECT_NE(run.report.find("\"tool\":\"report_test\""), std::string::npos);
 #if HTP_OBS_ENABLED
-  // The pipeline-wide journal keeps the coarse flow's records (the inner
-  // RunHtpFlow must not drain them) plus the per-level records.
+  EXPECT_TRUE(
+      HasCounter(obs::DeterministicSection(run.report), "fm.refines", 1));
+#endif
+}
+
+TEST(RunReportPipeline, MultilevelReportCoversTheWholePipeline) {
+  serve::SessionRequest request = ReportRequest(5);
+  request.multilevel = true;
+  request.coarsen_threshold = 64;
+  const serve::SessionResult run = serve::RunSession(request, nullptr);
+  ASSERT_GT(run.coarsen_levels, 0u);
+  const std::string_view det = obs::DeterministicSection(run.report);
+  ASSERT_FALSE(det.empty());
+  EXPECT_NE(det.find("\"algorithm\":\"flow\""), std::string_view::npos);
+  EXPECT_NE(det.find("\"multilevel\":true"), std::string_view::npos);
+  EXPECT_NE(ResultSection(run.report)
+                .find("\"cost\":" + JsonNumber(run.fm.final_cost) + ","),
+            std::string::npos);
+#if HTP_OBS_ENABLED
+  // One journal covers the whole pipeline: the coarse flow's records, the
+  // per-level records, and every FM refine — one per uncoarsening level
+  // plus the session's final one.
   EXPECT_NE(det.find("\"event\":\"driver.iteration\""),
             std::string_view::npos);
-  if (result.coarsen_levels > 0)
-    EXPECT_NE(det.find("\"event\":\"multilevel.level\""),
-              std::string_view::npos);
+  EXPECT_NE(det.find("\"event\":\"multilevel.level\""),
+            std::string_view::npos);
+  EXPECT_TRUE(HasCounter(det, "fm.refines", run.coarsen_levels + 1));
 #endif
 }
 
 TEST(RunReportPipeline, ReportIsEmptyUnlessRequested) {
-  const Hypergraph hg = MakeIscas85Like("c1355", 3);
-  const HierarchySpec spec = UniformHierarchy(hg.total_size(), 3, 2, 0.10,
-                                              std::vector<double>(3, 1.0));
-  HtpFlowParams params;
-  params.iterations = 1;
-  const HtpFlowResult result = RunHtpFlow(hg, spec, params);
-  EXPECT_TRUE(result.report.empty());
+  serve::SessionRequest request = ReportRequest(3);
+  request.collect_report = false;
+  request.iterations = 1;
+  const serve::SessionResult run = serve::RunSession(request, nullptr);
+  EXPECT_TRUE(run.report.empty());
 }
 
 }  // namespace
