@@ -24,6 +24,12 @@ obs::Counter c_scan_discarded("flow.scan_discarded");
 // Safe to flip serially: results are worker-count independent by contract.
 constexpr std::size_t kMinParallelNodes = 64;
 
+// Relative safety margin on the stop certificate's extrapolated term
+// r·(s(V) − T). The later verdicts accumulate lhs and size one settled node
+// at a time; their rounding against this one product stays below 1e-9
+// relative up to several million nodes (docs/algorithms.md).
+constexpr double kCertificateMargin = 1e-9;
+
 }  // namespace
 
 SpreadingMetric MetricFromPartition(const TreePartition& tp,
@@ -81,7 +87,8 @@ ViolationScanner::ViolationScanner(const Hypergraph& hg,
     : hg_(hg),
       spec_(spec),
       csr_(std::move(shared_csr)),
-      g_cap_(spec.g(hg.total_size())) {
+      total_size_(hg.total_size()),
+      g_cap_(spec.g(total_size_)) {
   if (!csr_) {
     csr_ = std::make_shared<const CsrView>(hg);
   } else {
@@ -102,10 +109,16 @@ ViolationScanner::ViolationScanner(const Hypergraph& hg,
 ViolationScanner::~ViolationScanner() = default;
 
 // On a violated prefix, records it into `slot` and stops the growth. Also
-// stops once no remaining prefix can violate: lhs is nondecreasing and
-// g_cap_ = g(s(V)) bounds every future rhs (g is nondecreasing because
-// weights are validated nonnegative). Deterministic — a pure function of
-// (source, metric) — so thread-invariant.
+// stops once no remaining prefix can violate — the concave stop certificate
+// (docs/algorithms.md). Every node settled later lies at distance >= r, the
+// distance just settled, so a future prefix of size X has
+// lhs >= wd + r·(X − T). g is convex (w_i >= 0), so wd + r·(X − T) − g(X)
+// is concave on [T, s(V)] and its minimum sits at an endpoint: X = T is the
+// prefix just checked, and X = s(V) is the test below. The extrapolated
+// term is shrunk by kCertificateMargin to absorb its rounding against the
+// sums the later verdicts would accumulate; at r = 0 it vanishes and the
+// test is exactly the older exit wd + tol >= g(s(V)).
+// Deterministic — a pure function of (source, metric) — so thread-invariant.
 inline GrowAction ViolationScanner::CheckPrefix(const GrowState& state,
                                                 double tolerance,
                                                 Slot& slot) const {
@@ -118,7 +131,10 @@ inline GrowAction ViolationScanner::CheckPrefix(const GrowState& state,
     slot.rhs = rhs;
     return GrowAction::kStop;
   }
-  if (state.weighted_dist + tolerance >= g_cap_) return GrowAction::kStop;
+  const double reach = state.distance * (total_size_ - state.tree_size) *
+                       (1.0 - kCertificateMargin);
+  if (state.weighted_dist + reach + tolerance >= g_cap_)
+    return GrowAction::kStop;
   return GrowAction::kContinue;
 }
 

@@ -81,9 +81,10 @@ std::optional<SpreadingViolation> CheckSpreadingMetric(
 /// Hot path: trees grow over a CsrView built once at construction (one
 /// lowering per metric computation, shared read-only by every worker) and
 /// each growth stops early once no remaining prefix of S(v,k) can violate
-/// (5) — g is nondecreasing, so g(s(V)) bounds every future right-hand side
-/// (docs/algorithms.md, "CSR hot path"). The early exit is a pure function
-/// of (source, metric), so it never disturbs determinism.
+/// (5) — later nodes lie at least the current radius away and g is convex,
+/// so checking the full-size endpoint s(V) certifies every later prefix
+/// (docs/algorithms.md, "The concave stop certificate"). The early exit is
+/// a pure function of (source, metric), so it never disturbs determinism.
 ///
 /// Determinism contract: the returned hit, the committed dijkstra.* counter
 /// totals, and the flow.scan_* counters are bit-identical for every
@@ -156,7 +157,8 @@ class ViolationScanner {
   /// Shared read-only adjacency for all workers; owned here when built
   /// privately, co-owned with an artifact cache when passed in.
   std::shared_ptr<const CsrView> csr_;
-  double g_cap_ = 0.0; ///< g(s(V)): upper bound on every rhs of family (5)
+  double total_size_ = 0.0;  ///< s(V): the stop certificate's far endpoint
+  double g_cap_ = 0.0;  ///< g(s(V)): upper bound on every rhs of family (5)
   std::size_t workers_ = 1;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Worker[]> worker_state_;

@@ -1,5 +1,6 @@
 #include "incremental/warm_start.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -21,10 +22,24 @@ std::uint64_t ParseU64(const std::string& tok, std::size_t line,
   if (tok.empty() || tok[0] == '-')
     Fail(line, std::string("unparsable ") + what + " '" + tok + "'");
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
   if (end != tok.c_str() + tok.size())
     Fail(line, std::string("unparsable ") + what + " '" + tok + "'");
+  if (errno == ERANGE)
+    Fail(line, std::string(what) + " '" + tok + "' is out of range");
   return v;
+}
+
+// Sanity-caps a declared line count before it drives any allocation or
+// loop: every declared line costs at least one input character (its
+// newline), so a count beyond the input length is a malformed — possibly
+// hostile — header, not a big state.
+void CheckCountFits(std::uint64_t count, const std::string& text,
+                    std::size_t line, const char* what) {
+  if (count > text.size())
+    Fail(line, std::string(what) + " " + std::to_string(count) +
+                   " exceeds the input size");
 }
 
 double ParseMetricValue(const std::string& tok, std::size_t line) {
@@ -121,6 +136,7 @@ WarmStartState ParseWarmStartText(const std::string& text) {
     if (kw != "metric" || a.empty() || (fields >> extra))
       Fail(lineno, "expected 'metric <count>'");
     const std::uint64_t count = ParseU64(a, lineno, "metric count");
+    CheckCountFits(count, text, lineno, "metric count");
     if (count != state.nets)
       Fail(lineno, "metric count " + std::to_string(count) +
                        " != net count " + std::to_string(state.nets));
@@ -144,6 +160,7 @@ WarmStartState ParseWarmStartText(const std::string& text) {
     if (kw != "partition" || a.empty() || (fields >> extra))
       Fail(lineno, "expected 'partition <line-count>'");
     const std::uint64_t count = ParseU64(a, lineno, "partition line count");
+    CheckCountFits(count, text, lineno, "partition line count");
     std::ostringstream partition;
     for (std::uint64_t i = 0; i < count; ++i) {
       next_line("a partition line");

@@ -54,7 +54,7 @@ TEST(GoldenRegression, SpreadingLpOnFigure2IsPinned) {
 #endif
   const SpreadingLpResult lp = SolveSpreadingLp(hg, spec, options);
 #if HTP_OBS_ENABLED
-  EXPECT_EQ(DijkstraPops() - pops_before, 3312u);
+  EXPECT_EQ(DijkstraPops() - pops_before, 3188u);
 #endif
   EXPECT_EQ(lp.status, LpStatus::kOptimal);
   EXPECT_TRUE(lp.converged);
@@ -75,7 +75,7 @@ TEST(GoldenRegression, PairPathMetricOnC1355IsPinned) {
   const FlowInjectionResult result =
       ComputePairPathSpreadingMetric(hg, spec, params);
 #if HTP_OBS_ENABLED
-  EXPECT_EQ(DijkstraPops() - pops_before, 341880u);
+  EXPECT_EQ(DijkstraPops() - pops_before, 199167u);
 #endif
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.injections, 891u);

@@ -204,6 +204,30 @@ TEST(MalformedWarmStart, BadMetricValuesAndTrailingContent) {
   EXPECT_THROW(ParseWarmStartText(doc("0.5") + "trailing\n"), WarmStartError);
 }
 
+TEST(MalformedWarmStart, HostileCountsAndOutOfRangeIntegers) {
+  // A declared count must never drive an allocation past the input: both
+  // headers below used to escape as std::length_error / std::bad_alloc.
+  for (const std::string count : {"18446744073709551615", "1000000000000000"})
+    EXPECT_THROW(ParseWarmStartText("htp-warm-start v1\nnetlist 1 " + count +
+                                    " 1\nseed 1\nmetric " + count + "\n"),
+                 WarmStartError)
+        << count;
+  EXPECT_THROW(ParseWarmStartText("htp-warm-start v1\nnetlist 2 1 2\n"
+                                  "seed 1\nmetric 1\n0.5\n"
+                                  "partition 1000000000000000\n"),
+               WarmStartError);
+  // Integers past 2^64 - 1 are rejected, not saturated.
+  EXPECT_THROW(ParseWarmStartText("htp-warm-start v1\nnetlist 2 1 2\n"
+                                  "seed 99999999999999999999999\nmetric 1\n"
+                                  "0.5\npartition 1\nhtp-partition v1\n"),
+               WarmStartError);
+  EXPECT_EQ(ParseWarmStartText("htp-warm-start v1\nnetlist 2 1 2\n"
+                               "seed 18446744073709551615\nmetric 1\n0.5\n"
+                               "partition 1\nhtp-partition v1\n")
+                .seed,
+            18446744073709551615ull);
+}
+
 TEST(MalformedWarmStart, FingerprintMismatchRejected) {
   const Hypergraph base = SmallBase();
   const WarmStartState state = ParseWarmStartText(
