@@ -8,8 +8,8 @@
 // still buys anything once the carver itself is multilevel.
 #include "bench_common.hpp"
 #include "core/htp_flow.hpp"
+#include "multilevel/mlfm.hpp"
 #include "partition/htp_fm.hpp"
-#include "partition/multilevel.hpp"
 #include "partition/rfm.hpp"
 
 int main(int argc, char** argv) {

@@ -12,6 +12,8 @@ contracts docs/server.md promises:
 * the partition the daemon returns is byte-identical to what ``htp_cli
   --out`` writes for the same request and seed — the two binaries drive
   the same session pipeline and must never drift apart;
+* a request line nested 300,000 levels deep gets a typed error response
+  and the same daemon keeps answering pings on the same connection;
 * the ECO warm-start path keeps the same parity (docs/incremental.md): a
   request carrying ``emit_warm_state`` returns the warm-start document, an
   empty-delta resume from it reports ``warm_source`` "state" with zero
@@ -96,6 +98,19 @@ def main():
                          + b"\n")
             ping = recv_line(sock)
             assert ping["status"] == "ok" and ping["op"] == "ping", ping
+
+            # The JSON parser recurses once per nesting level; a deep line
+            # must fail as one bad request, never crash the daemon.
+            sock.sendall(b"[" * 300000 + b"\n")
+            deep = recv_line(sock)
+            assert deep["status"] == "error", deep
+            assert "nesting" in deep["error"], deep
+            sock.sendall(json.dumps({"op": "ping", "id": "p2"}).encode()
+                         + b"\n")
+            ping = recv_line(sock)
+            assert ping["status"] == "ok" and ping["id"] == "p2", ping
+            print("nesting: a 300,000-level line got a typed error; the "
+                  "daemon still answers")
 
             responses = []
             for request_id in ("cold", "warm"):

@@ -4,8 +4,8 @@
 // carves off a child block of size within [LB..UB] = [s(V)/K_l .. C_{l-1}]
 // using a CarveFn, then recurses on the carved subgraph. The carve function
 // is the only pluggable part: MetricCarver() (Prim over the spreading
-// metric) yields the paper's FLOW construction, FmCarver (in
-// src/partition/) yields the RFM baseline.
+// metric) yields the paper's FLOW construction, FmCarve (in
+// src/partition/rfm.hpp) yields the RFM baseline.
 //
 // Robustness extensions over the pseudo-code (documented in DESIGN.md):
 //  * when a whole set already fits one child (s <= C_{l-1}), a single-child

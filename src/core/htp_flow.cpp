@@ -14,7 +14,7 @@ namespace {
 // whichever pool thread ran it, tagged with the iteration index.
 obs::Counter c_runs("driver.runs");
 obs::Counter c_iterations("driver.iterations");
-obs::Counter c_carve_attempts("carve.attempts");
+obs::Counter c_attempts("carve.attempts");
 // Anytime telemetry: all three stay zero unless a budget is set, so
 // unbudgeted counter totals are untouched. `driver.budget_remaining_ms` is
 // the wall-clock headroom left when a deadline-budgeted run returned (kMax:
@@ -29,6 +29,41 @@ obs::Timer t_construct("driver.construct");
 // One journal record per executed Algorithm-1 iteration; `iter` leads the
 // payload so the drained journal lists iterations in index order.
 obs::Event e_iteration("driver.iteration");
+
+// find_cut restarts per carve.
+constexpr std::size_t kCarveAttempts = 4;
+
+// find_cut with best-of-kCarveAttempts restarts: the cheapest in-window
+// carve wins (in-window results strictly dominate out-of-window ones; first
+// on ties). A fired token stops the restarts after the first completed
+// attempt, so the carve (and the enclosing construction) stays valid.
+// Every attempt run is credited to the `carve.attempts` counter.
+CarveResult BestOfCarves(const Hypergraph& hg,
+                         std::span<const double> metric, double lb, double ub,
+                         Rng& rng, CarverKind carver,
+                         const CancellationToken& cancel) {
+  CarveResult best;
+  bool have = false;
+  std::size_t executed = 0;
+  for (std::size_t t = 0; t < kCarveAttempts; ++t) {
+    CarveResult cut = carver == CarverKind::kMstSplit
+                          ? MstSplitCarve(hg, metric, lb, ub, rng)
+                          : MetricFindCut(hg, metric, lb, ub, rng);
+    ++executed;
+    const bool better =
+        !have ||
+        (cut.in_window && !best.in_window) ||
+        (cut.in_window == best.in_window && cut.cut_value < best.cut_value);
+    if (better) {
+      best = std::move(cut);
+      have = true;
+    }
+    // Safepoint: between attempts (an attempt is never abandoned midway).
+    if (cancel.Cancelled()) break;
+  }
+  c_attempts.Add(executed);
+  return best;
+}
 
 // The RNG streams one iteration consumes, pre-forked from the master in the
 // exact order the serial loop drew them (injection seed, then the metric
@@ -162,45 +197,16 @@ CarveFn FlowCarver(const Hypergraph& hg, const HierarchySpec& spec,
           ComputeFlowMetric(params, sub, spec, local);
       if (local_metric.cancelled && truncated) *truncated = true;
       return BestOfCarves(sub, local_metric.metric, lb, ub, rng,
-                          params.carve_attempts, params.carver, cancel);
+                          params.carver, cancel);
     }
-    return BestOfCarves(sub, sub_metric, lb, ub, rng, params.carve_attempts,
-                        params.carver, cancel);
+    return BestOfCarves(sub, sub_metric, lb, ub, rng, params.carver, cancel);
   };
-}
-
-CarveResult BestOfCarves(const Hypergraph& hg,
-                         std::span<const double> metric, double lb, double ub,
-                         Rng& rng, std::size_t attempts, CarverKind carver,
-                         const CancellationToken& cancel) {
-  CarveResult best;
-  bool have = false;
-  std::size_t executed = 0;
-  for (std::size_t t = 0; t < attempts; ++t) {
-    CarveResult cut = carver == CarverKind::kMstSplit
-                          ? MstSplitCarve(hg, metric, lb, ub, rng)
-                          : MetricFindCut(hg, metric, lb, ub, rng);
-    ++executed;
-    const bool better =
-        !have ||
-        (cut.in_window && !best.in_window) ||
-        (cut.in_window == best.in_window && cut.cut_value < best.cut_value);
-    if (better) {
-      best = std::move(cut);
-      have = true;
-    }
-    // Safepoint: between attempts (an attempt is never abandoned midway).
-    if (cancel.Cancelled()) break;
-  }
-  c_carve_attempts.Add(executed);
-  return best;
 }
 
 HtpFlowResult RunHtpFlow(const Hypergraph& hg, const HierarchySpec& spec,
                          const HtpFlowParams& params) {
   HTP_CHECK(params.iterations >= 1);
   HTP_CHECK(params.constructions_per_metric >= 1);
-  HTP_CHECK(params.carve_attempts >= 1);
   obs::PhaseScope run_span(t_run);
   c_runs.Add();
   // The deterministic iteration cap truncates the plan up front; because

@@ -56,8 +56,6 @@ struct HtpFlowParams {
   std::size_t constructions_per_metric = 1;
   /// Metric reuse strategy for the recursion (see MetricScope).
   MetricScope metric_scope = MetricScope::kPerSubproblem;
-  /// find_cut restarts per carve; the cheapest in-window result wins.
-  std::size_t carve_attempts = 4;
   /// Which carve implementation find_cut uses.
   CarverKind carver = CarverKind::kPrimPrefix;
   /// Master seed; per-iteration streams are forked from it.
@@ -144,15 +142,6 @@ struct HtpFlowResult {
   SpreadingMetric best_metric;
 };
 
-/// find_cut with best-of-`attempts` restarts: the cheapest in-window carve
-/// wins (in-window results strictly dominate out-of-window ones; first on
-/// ties). A fired token stops the restarts after the first completed
-/// attempt, so the carve (and the enclosing construction) stays valid.
-/// Every attempt run is credited to the `carve.attempts` counter.
-CarveResult BestOfCarves(const Hypergraph& hg, std::span<const double> metric,
-                         double lb, double ub, Rng& rng, std::size_t attempts,
-                         CarverKind carver, const CancellationToken& cancel);
-
 /// The injection parameters of one FLOW metric computation:
 /// `params.injection` with the budget's deterministic round cap, `cancel`,
 /// and `metric_threads` applied. The seed (and any warm seed) is the
@@ -173,11 +162,13 @@ FlowInjectionResult ComputeFlowMetric(const HtpFlowParams& params,
 /// capacity gets a freshly injected, always-cold local metric seeded from
 /// `metric_rng` (the restriction of a global metric keeps full multi-level
 /// lengths on boundary nets and so misguides lower-level carves); every
-/// other carve uses the metric it is handed. Either way BestOfCarves picks
-/// the carve. `truncated`, when given, is set once a local metric was cut
-/// short by `cancel`. The returned function references `hg`, `spec`,
-/// `params`, `metric_rng` and `truncated`, which must outlive it. This is
-/// the carver of RunHtpFlow's constructions and of the ECO re-carver
+/// other carve uses the metric it is handed. Either way the carve is the
+/// best of four find_cut restarts: the cheapest in-window result wins, and
+/// a fired `cancel` stops the restarts after the first one. `truncated`,
+/// when given, is set once a local metric was cut short by `cancel`. The
+/// returned function references `hg`, `spec`, `params`, `metric_rng` and
+/// `truncated`, which must outlive it. This is the carver of RunHtpFlow's
+/// constructions and of the ECO re-carver
 /// (src/incremental/eco_repartition.cpp).
 CarveFn FlowCarver(const Hypergraph& hg, const HierarchySpec& spec,
                    const HtpFlowParams& params,

@@ -167,11 +167,4 @@ CarveResult MstSplitCarve(const Hypergraph& hg,
   return MetricFindCut(hg, net_length, lb, ub, rng);
 }
 
-CarveFn MstSplitCarver() {
-  return [](const Hypergraph& hg, std::span<const double> net_length,
-            double lb, double ub, Rng& rng) {
-    return MstSplitCarve(hg, net_length, lb, ub, rng);
-  };
-}
-
 }  // namespace htp

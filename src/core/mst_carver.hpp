@@ -25,7 +25,4 @@ CarveResult MstSplitCarve(const Hypergraph& hg,
                           std::span<const double> net_length, double lb,
                           double ub, Rng& rng);
 
-/// CarveFn adapter for MstSplitCarve.
-CarveFn MstSplitCarver();
-
 }  // namespace htp

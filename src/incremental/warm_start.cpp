@@ -178,13 +178,6 @@ WarmStartState ParseWarmStartText(const std::string& text) {
   return state;
 }
 
-void WriteWarmStartFile(const WarmStartState& state, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw WarmStartError("cannot open warm-start file: " + path);
-  out << WriteWarmStartText(state);
-  if (!out) throw WarmStartError("failed writing warm-start file: " + path);
-}
-
 WarmStartState ReadWarmStartFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw WarmStartError("cannot open warm-start file: " + path);

@@ -59,8 +59,8 @@ std::string WriteWarmStartText(const WarmStartState& state);
 /// structural problems; fingerprint matching is CheckWarmStartMatches.
 WarmStartState ParseWarmStartText(const std::string& text);
 
-/// File helpers (throw WarmStartError when the file cannot be opened).
-void WriteWarmStartFile(const WarmStartState& state, const std::string& path);
+/// Reads a warm-start file (throws WarmStartError when it cannot be
+/// opened).
 WarmStartState ReadWarmStartFile(const std::string& path);
 
 /// Throws WarmStartError unless `state`'s fingerprint matches `hg` (the

@@ -18,6 +18,10 @@ obs::Timer t_pass("coarsen.pass");
 
 // Safety cap on coarsening passes.
 constexpr std::size_t kMaxLevels = 64;
+// Nets with more pins than this contribute no rating signal (a k-pin net
+// ties everything to everything; scoring it costs O(k) per pin for
+// nothing). They still appear, contracted, in the coarse graph.
+constexpr std::size_t kMaxRatingNetDegree = 500;
 
 // The cluster rating: connection / (size * size) — KaHyPar's heavy-edge
 // rating, which prefers tightly connected *small* partners and so keeps
@@ -36,13 +40,12 @@ double HeavyEdgeRating(double connection, double node_size,
 // hypergraph-to-graph expansion.
 template <typename KeyOf>
 void AccumulateConnections(const Hypergraph& hg, NodeId v,
-                           std::size_t max_degree, const KeyOf& key_of,
-                           std::vector<double>& conn,
+                           const KeyOf& key_of, std::vector<double>& conn,
                            std::vector<NodeId>& touched) {
   touched.clear();
   for (NetId e : hg.nets(v)) {
     const auto pins = hg.pins(e);
-    if (pins.size() > max_degree) continue;
+    if (pins.size() > kMaxRatingNetDegree) continue;
     const double w =
         hg.net_capacity(e) / static_cast<double>(pins.size() - 1);
     for (NodeId u : pins) {
@@ -70,7 +73,7 @@ std::vector<BlockId> HeavyEdgeMatchingPass(const Hypergraph& hg,
     if (cluster_of[v] != kInvalidBlock) continue;
     const double sv = hg.node_size(v);
     AccumulateConnections(
-        hg, v, params.max_rating_net_degree,
+        hg, v,
         [&](NodeId u) {
           return cluster_of[u] == kInvalidBlock ? u : kInvalidNode;
         },
@@ -108,7 +111,7 @@ std::vector<BlockId> LabelPropagationPass(const Hypergraph& hg,
     const double sv = hg.node_size(v);
     conn.resize(cluster_size.size(), 0.0);
     AccumulateConnections(
-        hg, v, params.max_rating_net_degree,
+        hg, v,
         [&](NodeId u) {
           return cluster_of[u];  // kInvalidBlock == kInvalidNode: skip
         },

@@ -1,4 +1,5 @@
-// Deterministic coarsening for the multilevel FLOW engine (docs/scaling.md).
+// Deterministic coarsening for the multilevel FLOW engine and the MLFM
+// V-cycle baseline (docs/scaling.md).
 //
 // A coarsening pass clusters the nodes of a hypergraph and contracts each
 // cluster into one supernode via ContractClustersMerged, which *merges*
@@ -26,13 +27,15 @@ enum class CoarsenScheme {
   /// Greedy heavy-edge matching: nodes pair up with the unmatched neighbor
   /// of the highest rating; clusters have at most two fine nodes, so each
   /// pass shrinks the graph by at most 2x. The classic multilevel choice
-  /// (hMETIS-style); conservative and high quality.
+  /// (hMETIS-style); conservative and high quality. MLFM's V-cycle
+  /// (mlfm.cpp) coarsens with it.
   kHeavyEdgeMatching,
   /// Greedy cluster growing (label-propagation style): each node, in index
   /// order, joins the already-formed cluster with the highest rating among
   /// its neighbors, or opens a new one. Clusters grow up to
   /// `max_cluster_size`, so a single pass can shrink aggressively; the
-  /// right choice for 100k+-node inputs.
+  /// right choice for 100k+-node inputs. Multilevel FLOW
+  /// (multilevel_flow.cpp) coarsens with it.
   kLabelPropagation,
 };
 
@@ -40,14 +43,11 @@ enum class CoarsenScheme {
 struct CoarsenParams {
   CoarsenScheme scheme = CoarsenScheme::kLabelPropagation;
   /// Upper bound on the total fine size of a cluster (0 = unlimited). The
-  /// multilevel driver derives this from the hierarchy spec so supernodes
-  /// never exceed what the coarse-level construction can pack
-  /// (multilevel_flow.cpp, FeasibleClusterCap).
+  /// multilevel FLOW driver derives this from the hierarchy spec so
+  /// supernodes never exceed what the coarse-level construction can pack
+  /// (multilevel_flow.cpp, FeasibleClusterCap); MLFM caps it at a fraction
+  /// of the total size.
   double max_cluster_size = 0.0;
-  /// Nets with more pins than this contribute no rating signal (a k-pin net
-  /// ties everything to everything; scoring it costs O(k) per pin for
-  /// nothing). They still appear, contracted, in the coarse graph.
-  std::size_t max_rating_net_degree = 500;
 };
 
 /// One level of the coarsening stack: the cluster memento plus the

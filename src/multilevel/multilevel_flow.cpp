@@ -4,7 +4,9 @@
 #include <cmath>
 #include <optional>
 
+#include "multilevel/coarsen.hpp"
 #include "obs/obs.hpp"
+#include "partition/htp_fm.hpp"
 
 namespace htp {
 namespace {
@@ -28,6 +30,9 @@ obs::Event e_level("multilevel.level");
 // Refinement gain per projection, in milli-cost units (Equation (1) costs
 // are capacity sums, integral on integer-capacity inputs).
 obs::Histogram h_refine_gain_milli("uncoarsen.refine_gain_milli_per_level");
+
+// FM passes per uncoarsening level.
+constexpr std::size_t kRefinePasses = 4;
 
 double MaxNodeSize(const Hypergraph& hg) {
   double m = 0.0;
@@ -97,10 +102,8 @@ MultilevelResult RunMultilevelFlow(const Hypergraph& hg,
   flow.cancel = token;
   flow.budget.time_budget_seconds = Budget::kNoTimeLimit;
 
-  CoarsenParams coarsen = params.coarsen;
-  if (coarsen.max_cluster_size <= 0.0)
-    coarsen.max_cluster_size = FeasibleClusterCap(hg, spec);
-
+  const CoarsenParams coarsen{CoarsenScheme::kLabelPropagation,
+                              FeasibleClusterCap(hg, spec)};
   std::vector<CoarsenLevel> stack =
       CoarsenToThreshold(hg, params.coarsen_threshold, coarsen);
 
@@ -132,8 +135,12 @@ MultilevelResult RunMultilevelFlow(const Hypergraph& hg,
 
   // Uncoarsen: project level by level, refining the projected boundary at
   // each stop. The projection is cost-exact, so `stats.initial_cost` at
-  // level i equals the previous level's final cost.
-  HtpFmParams refine = params.refine;
+  // level i equals the previous level's final cost. On a projected
+  // partition almost every node is interior, so FM seeds only the boundary
+  // (full seeding would cost O(n) per pass for nothing).
+  HtpFmParams refine;
+  refine.max_passes = kRefinePasses;
+  refine.boundary_only = true;
   refine.cancel = token;
   TreePartition tp = std::move(coarse->partition);
   double cost = coarse->cost;

@@ -20,8 +20,6 @@
 #pragma once
 
 #include "core/htp_flow.hpp"
-#include "multilevel/coarsen.hpp"
-#include "partition/htp_fm.hpp"
 
 namespace htp {
 
@@ -34,26 +32,10 @@ struct MultilevelParams {
   /// RunHtpFlow semantics wholesale: `threads`/`metric_threads` apply to
   /// the coarse solve (see docs/parallelism.md).
   HtpFlowParams flow;
-  /// Coarsening pass parameters. `max_cluster_size` 0 (auto) derives the
-  /// largest supernode the hierarchy spec can still pack — see
-  /// FeasibleClusterCap.
-  CoarsenParams coarsen;
   /// Stop coarsening once the graph has at most this many supernodes; the
   /// exact O(n^2 log n) oracle is affordable below it. Inputs already at or
   /// below the threshold run flat (identical to RunHtpFlow).
   NodeId coarsen_threshold = 800;
-  /// Per-level FM refinement after each projection. `boundary_only`
-  /// defaults to true here (unlike HtpFmParams): on a projected partition
-  /// almost every node is interior, so full seeding would cost O(n) per
-  /// pass for nothing. `cancel` is overwritten with the shared token.
-  HtpFmParams refine = DefaultRefine();
-
-  static HtpFmParams DefaultRefine() {
-    HtpFmParams p;
-    p.max_passes = 4;
-    p.boundary_only = true;
-    return p;
-  }
 };
 
 /// What happened at one uncoarsening level (coarsest first).
@@ -85,8 +67,8 @@ struct MultilevelResult {
 /// still admits a top-down construction under `spec` (conservative slots
 /// check at the root over AchievableCapacity). Starts from
 /// max(total/64, 2 * max fine node size) and halves until feasible, never
-/// below the fine granularity (existing nodes cannot be split). Exposed for
-/// tests; the driver calls it when CoarsenParams::max_cluster_size == 0.
+/// below the fine granularity (existing nodes cannot be split). The driver
+/// coarsens under this cap; exposed for tests.
 double FeasibleClusterCap(const Hypergraph& hg, const HierarchySpec& spec);
 
 /// Replicates `coarse_tp`'s block tree over `fine_hg` and assigns every

@@ -43,39 +43,6 @@ SubHypergraph InducedSubHypergraph(const Hypergraph& parent,
   return sub;
 }
 
-SubHypergraph ContractClusters(const Hypergraph& parent,
-                               std::span<const BlockId> cluster_of,
-                               BlockId num_clusters) {
-  HTP_CHECK(cluster_of.size() == parent.num_nodes());
-  SubHypergraph sub;
-  HypergraphBuilder builder;
-  std::vector<double> sizes(num_clusters, 0.0);
-  for (NodeId v = 0; v < parent.num_nodes(); ++v) {
-    HTP_CHECK_MSG(cluster_of[v] < num_clusters, "cluster id out of range");
-    sizes[cluster_of[v]] += parent.node_size(v);
-  }
-  for (BlockId c = 0; c < num_clusters; ++c) {
-    HTP_CHECK_MSG(sizes[c] > 0.0, "empty cluster in contraction");
-    builder.add_node(sizes[c]);
-    sub.node_to_parent.push_back(c);  // supernode id == cluster id
-  }
-
-  std::vector<NodeId> touched;
-  for (NetId pe = 0; pe < parent.num_nets(); ++pe) {
-    touched.clear();
-    for (NodeId pin : parent.pins(pe))
-      touched.push_back(cluster_of[pin]);
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    if (touched.size() < 2) continue;
-    builder.add_net(touched, parent.net_capacity(pe), parent.net_name(pe));
-    sub.net_to_parent.push_back(pe);
-  }
-  sub.hg = builder.build();
-  HTP_CHECK(sub.hg.num_nets() == sub.net_to_parent.size());
-  return sub;
-}
-
 Hypergraph ContractClustersMerged(const Hypergraph& parent,
                                   std::span<const BlockId> cluster_of,
                                   BlockId num_clusters) {

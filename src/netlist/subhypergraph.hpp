@@ -1,9 +1,9 @@
 // Induced sub-hypergraphs and cluster contraction.
 //
-// Algorithm 3 recurses on the subgraph H' = (V', E') cut off by find_cut;
-// GFM contracts level-l blocks into supernodes before partitioning level
-// l+1. Both operations keep a mapping back to the parent hypergraph so nets
-// retain their identity for cost accounting.
+// Algorithm 3 recurses on the subgraph H' = (V', E') cut off by find_cut,
+// which keeps a mapping back to the parent hypergraph so nets retain their
+// identity for cost accounting. The coarseners (src/multilevel/) and GFM's
+// bottom-up grouping contract clusters of nodes into supernodes.
 #pragma once
 
 #include <span>
@@ -40,18 +40,12 @@ SubHypergraph InducedSubHypergraph(const Hypergraph& parent,
 
 /// Contracts nodes into supernodes according to `cluster_of` (one cluster id
 /// in [0, num_clusters) per parent node). Supernode sizes are the summed
-/// member sizes. A parent net survives iff it touches >= 2 distinct clusters;
-/// its pins become the touched clusters. Parallel nets are NOT merged, so
-/// `net_to_parent` stays one-to-one.
-SubHypergraph ContractClusters(const Hypergraph& parent,
-                               std::span<const BlockId> cluster_of,
-                               BlockId num_clusters);
-
-/// Contraction for multilevel coarsening: like ContractClusters, but nets
-/// whose contracted pin sets coincide are merged into one coarse net whose
-/// capacity is the sum of the merged capacities. Equation-(1) costs are
-/// additive in capacity, so a partition of the merged coarse hypergraph has
-/// exactly the cost of the same partition of the unmerged one — merging
+/// member sizes; every cluster must be non-empty. A parent net survives iff
+/// it touches >= 2 distinct clusters; its pins become the touched clusters.
+/// Nets whose contracted pin sets coincide are merged into one coarse net
+/// whose capacity is the sum of the merged capacities. Equation-(1) costs
+/// are additive in capacity, so a partition of the merged coarse hypergraph
+/// has exactly the cost of the same partition of the unmerged one — merging
 /// only shrinks the instance (no net-id mapping survives, which is why the
 /// coarsener keeps node mementos only). Coarse net order is the first-
 /// occurrence order of each distinct pin set, so the result is a pure

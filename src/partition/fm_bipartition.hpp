@@ -32,7 +32,6 @@ struct FmBipartitionParams {
   double min_size0 = 0.0;  ///< hard lower bound on s(side 0)
   double max_size0 = 0.0;  ///< hard upper bound on s(side 0)
   std::size_t max_passes = 16;
-  std::uint64_t seed = 1;
 };
 
 /// Refines an initial bipartition (which must respect the size window) by

@@ -130,7 +130,7 @@ TreePartition RunGfm(const Hypergraph& hg, const HierarchySpec& spec,
       // Safepoint: before each phase-1 carve — degrade, never abort (see
       // GfmParams::cancel).
       const std::size_t passes =
-          params.cancel.Cancelled() ? 1 : params.fm_passes;
+          params.cancel.Cancelled() ? 1 : kFmCarvePasses;
       const CarveResult cut = FmCarve(sub.hg, lb, c0, rng, passes);
       std::vector<char> taken(sub.hg.num_nodes(), 0);
       for (NodeId local : cut.nodes) {
@@ -157,15 +157,17 @@ TreePartition RunGfm(const Hypergraph& hg, const HierarchySpec& spec,
     std::vector<double> sizes(num_clusters, 0.0);
     for (NodeId v = 0; v < hg.num_nodes(); ++v)
       sizes[cluster_of[v]] += hg.node_size(v);
-    SubHypergraph contracted =
-        ContractClusters(hg, cluster_of, static_cast<BlockId>(num_clusters));
+    // Merged parallel nets carry the sum of their capacities, so each pair
+    // weight is the same capacity sum over the nets spanning both blocks.
+    const Hypergraph contracted = ContractClustersMerged(
+        hg, cluster_of, static_cast<BlockId>(num_clusters));
     std::map<std::pair<std::size_t, std::size_t>, double> weights;
-    for (NetId e = 0; e < contracted.hg.num_nets(); ++e) {
-      const auto pins = contracted.hg.pins(e);
+    for (NetId e = 0; e < contracted.num_nets(); ++e) {
+      const auto pins = contracted.pins(e);
       for (std::size_t i = 0; i < pins.size(); ++i)
         for (std::size_t j = i + 1; j < pins.size(); ++j)
           weights[{std::min(pins[i], pins[j]), std::max(pins[i], pins[j])}] +=
-              contracted.hg.net_capacity(e);
+              contracted.net_capacity(e);
     }
     // At the root level the grouping must collapse to a single group so the
     // tree has one root; feasibility overruns there (more than K_L children)

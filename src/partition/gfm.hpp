@@ -22,7 +22,6 @@ namespace htp {
 
 /// Parameters of the GFM baseline.
 struct GfmParams {
-  std::size_t fm_passes = 16;
   std::uint64_t seed = 1;
   /// Cooperative cancellation. Like RFM, GFM cannot return a partial
   /// construction, so a fired token degrades the remaining phase-1 FM

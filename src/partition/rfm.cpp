@@ -24,13 +24,6 @@ CarveResult FmCarve(const Hypergraph& hg, double lb, double ub, Rng& rng,
   return result;
 }
 
-CarveFn FmCarver(std::size_t fm_passes) {
-  return [fm_passes](const Hypergraph& hg, std::span<const double>, double lb,
-                     double ub, Rng& rng) {
-    return FmCarve(hg, lb, ub, rng, fm_passes);
-  };
-}
-
 TreePartition RunRfm(const Hypergraph& hg, const HierarchySpec& spec,
                      const RfmParams& params) {
   Rng rng(params.seed);
@@ -44,7 +37,7 @@ TreePartition RunRfm(const Hypergraph& hg, const HierarchySpec& spec,
                                   std::span<const double>, double lb,
                                   double ub, Rng& r) {
     const std::size_t passes =
-        params.cancel.Cancelled() ? 1 : params.fm_passes;
+        params.cancel.Cancelled() ? 1 : kFmCarvePasses;
     return FmCarve(sub, lb, ub, r, passes);
   };
   return BuildPartitionTopDown(hg, spec, zero, carve, rng);

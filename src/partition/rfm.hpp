@@ -12,17 +12,16 @@
 
 namespace htp {
 
-/// Carves a min-cut block of size within [lb..ub] using FM (ignores the
-/// metric argument of the CarveFn interface).
-CarveResult FmCarve(const Hypergraph& hg, double lb, double ub, Rng& rng,
-                    std::size_t fm_passes = 16);
+/// FM passes per carve in RFM and in GFM's bottom-level carving.
+inline constexpr std::size_t kFmCarvePasses = 16;
 
-/// CarveFn adapter for FmCarve.
-CarveFn FmCarver(std::size_t fm_passes = 16);
+/// Carves a min-cut block of size within [lb..ub] using FM with at most
+/// `fm_passes` passes (kFmCarvePasses, or 1 once a budget has fired).
+CarveResult FmCarve(const Hypergraph& hg, double lb, double ub, Rng& rng,
+                    std::size_t fm_passes);
 
 /// Parameters of the RFM baseline.
 struct RfmParams {
-  std::size_t fm_passes = 16;
   std::uint64_t seed = 1;
   /// Cooperative cancellation. A construction cannot be returned partially,
   /// so instead of aborting, a fired token degrades every remaining FM

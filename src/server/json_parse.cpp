@@ -51,9 +51,16 @@ class Parser {
   JsonValue ParseValue() {
     switch (Peek()) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // The parser recurses once per container level, so an unbounded
+        // depth lets one request line overflow the stack.
+        if (depth_ == kMaxDepth)
+          Fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        ++depth_;
+        JsonValue v = Peek() == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;
@@ -246,8 +253,13 @@ class Parser {
     return v;
   }
 
+  // The deepest document the repo writes (a response embedding a
+  // RunReport) nests 7 levels.
+  static constexpr int kMaxDepth = 64;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -43,7 +43,7 @@ struct JsonValue {
 
 /// Parses exactly one JSON document from `text` (surrounding whitespace
 /// allowed, trailing garbage rejected). Throws htp::Error on anything
-/// else.
+/// else, including containers nested more than 64 levels deep.
 JsonValue ParseJson(std::string_view text);
 
 }  // namespace htp::serve

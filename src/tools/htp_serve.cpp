@@ -5,8 +5,9 @@
 // answers each with a schema-versioned JSON response carrying the
 // partition, cost, stop reason, and per-tier cache outcome. A bounded LRU
 // artifact cache spans the daemon's lifetime, so identical repeat requests
-// skip parsing, CSR lowering, and metric convergence (cold vs warm is
-// gated >= 5x by bench/serve_throughput).
+// skip parsing, CSR lowering, and metric convergence (bench/serve_throughput
+// fails unless a warm repeat hits the metric tier once per cold miss and
+// computes nothing).
 //
 //   htp_serve --socket /tmp/htp.sock --threads 2 &
 //   printf '%s\n' '{"circuit":"c1355","height":3,"iterations":2,"id":1}'

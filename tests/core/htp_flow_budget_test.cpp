@@ -248,7 +248,7 @@ TEST(HtpFlowBudget, RefinerStopsBetweenPassesAndNeverWorsens) {
   const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 3, 0.2);
   RfmParams rfm;
   rfm.seed = 9;
-  TreePartition tp = RunGfm(hg, spec, {16, 9});
+  TreePartition tp = RunGfm(hg, spec, {9});
   const double before = PartitionCost(tp, spec);
 
   HtpFmParams params;
@@ -263,7 +263,7 @@ TEST(HtpFlowBudget, RefinerStopsBetweenPassesAndNeverWorsens) {
   // Unfired token: identical to no token at all.
   HtpFmParams free_params;
   free_params.seed = 9;
-  TreePartition tp2 = RunGfm(hg, spec, {16, 9});
+  TreePartition tp2 = RunGfm(hg, spec, {9});
   const HtpFmStats free_stats = RefineHtpFm(tp2, spec, free_params);
   EXPECT_TRUE(free_stats.completed);
   EXPECT_LE(free_stats.final_cost, before);

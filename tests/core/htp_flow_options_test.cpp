@@ -1,5 +1,5 @@
-// Option-matrix coverage of RunHtpFlow: metric scopes, carvers, attempt
-// counts, and whole-pipeline determinism.
+// Option-matrix coverage of RunHtpFlow: metric scopes, carvers, and
+// whole-pipeline determinism.
 #include <gtest/gtest.h>
 
 #include "core/htp_flow.hpp"
@@ -19,23 +19,10 @@ TEST(HtpFlowOptions, GlobalOnceSolvesFigure2) {
   EXPECT_DOUBLE_EQ(result.cost, kFigure2OptimalCost);
 }
 
-TEST(HtpFlowOptions, SingleCarveAttemptStillValid) {
-  Hypergraph hg = testutil::RandomConnectedHypergraph(40, 50, 3, 5);
-  const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 3, 0.2);
-  HtpFlowParams params;
-  params.iterations = 1;
-  params.carve_attempts = 1;
-  const HtpFlowResult result = RunHtpFlow(hg, spec, params);
-  RequireValidPartition(result.partition, spec);
-}
-
 TEST(HtpFlowOptions, RejectsZeroedParameters) {
   Hypergraph hg = Figure2Graph();
   HtpFlowParams params;
   params.iterations = 0;
-  EXPECT_THROW(RunHtpFlow(hg, Figure2Spec(), params), Error);
-  params = {};
-  params.carve_attempts = 0;
   EXPECT_THROW(RunHtpFlow(hg, Figure2Spec(), params), Error);
   params = {};
   params.constructions_per_metric = 0;

@@ -1,8 +1,10 @@
-// Dinic maximum flow and hypergraph s-t minimum cuts.
+// Dinic maximum flow and hypergraph s-t minimum cuts — a test-only exact
+// reference.
 //
 // The paper's method is *motivated* by max-flow/min-cut duality (Section 1);
 // the RFM baseline "calls a min-cut algorithm directly on hypergraph H".
-// This module provides the substrate: a Dinic max-flow solver on directed
+// FmBipartition.MatchesMaxFlowOnFixedTerminals checks the FM engine against
+// the exact min cut computed here: a Dinic max-flow solver on directed
 // networks, plus the standard net-splitting construction (Yang & Wong's
 // flow model) that reduces hypergraph s-t min-cut to max-flow — each net e
 // becomes a bridge of capacity c(e) between two auxiliary vertices, so

@@ -55,9 +55,9 @@ TEST_P(WeightedPipelineTest, BaselinesAndRefinerStayValid) {
   const std::uint64_t seed = GetParam();
   Hypergraph hg = WeightedCircuit(50, 40, seed ^ 0xc0ffee);
   const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 2, 0.5);
-  TreePartition rfm = RunRfm(hg, spec, {16, seed});
+  TreePartition rfm = RunRfm(hg, spec, {seed});
   RequireValidPartition(rfm, spec);
-  TreePartition gfm = RunGfm(hg, spec, {16, seed});
+  TreePartition gfm = RunGfm(hg, spec, {seed});
   RequireValidPartition(gfm, spec);
   const double before = PartitionCost(rfm, spec);
   const HtpFmStats stats = RefineHtpFm(rfm, spec);

@@ -1,4 +1,4 @@
-#include "partition/multilevel.hpp"
+#include "multilevel/mlfm.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,39 +10,39 @@ namespace htp {
 namespace {
 
 TEST(Multilevel, FindsTheBridgeOnTwoClusters) {
+  // Two 48-node rings with chords, joined by one bridge net: 96 nodes, so
+  // the V-cycle coarsens before it bipartitions.
+  constexpr NodeId kRing = 48;
   HypergraphBuilder builder;
-  for (int i = 0; i < 24; ++i) builder.add_node();
-  for (NodeId base : {0u, 12u})
-    for (NodeId i = 0; i < 12; ++i)
-      builder.add_net({base + i, base + (i + 1) % 12});
-  for (NodeId base : {0u, 12u})
-    for (NodeId i = 0; i < 12; i += 2)
-      builder.add_net({base + i, base + (i + 5) % 12});
-  builder.add_net({5u, 17u}, 1.0, "bridge");
+  for (NodeId i = 0; i < 2 * kRing; ++i) builder.add_node();
+  for (NodeId base : {0u, kRing})
+    for (NodeId i = 0; i < kRing; ++i)
+      builder.add_net({base + i, base + (i + 1) % kRing});
+  for (NodeId base : {0u, kRing})
+    for (NodeId i = 0; i < kRing; i += 2)
+      builder.add_net({base + i, base + (i + 5) % kRing});
+  builder.add_net({5u, kRing + 17}, 1.0, "bridge");
   Hypergraph hg = builder.build();
 
   FmBipartitionParams window;
-  window.min_size0 = 12.0;
-  window.max_size0 = 12.0;
+  window.min_size0 = kRing;
+  window.max_size0 = kRing;
   Rng rng(3);
-  VCycleParams params;
-  params.coarsest_nodes = 6;
-  const Bipartition part = MultilevelBipartition(hg, window, rng, params);
+  const Bipartition part = MultilevelBipartition(hg, window, rng);
   EXPECT_DOUBLE_EQ(part.cut, 1.0);
-  EXPECT_DOUBLE_EQ(part.size0, 12.0);
+  EXPECT_DOUBLE_EQ(part.size0, kRing);
 }
 
 TEST(Multilevel, WindowAlwaysRespected) {
+  // Every instance is above the V-cycle's 64-node coarsening threshold.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Hypergraph hg = testutil::RandomConnectedHypergraph(
-        60 + seed % 60, 80 + seed % 60, 2 + seed % 4, seed);
+        120 + seed % 60, 140 + seed % 60, 2 + seed % 4, seed);
     FmBipartitionParams window;
     window.min_size0 = hg.total_size() * 0.4;
     window.max_size0 = hg.total_size() * 0.6;
     Rng rng(seed);
-    VCycleParams params;
-    params.coarsest_nodes = 20;
-    const Bipartition part = MultilevelBipartition(hg, window, rng, params);
+    const Bipartition part = MultilevelBipartition(hg, window, rng);
     EXPECT_GE(part.size0, window.min_size0 - 1e-9);
     EXPECT_LE(part.size0, window.max_size0 + 1e-9);
     EXPECT_NEAR(part.cut, EvaluateBipartition(hg, part.side).cut, 1e-9);
@@ -101,9 +101,7 @@ TEST(Multilevel, VCycleAndFlowDriverShareOneTranslationUnit) {
   // one-definition rule.
   Hypergraph hg = testutil::RandomConnectedHypergraph(90, 110, 3, 7);
   const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 3, 0.2);
-  MlfmParams mlfm;
-  mlfm.multilevel.coarsest_nodes = 20;
-  RequireValidPartition(RunMlfm(hg, spec, mlfm), spec);
+  RequireValidPartition(RunMlfm(hg, spec), spec);
   MultilevelParams flow;
   flow.flow.iterations = 1;
   flow.coarsen_threshold = 40;

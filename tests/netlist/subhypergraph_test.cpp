@@ -91,21 +91,22 @@ TEST(ContractClusters, MergesAndMaps) {
   Hypergraph hg = Sample();
   // Clusters: {0,1,2} -> 0, {3,4,5} -> 1.
   const std::vector<BlockId> cluster{0, 0, 0, 1, 1, 1};
-  SubHypergraph sub = ContractClusters(hg, cluster, 2);
-  EXPECT_EQ(sub.hg.num_nodes(), 2u);
-  EXPECT_DOUBLE_EQ(sub.hg.node_size(0), 1.0 + 2.0 + 3.0);
-  EXPECT_DOUBLE_EQ(sub.hg.node_size(1), 4.0 + 5.0 + 6.0);
+  const Hypergraph coarse = ContractClustersMerged(hg, cluster, 2);
+  EXPECT_EQ(coarse.num_nodes(), 2u);
+  EXPECT_DOUBLE_EQ(coarse.node_size(0), 1.0 + 2.0 + 3.0);
+  EXPECT_DOUBLE_EQ(coarse.node_size(1), 4.0 + 5.0 + 6.0);
   // Nets fully inside a cluster vanish ("abc", "def"); "cd" and "af" become
-  // parallel 2-pin nets between the supernodes.
-  ASSERT_EQ(sub.hg.num_nets(), 2u);
-  for (NetId e = 0; e < sub.hg.num_nets(); ++e)
-    EXPECT_EQ(sub.hg.net_degree(e), 2u);
+  // parallel 2-pin nets between the supernodes and merge into one net
+  // carrying both capacities.
+  ASSERT_EQ(coarse.num_nets(), 1u);
+  EXPECT_EQ(coarse.net_degree(0), 2u);
+  EXPECT_DOUBLE_EQ(coarse.net_capacity(0), 1.0 + 1.5);
 }
 
 TEST(ContractClusters, RejectsEmptyCluster) {
   Hypergraph hg = Sample();
   const std::vector<BlockId> cluster{0, 0, 0, 0, 0, 0};
-  EXPECT_THROW(ContractClusters(hg, cluster, 2), Error);  // cluster 1 empty
+  EXPECT_THROW(ContractClustersMerged(hg, cluster, 2), Error);  // cluster 1
 }
 
 TEST(ConnectedComponents, SplitsAndCounts) {

@@ -36,8 +36,8 @@ TEST(Baselines, BeatRandomOnClusteredCircuit) {
   Rng rng(17);
   const double random_cost =
       PartitionCost(RandomPartition(hg, spec, rng), spec);
-  const double rfm_cost = PartitionCost(RunRfm(hg, spec, {16, 2}), spec);
-  const double gfm_cost = PartitionCost(RunGfm(hg, spec, {16, 2}), spec);
+  const double rfm_cost = PartitionCost(RunRfm(hg, spec, {2}), spec);
+  const double gfm_cost = PartitionCost(RunGfm(hg, spec, {2}), spec);
   EXPECT_LT(rfm_cost, random_cost);
   EXPECT_LT(gfm_cost, random_cost);
 }

@@ -1,5 +1,5 @@
 // Property suite for the multilevel pipeline: 50 deterministic seeds sweep
-// instance size, coarsening scheme, hierarchy shape, and threshold; every
+// instance size, hierarchy shape, and threshold; every
 // partition is checked against a from-scratch Equation-(1) recomputation
 // (independent of PartitionCost) plus the library's validator.
 #include <gtest/gtest.h>
@@ -49,8 +49,6 @@ TEST_P(MultilevelPropertyTest, MultilevelPartitionSatisfiesInvariants) {
   params.flow.iterations = 1;
   params.flow.seed = seed * 31 + 1;
   params.coarsen_threshold = static_cast<NodeId>(40 + seed % 40);
-  params.coarsen.scheme = (seed % 3) == 0 ? CoarsenScheme::kHeavyEdgeMatching
-                                          : CoarsenScheme::kLabelPropagation;
   const MultilevelResult result = RunMultilevelFlow(hg, spec, params);
 
   RequireValidPartition(result.partition, spec);

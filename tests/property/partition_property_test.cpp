@@ -1,9 +1,11 @@
 // Property suite: partition invariants after RunHtpFlow on randomized
-// instances. Every check here is recomputed from first principles in this
-// file — the suite deliberately avoids ValidatePartition / PartitionCost so
-// that a bug shared between the library's checker and its construction code
-// cannot hide. 200+ deterministic seeds sweep instance size, node weights,
-// hierarchy shape, carver, and metric scope.
+// instances. The flow partition's invariants are recomputed from first
+// principles in this file, so that a bug shared between the library's
+// checker and its construction code cannot hide; ValidatePartition /
+// PartitionCost only cross-check them, and validate the FM-refined copy
+// whose costs are recomputed here too. 200+ deterministic seeds sweep
+// instance size, node weights, hierarchy shape, carver, metric scope, and
+// FM seeding.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -11,6 +13,7 @@
 
 #include "core/cost.hpp"
 #include "core/htp_flow.hpp"
+#include "partition/htp_fm.hpp"
 #include "test_util.hpp"
 
 namespace htp {
@@ -149,6 +152,18 @@ TEST_P(PartitionPropertyTest, FlowPartitionSatisfiesAllInvariants) {
   for (const HtpFlowIteration& it : result.iterations)
     best = std::min(best, it.best_partition_cost);
   EXPECT_NEAR(result.cost, best, 1e-9);
+
+  // --- FM refinement (boundary-seeded on odd seeds): the costs it reports
+  // equal the recomputed Equation (1) before and after, it never worsens,
+  // and the refined partition stays valid.
+  TreePartition refined = tp;
+  HtpFmParams fm;
+  fm.boundary_only = (seed % 2) == 1;
+  const HtpFmStats stats = RefineHtpFm(refined, spec, fm);
+  EXPECT_NEAR(stats.initial_cost, recomputed, 1e-9);
+  EXPECT_NEAR(stats.final_cost, RecomputeCost(refined, spec), 1e-9);
+  EXPECT_LE(stats.final_cost, stats.initial_cost + 1e-9);
+  EXPECT_EQ(ValidatePartition(refined, spec), std::vector<std::string>{});
 }
 
 TEST_P(PartitionPropertyTest, RerunIsBitIdentical) {

@@ -36,6 +36,17 @@ TEST(JsonParse, RejectsMalformedInput) {
   EXPECT_THROW(ParseJson("nul"), Error);
 }
 
+TEST(JsonParse, RejectsDeepNesting) {
+  // One level per recursive call: without a cap these overflow the stack.
+  EXPECT_THROW(ParseJson(std::string(100000, '[')), Error);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(ParseJson(objects), Error);
+  // The cap is 64 levels: 64 parse, 65 do not.
+  EXPECT_NO_THROW(ParseJson(std::string(64, '[') + std::string(64, ']')));
+  EXPECT_THROW(ParseJson(std::string(65, '[') + std::string(65, ']')), Error);
+}
+
 TEST(JsonParse, SurrogatePairsDecodeToUtf8) {
   const JsonValue doc = ParseJson(R"("\ud83d\ude00")");
   EXPECT_EQ(doc.string_value, "\xf0\x9f\x98\x80");  // U+1F600
