@@ -9,10 +9,11 @@
 //                    [--metric-threads N] [--oracle-sample F]
 //
 // --quick keeps the 10k and 50k circuits (the CI gate); the full run adds
-// 100k. Deterministic fields (cost, injections, dijkstra_pops) are bit-exact
-// for every threads x metric-threads combination — the multilevel pipeline
-// inherits the flat driver's determinism contract (coarsening and
-// refinement are serial and RNG-free).
+// 100k. Deterministic fields (cost, injections, dijkstra_pops, and fm_moves,
+// the FM moves applied by the per-level refinement) are bit-exact for every
+// threads x metric-threads combination — the multilevel pipeline inherits
+// the flat driver's determinism contract (coarsening and refinement are
+// serial and RNG-free).
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@ struct ScaleRow {
   double cost = 0.0;
   std::uint64_t injections = 0;
   std::uint64_t dijkstra_pops = 0;
+  std::uint64_t fm_moves = 0;
   double metric_phase_ms = 0.0;
   std::size_t levels = 0;
   htp::NodeId coarsest_nodes = 0;
@@ -65,9 +67,9 @@ int main(int argc, char** argv) {
 
   const double calibration = bench::CalibrationSeconds();
   std::printf("calibration kernel: %.3fs\n", calibration);
-  std::printf("%-10s %9s %12s %12s %10s %14s %7s %9s\n", "circuit", "nodes",
-              "wall(s)", "wall(norm)", "cost", "dijkstra pops", "levels",
-              "coarsest");
+  std::printf("%-10s %9s %12s %12s %10s %14s %9s %7s %9s\n", "circuit",
+              "nodes", "wall(s)", "wall(norm)", "cost", "dijkstra pops",
+              "fm moves", "levels", "coarsest");
 
   std::vector<std::size_t> sizes{10000, 50000};
   if (!options.quick) sizes.push_back(100000);
@@ -96,14 +98,16 @@ int main(int argc, char** argv) {
     const obs::Snapshot snap = obs::TakeSnapshot();
     row.injections = bench::CounterTotal(snap, "flow.injections");
     row.dijkstra_pops = bench::CounterTotal(snap, "dijkstra.pops");
+    row.fm_moves = bench::CounterTotal(snap, "fm.moves_applied");
     for (const obs::TimerValue& t : snap.timers)
       if (t.name == "flow.compute_metric")
         row.metric_phase_ms = static_cast<double>(t.total_ns) / 1e6;
-    std::printf("%-10s %9u %12.3f %12.3f %10.0f %14llu %7zu %9u\n",
+    std::printf("%-10s %9u %12.3f %12.3f %10.0f %14llu %9llu %7zu %9u\n",
                 row.name.c_str(), hg.num_nodes(), row.flow_wall_seconds,
                 row.flow_wall_seconds / calibration, row.cost,
                 static_cast<unsigned long long>(row.dijkstra_pops),
-                row.levels, row.coarsest_nodes);
+                static_cast<unsigned long long>(row.fm_moves), row.levels,
+                row.coarsest_nodes);
     rows.push_back(std::move(row));
   }
 
@@ -130,6 +134,7 @@ int main(int argc, char** argv) {
           << ", \"cost\": " << r.cost
           << ", \"injections\": " << r.injections
           << ", \"dijkstra_pops\": " << r.dijkstra_pops
+          << ", \"fm_moves\": " << r.fm_moves
           << ", \"metric_phase_ms\": " << r.metric_phase_ms
           << ", \"levels\": " << r.levels
           << ", \"coarsest_nodes\": " << r.coarsest_nodes << "}"

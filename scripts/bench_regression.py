@@ -9,7 +9,9 @@ kernel timed inside the same process. Comparison rules:
 * deterministic fields must match the baseline EXACTLY: these are covered
   by the library's determinism contract (bit-identical for every
   threads x metric-threads combination), so any drift is a real behavior
-  change, not noise;
+  change, not noise. ``fm_moves`` (FM moves applied, emitted by
+  bench/multilevel_scale) is compared exactly wherever the baseline row
+  records it, which gates FM work by count rather than by wall time;
 * ``normalized_wall`` may regress by at most ``--tolerance`` (default 15%).
   Normalization by the calibration kernel makes the ratio transfer across
   hosts of different speeds; improvements never fail the check.
@@ -46,6 +48,8 @@ import tempfile
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE = REPO / "BENCH_htp.json"
 EXACT_FIELDS = ("cost", "injections", "dijkstra_pops")
+# Exact as well, but only for baseline rows that record them.
+OPTIONAL_EXACT_FIELDS = ("fm_moves",)
 
 
 def run_suite(binary, extra_args):
@@ -72,11 +76,13 @@ def compare(baseline_rows, current_rows, tolerance):
         return failures
     for name, base in base_by_name.items():
         cur = cur_by_name[name]
-        for field in EXACT_FIELDS:
-            if base[field] != cur[field]:
+        fields = EXACT_FIELDS + tuple(
+            f for f in OPTIONAL_EXACT_FIELDS if f in base)
+        for field in fields:
+            if base[field] != cur.get(field):
                 failures.append(
                     f"{name}: deterministic field '{field}' changed: "
-                    f"baseline {base[field]} vs current {cur[field]} "
+                    f"baseline {base[field]} vs current {cur.get(field)} "
                     f"(exact match required; if intended, rerun with "
                     f"--update and commit BENCH_htp.json)"
                 )

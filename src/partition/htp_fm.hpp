@@ -9,10 +9,15 @@
 //  * a move relocates one node from its leaf to any other leaf whose whole
 //    ancestor chain (up to the LCA) has capacity for it;
 //  * the gain is the exact change of the total cost, computed from
-//    per-net-per-level span tables maintained incrementally;
+//    per-net-per-level span tables maintained incrementally; every push
+//    re-evaluates the node against every feasible leaf, except that an
+//    interior node (all nets inside its own leaf) is evaluated once per
+//    LCA level, since its gain depends on nothing else;
 //  * passes follow FM discipline: each node moves at most once per pass,
-//    moves are applied best-gain-first (lazy max-heap with version stamps),
-//    and the pass rolls back to its best prefix;
+//    and moves are applied best-gain-first (lazy max-heap with version
+//    stamps). A pass ends when its heap empties or once 300 consecutive
+//    applied moves have not beaten its best prefix, and then rolls back to
+//    that best prefix;
 //  * passes repeat until one yields no improvement.
 #pragma once
 
@@ -27,10 +32,6 @@ namespace htp {
 /// Parameters of the hierarchical FM refiner.
 struct HtpFmParams {
   std::size_t max_passes = 12;
-  /// When nonzero, a pass gives up after this many consecutive applied
-  /// moves without improving on the pass's best prefix (classic FM runs the
-  /// pass to exhaustion; a window trades a little quality for speed).
-  std::size_t early_stop_window = 0;
   /// When true, a pass seeds its move heap with boundary nodes only (nodes
   /// touching a net that spans >= 2 leaves) instead of every node. Interior
   /// nodes still enter the heap as soon as a neighbor's move makes them
@@ -41,6 +42,8 @@ struct HtpFmParams {
   /// where almost every node is interior (docs/scaling.md). Deterministic:
   /// the boundary set is a pure function of the current partition.
   bool boundary_only = false;
+  /// Unused: refinement draws no random numbers. Kept for callers that
+  /// set it.
   std::uint64_t seed = 1;
   /// Cooperative cancellation, polled between passes (a pass always
   /// finishes its best-prefix rollback, so the partition stays valid and

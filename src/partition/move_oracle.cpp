@@ -75,6 +75,26 @@ double HtpMoveOracle::Delta(NodeId v, BlockId target) const {
   return delta;
 }
 
+bool HtpMoveOracle::InteriorDeltas(NodeId v,
+                                   std::vector<double>& by_lca) const {
+  const auto nets = hg_->nets(v);
+  for (NetId e : nets)
+    if (Distinct(e, 0) != 1) return false;
+  // Every net has >= 2 distinct pins, so v's block keeps one: each net
+  // goes from span 0 (f = 1) to span 2 at every level below the LCA.
+  // Delta's loop order and expression then give the same double.
+  const double span_change = SpanValue(2) - SpanValue(1);
+  by_lca.assign(levels_ + 1, 0.0);
+  for (Level lca = 1; lca <= levels_; ++lca) {
+    double delta = 0.0;
+    for (NetId e : nets)
+      for (Level l = 0; l < lca; ++l)
+        delta += spec_->weight(l) * hg_->net_capacity(e) * span_change;
+    by_lca[lca] = delta;
+  }
+  return true;
+}
+
 bool HtpMoveOracle::Feasible(NodeId v, BlockId target) const {
   const BlockId from = tp_->leaf_of(v);
   if (from == target) return false;

@@ -7,6 +7,9 @@
 //   * Apply(v, leaf)    — perform the move keeping span tables in sync.
 // The oracle maintains per-net-per-level pin counts per block (tiny flat
 // maps bounded by net degree), so Delta costs O(deg(v) * LCA-level).
+// InteriorDeltas is Delta's shortcut for a node whose nets all lie inside
+// its own leaf: such a gain depends only on the target's LCA level, so one
+// evaluation per level replaces one per leaf.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +30,12 @@ class HtpMoveOracle {
   /// Exact change of cost(P) if `v` moved to `target` (0 when target is
   /// v's current leaf).
   double Delta(NodeId v, BlockId target) const;
+
+  /// The interior shortcut. Returns false unless v is interior: every net
+  /// of v lies inside v's leaf. Otherwise sets by_lca[L], for L = 1 ..
+  /// root level, to Delta(v, t) for any leaf t at LCA level L from v's
+  /// leaf, bit for bit.
+  bool InteriorDeltas(NodeId v, std::vector<double>& by_lca) const;
 
   /// True when every ancestor of `target` below the LCA has room for v.
   bool Feasible(NodeId v, BlockId target) const;

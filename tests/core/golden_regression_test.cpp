@@ -15,6 +15,7 @@
 #include "lp/spreading_lp.hpp"
 #include "netlist/generators.hpp"
 #include "obs/obs.hpp"
+#include "partition/htp_fm.hpp"
 
 namespace htp {
 namespace {
@@ -84,13 +85,16 @@ TEST(GoldenRegression, PairPathMetricOnC1355IsPinned) {
 }
 
 // The exact costs produced by bench/table2_constructive --quick (seed 1997,
-// 2 FLOW iterations, full binary hierarchy of height 4) for the two small
-// quick-suite circuits. Same generator seed, same parameters — a change in
-// either cost means the quick-suite regression baseline (BENCH_htp.json)
-// needs regenerating too.
+// 2 FLOW iterations, full binary hierarchy of height 4) for the three
+// quick-suite circuits, and the FLOW+ costs RefineHtpFm makes of them (Table
+// 3's "+"). Same generator seed, same parameters — a change in a FLOW cost
+// means the quick-suite regression baseline (BENCH_htp.json) needs
+// regenerating too. c6288's FLOW+ is the cell most sensitive to where an FM
+// pass stops: a 50-move stop window turns 2082 into 2139.
 struct GoldenCase {
   const char* circuit;
   double flow_cost;
+  double flow_plus_cost;
 };
 
 // Without this, gtest prints the case as a raw byte dump that includes the
@@ -108,14 +112,20 @@ TEST_P(Table2QuickGoldenTest, QuickModeFlowCostIsPinned) {
   HtpFlowParams params;
   params.iterations = 2;  // --quick
   params.seed = 1997;
-  const HtpFlowResult result = RunHtpFlow(hg, spec, params);
+  HtpFlowResult result = RunHtpFlow(hg, spec, params);
   RequireValidPartition(result.partition, spec);
   EXPECT_DOUBLE_EQ(result.cost, golden.flow_cost);
+
+  const HtpFmStats refined = RefineHtpFm(result.partition, spec);
+  RequireValidPartition(result.partition, spec);
+  EXPECT_DOUBLE_EQ(refined.final_cost, golden.flow_plus_cost);
 }
 
 INSTANTIATE_TEST_SUITE_P(Circuits, Table2QuickGoldenTest,
-                         ::testing::Values(GoldenCase{"c1355", 80.0},
-                                           GoldenCase{"c2670", 70.0}),
+                         ::testing::Values(GoldenCase{"c1355", 80.0, 66.0},
+                                           GoldenCase{"c2670", 70.0, 56.0},
+                                           GoldenCase{"c6288", 3597.0,
+                                                      2082.0}),
                          [](const auto& info) {
                            return std::string(info.param.circuit);
                          });

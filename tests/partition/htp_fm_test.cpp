@@ -3,11 +3,21 @@
 #include <gtest/gtest.h>
 
 #include "core/paper_examples.hpp"
+#include "netlist/generators.hpp"
+#include "obs/obs.hpp"
 #include "partition/random_partition.hpp"
 #include "test_util.hpp"
 
 namespace htp {
 namespace {
+
+#if HTP_OBS_ENABLED
+std::uint64_t MovesApplied() {
+  for (const obs::CounterValue& c : obs::TakeSnapshot().counters)
+    if (c.name == "fm.moves_applied") return c.value;
+  return 0;
+}
+#endif
 
 TEST(HtpFm, FixesASingleMisplacedNode) {
   Hypergraph hg = Figure2Graph();
@@ -42,17 +52,52 @@ TEST(HtpFm, ReportedCostsMatchReality) {
   EXPECT_NEAR(stats.final_cost, PartitionCost(tp, spec), 1e-6);
 }
 
-TEST(HtpFm, EarlyStopWindowStillImproves) {
-  Hypergraph hg = testutil::RandomConnectedHypergraph(60, 90, 3, 13);
-  const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 3, 0.25);
-  Rng rng(13);
+TEST(HtpFm, FinalCostIsTheReturnedPartitionsCost) {
+  // Fractional net capacities and level weights: summed pass gains round
+  // differently from a from-scratch Equation (1), so the reported cost must
+  // be the returned partition's own cost, not the initial cost minus gains.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Hypergraph hg = testutil::WithFractionalCapacities(
+        testutil::RandomConnectedHypergraph(60, 80, 4, seed), seed);
+    const HierarchySpec spec = testutil::FractionalWeightHierarchy(
+        hg.total_size(), 2 + static_cast<Level>(seed % 3));
+    Rng rng(seed);
+    TreePartition tp = RandomPartition(hg, spec, rng);
+    const HtpFmStats stats = RefineHtpFm(tp, spec);
+    EXPECT_GT(stats.moves_kept, 0u) << "seed " << seed;
+    EXPECT_EQ(stats.final_cost, PartitionCost(tp, spec)) << "seed " << seed;
+  }
+}
+
+TEST(HtpFm, PassStopsWithinTheWindow) {
+  // On a converged partition of a 5,000-node circuit no move improves, so
+  // the one pass ends after 300 applied moves, not after moving every node.
+  RentCircuitParams rent;
+  rent.num_gates = 5000;
+  rent.num_primary_inputs = 200;
+  const Hypergraph hg = RentCircuit(rent);
+  const HierarchySpec spec = FullBinaryHierarchy(hg.total_size());
+  Rng rng(5);
   TreePartition tp = RandomPartition(hg, spec, rng);
-  const double before = PartitionCost(tp, spec);
-  HtpFmParams params;
-  params.early_stop_window = 10;
-  const HtpFmStats stats = RefineHtpFm(tp, spec, params);
-  EXPECT_LE(stats.final_cost, before + 1e-9);
-  RequireValidPartition(tp, spec);
+  while (RefineHtpFm(tp, spec).moves_kept > 0) {
+  }
+  const auto leaves = [&] {
+    std::vector<BlockId> leaf_of(hg.num_nodes());
+    for (NodeId v = 0; v < hg.num_nodes(); ++v) leaf_of[v] = tp.leaf_of(v);
+    return leaf_of;
+  };
+  const std::vector<BlockId> converged = leaves();
+#if HTP_OBS_ENABLED
+  const std::uint64_t applied_before = MovesApplied();
+#endif
+  const HtpFmStats stats = RefineHtpFm(tp, spec);
+#if HTP_OBS_ENABLED
+  EXPECT_LE(MovesApplied() - applied_before, 300u);
+#endif
+  EXPECT_EQ(stats.passes, 1u);
+  EXPECT_EQ(stats.moves_kept, 0u);
+  EXPECT_EQ(leaves(), converged);
+  EXPECT_EQ(stats.final_cost, stats.initial_cost);
 }
 
 TEST(HtpFm, RequiresCompletePartition) {

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/hierarchy.hpp"
 #include "graph/csr_view.hpp"
 #include "graph/dijkstra.hpp"
 #include "netlist/hypergraph.hpp"
@@ -37,6 +38,31 @@ inline Hypergraph RandomConnectedHypergraph(NodeId n, std::size_t extra_nets,
     builder.add_net(pins);  // duplicate pins merged; degenerate nets dropped
   }
   return builder.build();
+}
+
+/// `base` with every net capacity redrawn from {0.1, 0.3, 0.7, 1.3}. Sums
+/// of these doubles round, so cost bookkeeping that adds up gains instead
+/// of re-costing the partition drifts visibly.
+inline Hypergraph WithFractionalCapacities(const Hypergraph& base,
+                                           std::uint64_t seed) {
+  static constexpr double kCapacities[] = {0.1, 0.3, 0.7, 1.3};
+  Rng rng(seed);
+  HypergraphBuilder builder;
+  for (NodeId v = 0; v < base.num_nodes(); ++v)
+    builder.add_node(base.node_size(v));
+  for (NetId e = 0; e < base.num_nets(); ++e)
+    builder.add_net(base.pins(e), kCapacities[rng.next_below(4)]);
+  return builder.build();
+}
+
+/// A binary hierarchy of `height` levels with 15% slack whose level weights
+/// cycle through {1.0, 1.7, 0.3}.
+inline HierarchySpec FractionalWeightHierarchy(double total_size,
+                                               Level height) {
+  static constexpr double kWeights[] = {1.0, 1.7, 0.3};
+  std::vector<double> weights;
+  for (Level l = 0; l < height; ++l) weights.push_back(kWeights[l % 3]);
+  return UniformHierarchy(total_size, height, 2, 0.15, weights);
 }
 
 /// Brute-force single-source shortest distances over a hypergraph with net
