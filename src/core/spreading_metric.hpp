@@ -18,7 +18,9 @@
 // run its serial single-source form.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -86,12 +88,28 @@ std::optional<SpreadingViolation> CheckSpreadingMetric(
 /// (docs/algorithms.md, "The concave stop certificate"). The early exit is
 /// a pure function of (source, metric), so it never disturbs determinism.
 ///
-/// Determinism contract: the returned hit, the committed dijkstra.* counter
-/// totals, and the flow.scan_* counters are bit-identical for every
-/// `threads` value (asserted by tests/core/htp_flow_parallel_test.cpp);
-/// only wall-clock changes. Construction inside a pool worker (a parallel
-/// FLOW iteration) degrades to serial via the runtime's nested-parallelism
-/// guard, as does any hypergraph too small to amortize the fork-join.
+/// Ball certificates: a batch growth that passes also yields a radius ρ_v
+/// such that every node within ρ_v of v provably passes (5) too, by the
+/// triangle inequality (docs/algorithms.md, "Ball certificates"). Those
+/// nodes join the scanner's certified set, and later batch calls skip
+/// their growths: a certified candidate counts as passing without one.
+/// Lengths only grow during a metric computation, so a certificate stays
+/// valid for the scanner's lifetime — hence the precondition that the
+/// `metric` of every FindFirstViolation call is pointwise >= the metric of
+/// every earlier call on the same scanner (Algorithm 2 builds one scanner
+/// per metric computation). FindViolationFrom neither reads nor extends
+/// the certified set.
+///
+/// Determinism contract: the returned hit, the certified set, the
+/// committed dijkstra.* counter totals, and the flow.scan_* and
+/// flow.ball_skips counters are bit-identical for every `threads` value
+/// (asserted by tests/core/htp_flow_parallel_test.cpp); only wall-clock
+/// changes. Parallel workers also skip candidates that concurrent balls
+/// cover; the commit replays the serial order and re-grows any candidate
+/// that order would have grown (docs/parallelism.md). Construction inside
+/// a pool worker (a parallel FLOW iteration) degrades to serial via the
+/// runtime's nested-parallelism guard, as does any hypergraph too small to
+/// amortize the fork-join.
 class ViolationScanner {
  public:
   /// `threads`: scan workers (1 = serial, 0 = all hardware threads). The
@@ -125,7 +143,11 @@ class ViolationScanner {
 
   /// Scans candidates[begin..end) against `metric` with `tolerance` slack
   /// and returns the lowest-index violation, or nullopt when every scanned
-  /// candidate satisfies family (5).
+  /// candidate satisfies family (5). Certified candidates pass without a
+  /// growth; passing growths certify their balls. `metric` must be
+  /// pointwise >= the metric of every earlier call on this scanner, and
+  /// `candidates.size()` (the round's worklist size) sizes how far a
+  /// passing growth extends for its ball.
   std::optional<ScanHit> FindFirstViolation(std::span<const NodeId> candidates,
                                             std::size_t begin,
                                             const SpreadingMetric& metric,
@@ -144,13 +166,37 @@ class ViolationScanner {
   /// Resolved worker count (1 when serial; never affects results).
   std::size_t workers() const { return workers_; }
 
+  /// Whether a committed ball certificate covers `v`, so that batch scans
+  /// pass it without a growth. Thread-count invariant like the verdicts.
+  bool certified(NodeId v) const { return certified_[v] != 0; }
+
  private:
   struct Slot;
   struct Worker;
+  class BallBound;
 
-  /// The family-(5) test on one prefix S(v,k), shared by both scan forms.
-  GrowAction CheckPrefix(const GrowState& state, double tolerance,
+  /// A breakpoint C_l of g inside (0, s(V)), with g(C_l) precomputed.
+  struct BallCap {
+    double size;
+    double g;
+  };
+
+  /// The family-(5) test on one prefix S(v,k) with rhs = g(s(S(v,k))),
+  /// shared by both scan forms.
+  GrowAction CheckPrefix(const GrowState& state, double rhs, double tolerance,
                          Slot& slot) const;
+
+  /// One batch growth from `source` for a round of `worklist` candidates:
+  /// the verdict goes into `slot`, and a passing growth returns its ball
+  /// radius (every settled node within it is certified); a violated or
+  /// cancelled growth returns a negative radius. `cancel_below` (parallel
+  /// scans only) stops the growth once a violation below index `index` is
+  /// known, setting `slot.cancelled`.
+  double GrowCandidate(NodeId source, const SpreadingMetric& metric,
+                       double tolerance, std::size_t worklist, Worker& worker,
+                       Slot& slot,
+                       const std::atomic<std::size_t>* cancel_below,
+                       std::size_t index) const;
 
   const Hypergraph& hg_;
   const HierarchySpec& spec_;
@@ -159,6 +205,19 @@ class ViolationScanner {
   std::shared_ptr<const CsrView> csr_;
   double total_size_ = 0.0;  ///< s(V): the stop certificate's far endpoint
   double g_cap_ = 0.0;  ///< g(s(V)): upper bound on every rhs of family (5)
+  /// The ball certificate's inputs: g's breakpoints below s(V), g's
+  /// steepest slope, and the relative float margin (docs/algorithms.md).
+  std::vector<BallCap> ball_caps_;
+  double g_slope_ = 0.0;
+  double ball_margin_ = 0.0;
+  /// Committed certified set: 1 for every node a serial-order ball covers.
+  /// Written only by the committing thread, between fork-joins.
+  std::vector<std::uint8_t> certified_;
+  /// Parallel scans only: hint_[v] == hint_epoch_ when a ball grown in the
+  /// current batch covers v. Racy by design (relaxed atomics); the commit
+  /// replay makes every result independent of what the hints said.
+  std::unique_ptr<std::atomic<std::uint32_t>[]> hint_;
+  std::uint32_t hint_epoch_ = 0;
   std::size_t workers_ = 1;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Worker[]> worker_state_;

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <limits>
 #include <mutex>
+#include <utility>
 
 namespace htp::obs {
 namespace {
@@ -93,6 +94,16 @@ struct RawJournal {
   std::array<EventField, kMaxEventFields> fields;
 };
 
+}  // namespace
+
+// A run scope's records, shared by every thread working for the run.
+struct ScopeJournal {
+  std::mutex mutex;
+  std::vector<RawJournal> records;
+};
+
+namespace {
+
 struct ThreadShard;
 
 // Process-wide registry: interned names (written only during static
@@ -156,6 +167,7 @@ class Registry {
   Snapshot TakeSnapshot(const ThreadShard& local);
   std::vector<TraceEvent> DrainTrace(ThreadShard& local);
   std::vector<EventRecord> DrainEvents(ThreadShard& local);
+  std::vector<EventRecord> ResolveJournal(const std::vector<RawJournal>& raw);
   void Reset(ThreadShard& local);
 
  private:
@@ -230,6 +242,9 @@ ThreadShard& Shard() {
   thread_local ThreadShard shard;
   return shard;
 }
+
+// The calling thread's active run scope (see RunScope); null outside runs.
+thread_local ScopeRef tls_scope;
 
 void Registry::Merge(ThreadShard& shard) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -319,14 +334,25 @@ std::vector<TraceEvent> Registry::DrainTrace(ThreadShard& local) {
 }
 
 std::vector<EventRecord> Registry::DrainEvents(ThreadShard& local) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<EventRecord> out;
-  out.reserve(journal_.size() + local.journal.size());
-  for (const RawJournal& raw : journal_) out.push_back(ResolveJournal(raw));
-  for (const RawJournal& raw : local.journal)
-    out.push_back(ResolveJournal(raw));
-  journal_.clear();
+  std::vector<RawJournal> raw;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    raw.swap(journal_);
+  }
+  raw.insert(raw.end(), local.journal.begin(), local.journal.end());
   local.journal.clear();
+  return ResolveJournal(raw);
+}
+
+std::vector<EventRecord> Registry::ResolveJournal(
+    const std::vector<RawJournal>& raw) {
+  std::vector<EventRecord> out;
+  out.reserve(raw.size());
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const RawJournal& record : raw)
+      out.push_back(ResolveJournal(record));
+  }
   // Order by (name, fields) only — never by timestamp or by shard merge
   // order — so the drained journal is bit-identical across thread counts
   // whenever the payloads are. Recording sites make the payload tuples
@@ -397,7 +423,6 @@ ScopedHistogramTimer::~ScopedHistogramTimer() {
 Event::Event(const char* name) : id_(Registry::Get().InternEvent(name)) {}
 
 void Event::Record(std::initializer_list<EventField> fields) {
-  ThreadShard& shard = Shard();
   RawJournal raw;
   raw.event_id = id_;
   raw.ts_ns = NowNs();
@@ -406,7 +431,14 @@ void Event::Record(std::initializer_list<EventField> fields) {
     if (raw.num_fields == kMaxEventFields) break;
     raw.fields[raw.num_fields++] = field;
   }
-  shard.journal.push_back(raw);
+  // Inside a run the record belongs to the run's scope, which pool tasks
+  // share (hence the lock); outside, to this thread's shard.
+  if (ScopeJournal* scope = tls_scope.get()) {
+    std::lock_guard<std::mutex> lock(scope->mutex);
+    scope->records.push_back(raw);
+    return;
+  }
+  Shard().journal.push_back(raw);
 }
 
 ScopedTimer::ScopedTimer(const Timer& timer)
@@ -453,6 +485,27 @@ std::vector<EventRecord> DrainEvents() {
 }
 
 void ResetAll() { Registry::Get().Reset(Shard()); }
+
+ScopeRef CurrentScope() { return tls_scope; }
+
+ScopeGuard::ScopeGuard(ScopeRef scope)
+    : previous_(std::exchange(tls_scope, std::move(scope))) {}
+
+ScopeGuard::~ScopeGuard() { tls_scope = std::move(previous_); }
+
+RunScope::RunScope()
+    : journal_(std::make_shared<ScopeJournal>()), guard_(journal_) {}
+
+RunScope::~RunScope() = default;
+
+std::vector<EventRecord> RunScope::DrainEvents() {
+  std::vector<RawJournal> raw;
+  {
+    std::lock_guard<std::mutex> lock(journal_->mutex);
+    raw.swap(journal_->records);
+  }
+  return Registry::Get().ResolveJournal(raw);
+}
 
 }  // namespace htp::obs
 

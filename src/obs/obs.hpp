@@ -29,6 +29,14 @@
 //     the determinism contract exactly like timers, and DrainEvents orders
 //     records by (name, payload) — never by time — so the drained journal
 //     is a deterministic function of the recorded payloads.
+//   * `RunScope` — a run's private journal. While one is installed on a
+//     thread, `Event::Record` there (and in every ThreadPool task that
+//     thread submits) appends to the scope instead of the process-wide
+//     journal; the run drains it into its report or drops it with the
+//     scope. A long-lived process (the htp_serve daemon) thus never
+//     accumulates the journals of past runs, and one run's drain never
+//     takes another's records. Counters, timers and histograms stay
+//     process-wide.
 //   * Thread-local shards merge into the global registry when their thread
 //     exits. The runtime's `ParallelFor` uses transient pools whose workers
 //     join at the fork-join boundary, so by the time a caller of
@@ -53,6 +61,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -142,6 +151,12 @@ struct EventField {
   const char* key;
   double value;
 };
+
+/// A run scope's journal buffer (opaque). Shared by the RunScope that owns
+/// it and by the ThreadPool tasks that carry it, so a task that outlives
+/// its run never writes through a dangling pointer.
+struct ScopeJournal;
+using ScopeRef = std::shared_ptr<ScopeJournal>;
 
 #if HTP_OBS_ENABLED
 
@@ -274,8 +289,45 @@ std::vector<EventRecord> DrainEvents();
 
 /// Zeroes all counters/timers/histograms and discards pending trace spans
 /// and journal records, including the calling thread's shard. Quiescent
-/// points only (benches use this to scope totals per circuit).
+/// points only (benches use this to scope totals per circuit). Records held
+/// by a RunScope belong to that scope and are left alone.
 void ResetAll();
+
+/// The calling thread's active run scope (null when none is installed).
+ScopeRef CurrentScope();
+
+/// Makes `scope` (possibly null) the calling thread's active run scope for
+/// this object's lifetime, then restores the previous one. ThreadPool runs
+/// every task under the scope that was active where it was submitted.
+class ScopeGuard {
+ public:
+  explicit ScopeGuard(ScopeRef scope);
+  ~ScopeGuard();
+  ScopeGuard(const ScopeGuard&) = delete;
+  ScopeGuard& operator=(const ScopeGuard&) = delete;
+
+ private:
+  ScopeRef previous_;
+};
+
+/// One run's private journal: creates a fresh scope and installs it on the
+/// calling thread until destruction, when undrained records are dropped.
+/// `serve::RunSession` installs one per run.
+class RunScope {
+ public:
+  RunScope();
+  ~RunScope();
+  RunScope(const RunScope&) = delete;
+  RunScope& operator=(const RunScope&) = delete;
+
+  /// Moves out the records made under this scope so far, ordered like
+  /// obs::DrainEvents. Quiescent points only, like DrainEvents.
+  std::vector<EventRecord> DrainEvents();
+
+ private:
+  ScopeRef journal_;
+  ScopeGuard guard_;
+};
 
 #else  // HTP_OBS_ENABLED == 0: the whole layer compiles to nothing.
 
@@ -332,6 +384,22 @@ inline Snapshot TakeSnapshot() { return {}; }
 inline std::vector<TraceEvent> DrainTrace() { return {}; }
 inline std::vector<EventRecord> DrainEvents() { return {}; }
 inline void ResetAll() {}
+inline ScopeRef CurrentScope() { return nullptr; }
+
+class ScopeGuard {
+ public:
+  explicit ScopeGuard(const ScopeRef&) {}
+  ScopeGuard(const ScopeGuard&) = delete;
+  ScopeGuard& operator=(const ScopeGuard&) = delete;
+};
+
+class RunScope {
+ public:
+  RunScope() = default;
+  RunScope(const RunScope&) = delete;
+  RunScope& operator=(const RunScope&) = delete;
+  std::vector<EventRecord> DrainEvents() { return {}; }
+};
 
 #endif  // HTP_OBS_ENABLED
 

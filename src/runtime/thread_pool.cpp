@@ -45,9 +45,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
+  Task entry{std::move(task), obs::CurrentScope()};
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push(std::move(task));
+    queue_.push(std::move(entry));
   }
   wake_.notify_one();
 }
@@ -55,7 +56,7 @@ void ThreadPool::Submit(std::function<void()> task) {
 void ThreadPool::WorkerLoop() {
   tls_in_parallel_worker = true;
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -63,7 +64,8 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop();
     }
-    task();
+    obs::ScopeGuard scope(std::move(task.scope));
+    task.run();
   }
 }
 

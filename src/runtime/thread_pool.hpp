@@ -22,6 +22,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/obs.hpp"
+
 namespace htp {
 
 /// Maps a user-facing thread-count knob to a worker count: 0 means "all
@@ -52,14 +54,21 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   /// Enqueues a task. Tasks must not block waiting for other queued tasks
-  /// (the pool has no work stealing, so that can deadlock).
+  /// (the pool has no work stealing, so that can deadlock). The task runs
+  /// under the obs run scope active on the submitting thread, so journal
+  /// records made inside a ParallelFor land in the run that forked it.
   void Submit(std::function<void()> task);
 
  private:
+  struct Task {
+    std::function<void()> run;
+    obs::ScopeRef scope;
+  };
+
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
+  std::queue<Task> queue_;
   std::mutex mutex_;
   std::condition_variable wake_;
   bool stop_ = false;

@@ -66,11 +66,12 @@ struct ProviderStats {
 
 // The run's one RunReport (obs/report.hpp), rendered after the last stage
 // so it covers every stage: `cost` is the final (post-refinement) cost and
-// `algo_cost` the constructor's, as in the wire response. Snapshotting and
-// draining the obs journal here makes RunSession the one place a run's
-// telemetry is collected.
+// `algo_cost` the constructor's, as in the wire response. Snapshotting the
+// counters and draining the run's own journal scope here makes RunSession
+// the one place a run's telemetry is collected.
 std::string RenderRunReport(const SessionRequest& request,
-                            const SessionResult& result) {
+                            const SessionResult& result,
+                            obs::RunScope& scope) {
   const Hypergraph& hg = *result.netlist;
   obs::RunReportBuilder rb(request.report_tool);
   rb.MetaString("algorithm", request.algo);
@@ -123,13 +124,17 @@ std::string RenderRunReport(const SessionRequest& request,
   }
   rb.WallNumber("threads", static_cast<double>(request.threads));
   rb.WallNumber("metric_threads", static_cast<double>(request.metric_threads));
-  return rb.Render(obs::TakeSnapshot(), obs::DrainEvents());
+  return rb.Render(obs::TakeSnapshot(), scope.DrainEvents());
 }
 
 }  // namespace
 
 SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
   const auto start = std::chrono::steady_clock::now();
+  // Every journal record this run makes, on any thread it forks, goes to
+  // this scope: rendered into the report when one is requested, dropped
+  // with the scope otherwise (a daemon must not keep past runs' journals).
+  obs::RunScope run_scope;
   SessionResult result;
 
   // --- Netlist: provided > cache > direct build. A file path is read
@@ -373,7 +378,7 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
   }
 
   if (request.collect_report)
-    result.report = RenderRunReport(request, result);
+    result.report = RenderRunReport(request, result, run_scope);
 
   result.cache.csr_hits =
       provider_stats->csr_hits.load(std::memory_order_relaxed);

@@ -1,17 +1,21 @@
-// Property suite for the family-(5) oracle's stop rule: ViolationScanner
-// ends a growth once its concave stop certificate proves that no later
-// prefix of S(v,k) can violate (docs/algorithms.md, "The concave stop
-// certificate"). The certificate may only save work, never change a
-// verdict, so both scan forms are compared here against a reference with
-// no early exit at all: the library-independent binary-heap walk
-// (testutil::ReferenceGrow) grown to exhaustion, reporting the first
-// prefix with wd + tol < g(T). Verdicts, k, the exact tree_size/lhs/rhs
-// doubles and the violating tree's nets must all agree.
+// Property suite for the family-(5) oracle's two certificates. The stop
+// rule: ViolationScanner ends a growth once its concave stop certificate
+// proves that no later prefix of S(v,k) can violate (docs/algorithms.md,
+// "The concave stop certificate"). The ball certificate: a batch scan skips
+// every source within a passing growth's ball radius ("Ball
+// certificates"). Either may only save work, never change a verdict, so
+// both scan forms are compared here against a reference with no early exit
+// at all: the library-independent binary-heap walk (testutil::ReferenceGrow)
+// grown to exhaustion, reporting the first prefix with wd + tol < g(T).
+// Verdicts, k, the exact tree_size/lhs/rhs doubles and the violating tree's
+// nets must all agree, and every certified source must pass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -266,6 +270,246 @@ TEST(StopCertificate, PathCertifiesAfterThreeSettles) {
   EXPECT_EQ(Counter("dijkstra.pops") - pops_before, 3u);
 #endif
   EXPECT_FALSE(ReferenceCheck(hg, spec, 0, metric, 1e-7).violated);
+}
+
+// Algorithm 2's loop in miniature, on one serial and several parallel
+// scanners in lockstep: shuffled rounds of FindFirstViolation batches, each
+// hit re-penalizing its tree's nets (lengths only grow). Every scanner must
+// agree with the serial one on the hit, the certified set and the
+// committed counter deltas. With `reference`, before every batch each
+// certified source must also pass the exhaustive reference at the current
+// metric, and the hit must be the reference's first violated candidate
+// past the cursor. `totals` receives the batch count and the serial
+// scanner's final certified-node count.
+struct LockstepTotals {
+  std::size_t certified = 0;
+  std::size_t batches = 0;
+};
+
+void RunLockstep(const Hypergraph& hg, const HierarchySpec& spec,
+                 SpreadingMetric metric,
+                 const std::vector<std::size_t>& worker_counts,
+                 std::uint64_t seed, std::size_t max_rounds, bool reference,
+                 bool shuffle, LockstepTotals& totals) {
+  const double tolerance = 1e-7;
+  const NodeId n = hg.num_nodes();
+  std::vector<std::unique_ptr<ViolationScanner>> scanners;
+  for (std::size_t workers : worker_counts)
+    scanners.push_back(std::make_unique<ViolationScanner>(hg, spec, workers));
+  std::vector<NodeId> worklist(n);
+  for (NodeId v = 0; v < n; ++v) worklist[v] = v;
+  Rng rng(seed);
+  for (std::size_t round = 0; round < max_rounds && !worklist.empty();
+       ++round) {
+    if (shuffle) rng.shuffle(worklist);
+    std::vector<NodeId> still_violated;
+    std::size_t cursor = 0;
+    while (cursor < worklist.size()) {
+      SCOPED_TRACE(testing::Message() << "round " << round << " cursor "
+                                      << cursor);
+      // Lazily memoized reference verdicts at the current metric.
+      std::vector<std::optional<ReferenceVerdict>> memo(n);
+      auto expect = [&](NodeId v) -> const ReferenceVerdict& {
+        if (!memo[v]) memo[v] = ReferenceCheck(hg, spec, v, metric, tolerance);
+        return *memo[v];
+      };
+      std::size_t want = cursor;
+      if (reference) {
+        for (NodeId v = 0; v < n; ++v) {
+          if (scanners[0]->certified(v)) {
+            EXPECT_FALSE(expect(v).violated) << "certified source " << v;
+          }
+        }
+        while (want < worklist.size() && !expect(worklist[want]).violated)
+          ++want;
+      }
+
+      std::optional<ViolationScanner::ScanHit> first;
+      std::vector<std::uint64_t> first_counters;
+      for (std::size_t s = 0; s < scanners.size(); ++s) {
+        SCOPED_TRACE(testing::Message() << "workers " << worker_counts[s]);
+#if HTP_OBS_ENABLED
+        const std::uint64_t calls = Counter("dijkstra.calls");
+        const std::uint64_t pops = Counter("dijkstra.pops");
+        const std::uint64_t skips = Counter("flow.ball_skips");
+#endif
+        auto hit = scanners[s]->FindFirstViolation(worklist, cursor, metric,
+                                                   tolerance);
+        std::vector<std::uint64_t> counters;
+#if HTP_OBS_ENABLED
+        counters = {Counter("dijkstra.calls") - calls,
+                    Counter("dijkstra.pops") - pops,
+                    Counter("flow.ball_skips") - skips};
+#endif
+        // Without the exhaustive reference, the serial scanner is the
+        // reference for the parallel ones.
+        if (s == 0 && !reference) want = hit ? hit->index : worklist.size();
+        ASSERT_EQ(hit.has_value(), want < worklist.size());
+        if (hit) {
+          EXPECT_EQ(hit->index, want);
+          if (reference) {
+            const ReferenceVerdict& ref = expect(worklist[want]);
+            EXPECT_EQ(hit->tree_nodes, ref.tree_nodes);
+            EXPECT_EQ(hit->tree_size, ref.tree_size);
+            EXPECT_EQ(hit->lhs, ref.lhs);
+            EXPECT_EQ(hit->rhs, ref.rhs);
+            EXPECT_TRUE(std::equal(hit->tree_nets.begin(),
+                                   hit->tree_nets.end(),
+                                   ref.tree_nets.begin(),
+                                   ref.tree_nets.end()));
+          }
+        }
+        if (s == 0) {
+          first = hit;
+          first_counters = counters;
+          continue;
+        }
+        EXPECT_EQ(counters, first_counters);
+        for (NodeId v = 0; v < n; ++v)
+          ASSERT_EQ(scanners[s]->certified(v), scanners[0]->certified(v))
+              << "node " << v;
+      }
+      ++totals.batches;
+      if (!first) break;
+      // Re-penalize the violating tree, as an injection would. The serial
+      // scanner's hit still points into its storage: it has not scanned
+      // since.
+      for (NetId e : first->tree_nets) metric[e] = metric[e] * 1.5 + 0.05;
+      if (!first->tree_nets.empty()) still_violated.push_back(first->source);
+      cursor = first->index + 1;
+    }
+    std::swap(worklist, still_violated);
+  }
+  for (NodeId v = 0; v < n; ++v) totals.certified += scanners[0]->certified(v);
+}
+
+class BallCertificateProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Random instances from CertificateCircuit (non-dyadic sizes, disconnected
+// components, a zero-weight level, zero-length nets), driven from a short
+// metric through Algorithm-2-style rounds until every source passes.
+TEST_P(BallCertificateProperty, CertifiedSourcesPassExhaustiveReference) {
+  const std::uint64_t seed = GetParam();
+  const Hypergraph hg = CertificateCircuit(seed);
+  const HierarchySpec spec = CertificateSpec(hg, seed);
+  Rng rng(seed * 131 + 7);
+  SpreadingMetric metric(hg.num_nets());
+  for (double& d : metric)
+    d = rng.next_bool(0.25) ? 0.0 : 0.1 * rng.next_double();
+  LockstepTotals totals;
+  RunLockstep(hg, spec, std::move(metric), {1, 4}, seed, 40, true, true,
+              totals);
+  EXPECT_GT(totals.batches, 1u);
+  EXPECT_GT(totals.certified, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BallCertificateProperty,
+                         ::testing::Range<std::uint64_t>(1, 41));
+
+// A path with chords, scanned in path order, so that the balls of
+// candidates that workers grow side by side overlap and cover the
+// candidates just ahead: workers then skip candidates on each other's
+// hints, including ones the serial order grows because it skipped the
+// hinting candidate itself. The commit replay must still credit exactly
+// the serial order's growths and balls at every worker count. Repeated,
+// since which candidates get hint-skipped depends on the schedule (on a
+// 4-core box each seed re-grows 20–40 of them at commit).
+TEST(BallCertificate, CommitReplayIsThreadCountInvariant) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const NodeId n = 300;
+    HypergraphBuilder builder;
+    for (NodeId v = 0; v < n; ++v) builder.add_node();
+    for (NodeId v = 1; v < n; ++v) builder.add_net({v - 1, v});
+    for (NodeId v = 7; v < n; v += 5) builder.add_net({v - 7, v});
+    const Hypergraph hg = builder.build();
+    const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 3, 0.2);
+    Rng rng(seed);
+    SpreadingMetric metric(hg.num_nets());
+    for (double& d : metric) d = 0.02 * (0.5 + rng.next_double());
+    LockstepTotals totals;
+    RunLockstep(hg, spec, std::move(metric), {1, 2, 4, 8}, seed, 30, false,
+                false, totals);
+    EXPECT_GT(totals.batches, 1u);
+    EXPECT_GT(totals.certified, 0u);
+  }
+}
+
+// A star (MakeStar) whose centre u sits exactly on the tolerance edge, plus
+// a pendant node p of negligible size (1e-20) hanging off the centre by a
+// net of length delta. From p every other node lies exactly delta farther
+// than from u, and p's own size adds nothing, so the ball certificate's
+// triangle bound is tight: p passes by (leaves + 1)·delta, and its ball
+// radius equals delta up to rounding, with u exactly at distance delta.
+// Scanned in the order p, u, leaves..., u must be grown — and found
+// violated one ulp below the edge — unless the certificate has room to
+// spare: only the float margin keeps the rounding of ρ from certifying u.
+TEST(BallCertificate, ToleranceEdgeMatchesReferenceToTheUlp) {
+  std::size_t certified_with_room = 0;
+  for (NodeId leaves : {9u, 30u}) {
+    for (double delta : {0.01, 0.02, 0.03, 0.05, 0.07}) {
+      HypergraphBuilder builder;
+      for (NodeId v = 0; v <= leaves; ++v) builder.add_node();
+      const NodeId pendant = builder.add_node(1e-20);
+      for (NodeId v = 1; v <= leaves; ++v) builder.add_net({0u, v});
+      builder.add_net({0u, pendant});
+      const Hypergraph hg = builder.build();
+      const HierarchySpec spec(
+          {{4.0, 2, 0.1}, {hg.total_size(), leaves + 2, 1.0}});
+      SpreadingMetric metric(hg.num_nets(), 0.1);
+      metric.back() = delta;
+      std::vector<NodeId> candidates = {pendant};
+      for (NodeId v = 0; v <= leaves; ++v) candidates.push_back(v);
+
+      const ShortestPathTree full = testutil::ReferenceDijkstra(hg, 0, metric);
+      double lhs = 0.0;
+      for (NodeId u : full.order) lhs += hg.node_size(u) * full.dist[u];
+      const double g = spec.g(hg.total_size());
+      ASSERT_GT(g, lhs);
+      ASSERT_LT(g, 2 * lhs);  // Sterbenz: each target - lhs below is exact
+      // lhs + tol lands k ulps from g, for k in [-3, 3], and far above.
+      std::vector<double> targets;
+      double below = g, above = g;
+      for (int k = 0; k < 3; ++k) {
+        below = std::nextafter(below, 0.0);
+        above = std::nextafter(above, 2 * g);
+        targets.push_back(below);
+        targets.push_back(above);
+      }
+      targets.push_back(g);
+      targets.push_back(g + 1e-9);
+      for (double target : targets) {
+        const double tolerance = target - lhs;
+        if (target != g + 1e-9) {
+          ASSERT_EQ(lhs + tolerance, target);
+        }
+        SCOPED_TRACE(testing::Message()
+                     << leaves << " leaves, delta " << delta << ", lhs + tol "
+                     << (target < g ? "below" : "at or above") << " g by "
+                     << (target - g));
+        const auto expect = ReferenceVerdicts(hg, spec, metric, tolerance);
+        ASSERT_EQ(expect[0].violated, target < g);
+        ASSERT_FALSE(expect[pendant].violated);
+        for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+          ViolationScanner scanner(hg, spec, workers);
+          const auto hit =
+              scanner.FindFirstViolation(candidates, 0, metric, tolerance);
+          ASSERT_EQ(hit.has_value(), target < g);
+          if (hit) {
+            EXPECT_EQ(hit->index, 1u);
+            EXPECT_EQ(hit->lhs, expect[0].lhs);
+            EXPECT_EQ(hit->rhs, expect[0].rhs);
+            EXPECT_FALSE(scanner.certified(0));
+          }
+          if (target == g + 1e-9) certified_with_room += scanner.certified(0);
+        }
+      }
+    }
+  }
+  // With real room (1e-9 of slack) the pendant's ball does cover the
+  // centre, so the test exercises the certificate, not just its absence.
+  EXPECT_GT(certified_with_room, 0u);
 }
 
 }  // namespace

@@ -293,6 +293,42 @@ TEST(ObsEvent, ResetDiscardsBufferedRecords) {
   EXPECT_TRUE(obs::DrainEvents().empty());
 }
 
+// A run scope owns every record made under it, on its own thread and on
+// the pool tasks that thread submits; records outside any scope still
+// reach the process journal, and an undrained scope drops its records.
+TEST(RunScope, KeepsItsRunsRecordsAcrossParallelFor) {
+  static obs::Event event("test.event_scoped");
+  obs::ResetAll();
+  std::vector<obs::EventRecord> scoped;
+  {
+    obs::RunScope scope;
+    ThreadPool pool(3);
+    ParallelFor(pool, 6, [](std::size_t i) {
+      event.Record({{"i", static_cast<double>(i)}});
+    });
+    event.Record({{"i", 6.0}});
+    scoped = scope.DrainEvents();
+    {
+      obs::RunScope nested;  // shadows the outer scope, then restores it
+      event.Record({{"i", 9.0}});
+    }
+    event.Record({{"i", 7.0}});
+    const std::vector<obs::EventRecord> rest = scope.DrainEvents();
+    ASSERT_EQ(rest.size(), 1u);
+    EXPECT_EQ(rest[0].fields[0].second, 7.0);
+    event.Record({{"i", 10.0}});  // undrained: dropped with the scope
+  }
+  event.Record({{"i", 8.0}});
+  ASSERT_EQ(scoped.size(), 7u);
+  for (std::size_t i = 0; i < scoped.size(); ++i) {
+    EXPECT_EQ(scoped[i].name, "test.event_scoped");
+    EXPECT_EQ(scoped[i].fields[0].second, static_cast<double>(i));
+  }
+  const std::vector<obs::EventRecord> global = obs::DrainEvents();
+  ASSERT_EQ(global.size(), 1u);
+  EXPECT_EQ(global[0].fields[0].second, 8.0);
+}
+
 TEST(ObsLanes, NamesSurviveResetAndIndexByTid) {
   obs::ResetAll();
   obs::NameThisThread("main");

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <thread>
+#include <vector>
+
 #include "core/cost.hpp"
 #include "core/partition_io.hpp"
 #include "obs/report.hpp"
@@ -140,6 +145,68 @@ TEST(Session, RejectsUnknownAlgoAndBadWeights) {
   SessionRequest empty_file = SmallRequest();
   empty_file.bench_file = "/dev/null";
   EXPECT_THROW(RunSession(empty_file, nullptr), Error);
+}
+
+// The `journal` member of a report's deterministic section (its last
+// member), or "" when the report has none.
+std::string JournalSection(const std::string& report) {
+  const std::string_view det = obs::DeterministicSection(report);
+  const std::size_t at = det.find("\"journal\":");
+  return at == std::string_view::npos ? std::string()
+                                      : std::string(det.substr(at));
+}
+
+// A FLOW+ request whose iterations run on pool workers, so its journal
+// records are made on threads other than the one that runs the session.
+SessionRequest ForkingRequest(std::uint64_t seed) {
+  SessionRequest request = SmallRequest();
+  request.iterations = 2;
+  request.threads = 2;
+  request.metric_threads = 2;
+  request.refine = true;
+  request.seed = seed;
+  return request;
+}
+
+// Every run journals into its own obs scope and drops it unless a report
+// asks for it: a daemon serving report-less requests must not keep their
+// journals (they used to pile up in the worker shards forever).
+TEST(Session, ReportlessRunsLeaveNoJournalBehind) {
+  obs::DrainEvents();
+  for (std::uint64_t seed = 1; seed <= 3; ++seed)
+    RunSession(ForkingRequest(seed), nullptr);
+  EXPECT_TRUE(obs::DrainEvents().empty());
+}
+
+// A report's journal is exactly its own run's: concurrent runs, with or
+// without reports, neither add records to it nor take records from it.
+TEST(Session, ConcurrentReportJournalMatchesSoloRun) {
+  SessionRequest first = ForkingRequest(1);
+  first.collect_report = true;
+  SessionRequest second = ForkingRequest(7);
+  second.collect_report = true;
+  const std::string first_solo =
+      JournalSection(RunSession(first, nullptr).report);
+  const std::string second_solo =
+      JournalSection(RunSession(second, nullptr).report);
+  ASSERT_FALSE(first_solo.empty());
+#if HTP_OBS_ENABLED
+  ASSERT_NE(first_solo, second_solo);
+#endif
+
+  std::string first_concurrent, second_concurrent;
+  std::vector<std::thread> runs;
+  runs.emplace_back([&] {
+    first_concurrent = JournalSection(RunSession(first, nullptr).report);
+  });
+  runs.emplace_back([&] {
+    second_concurrent = JournalSection(RunSession(second, nullptr).report);
+  });
+  for (std::uint64_t seed : {2u, 3u})
+    runs.emplace_back([seed] { RunSession(ForkingRequest(seed), nullptr); });
+  for (std::thread& run : runs) run.join();
+  EXPECT_EQ(first_concurrent, first_solo);
+  EXPECT_EQ(second_concurrent, second_solo);
 }
 
 TEST(Session, RfmFallbackReportCarriesRequestedTool) {
