@@ -3,16 +3,17 @@
 // Every bench prints a self-describing header (what it regenerates, which
 // paper artifact it corresponds to, the seeds used) followed by an aligned
 // text table, so `for b in build/bench/*; do $b; done` produces a readable
-// report. Flags:
+// report. Numeric flags parse strictly (tools/numeric_flags.hpp): a
+// malformed or out-of-range value exits 2. Flags:
 //   --quick            smaller circuit set / fewer iterations
 //   --seed <u64>       master seed (default 1997)
 //   --threads <n>      worker threads for FLOW's outer iterations
-//                      (0 = all hardware threads, default 1); FLOW results
-//                      are bit-identical for every value, only the wall
-//                      clock changes
+//                      (0 = all hardware threads, default 1, at most 256);
+//                      FLOW results are bit-identical for every value, only
+//                      the wall clock changes
 //   --metric-threads <n>  worker threads for the candidate scan inside each
 //                      flow-injection round (0 = all hardware threads,
-//                      default 1); same bit-identity guarantee
+//                      default 1, at most 256); same bit-identity guarantee
 //   --time-budget <s>  wall-clock budget per FLOW run (seconds); a fired
 //                      deadline returns the best partition found so far
 //                      (anytime semantics, docs/robustness.md) — costs are
@@ -21,9 +22,6 @@
 //   --max-rounds <n>   deterministic cap on Algorithm-2 worklist rounds per
 //                      metric computation (bit-identical for every thread
 //                      count, unlike --time-budget)
-//   --oracle-sample <f> sampled separation oracle fraction in [0,1] for the
-//                      flow-injection metric (0 or 1 = exact, the default;
-//                      docs/scaling.md)
 //   --bench-dir <dir>  load real ISCAS85 .bench files named <circuit>.bench
 //                      from <dir> instead of the calibrated generators
 //   --obs-jsonl <file> append the telemetry snapshot of each measured
@@ -36,6 +34,7 @@
 //                      artifact scripts/obs_report.py validates and diffs
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -53,6 +52,7 @@
 #include "obs/report.hpp"
 #include "obs/sinks.hpp"
 #include "runtime/budget.hpp"
+#include "tools/numeric_flags.hpp"
 
 namespace htp::bench {
 
@@ -65,9 +65,6 @@ struct Options {
   /// Anytime knobs applied to every FLOW run (--time-budget / --max-rounds;
   /// default unlimited = the exact unbudgeted tables).
   Budget budget;
-  /// Sampled separation oracle fraction (FlowInjectionParams::oracle_sample;
-  /// 0 = exact). Benches that honor it say so in their header.
-  double oracle_sample = 0.0;
   std::string bench_dir;
   std::string obs_jsonl;  ///< JSONL telemetry stream path ("" = off)
   std::string report_dir;  ///< RunReport output directory ("" = off)
@@ -82,44 +79,48 @@ inline Budget FlowBudget(const Options& options) { return options.budget; }
 
 inline Options ParseArgs(int argc, char** argv) {
   Options options;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      options.quick = true;
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      options.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      options.trials =
-          std::max<std::size_t>(1, std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      options.threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--metric-threads") == 0 && i + 1 < argc) {
-      options.metric_threads = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--time-budget") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      options.budget.time_budget_seconds = std::strtod(argv[++i], &end);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "malformed --time-budget value '%s'\n", argv[i]);
+  int i = 1;
+  try {
+    for (; i < argc; ++i) {
+      auto arg = [&](const char* name) {
+        return std::strcmp(argv[i], name) == 0 && i + 1 < argc;
+      };
+      if (std::strcmp(argv[i], "--quick") == 0) {
+        options.quick = true;
+      } else if (arg("--seed")) {
+        options.seed = tools::ParseUnsigned(argv[++i]);
+      } else if (arg("--trials")) {
+        options.trials =
+            std::max<std::size_t>(1, tools::ParseUnsigned(argv[++i]));
+      } else if (arg("--threads")) {
+        options.threads = tools::ParseUnsigned(argv[++i], tools::kMaxThreads);
+      } else if (arg("--metric-threads")) {
+        options.metric_threads =
+            tools::ParseUnsigned(argv[++i], tools::kMaxThreads);
+      } else if (arg("--time-budget")) {
+        options.budget.time_budget_seconds = tools::ParseDouble(argv[++i]);
+      } else if (arg("--max-rounds")) {
+        options.budget.max_rounds = tools::ParseUnsigned(argv[++i]);
+      } else if (arg("--bench-dir")) {
+        options.bench_dir = argv[++i];
+      } else if (arg("--obs-jsonl")) {
+        options.obs_jsonl = argv[++i];
+      } else if (arg("--report-dir")) {
+        options.report_dir = argv[++i];
+      } else {
+        std::fprintf(stderr,
+                     "unknown argument '%s' (supported: --quick, --seed N, "
+                     "--trials N, --threads N, --metric-threads N, "
+                     "--time-budget S, --max-rounds N, --bench-dir DIR, "
+                     "--obs-jsonl FILE, --report-dir DIR)\n",
+                     argv[i]);
         std::exit(2);
       }
-    } else if (std::strcmp(argv[i], "--max-rounds") == 0 && i + 1 < argc) {
-      options.budget.max_rounds = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--oracle-sample") == 0 && i + 1 < argc) {
-      options.oracle_sample = std::strtod(argv[++i], nullptr);
-    } else if (std::strcmp(argv[i], "--bench-dir") == 0 && i + 1 < argc) {
-      options.bench_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--obs-jsonl") == 0 && i + 1 < argc) {
-      options.obs_jsonl = argv[++i];
-    } else if (std::strcmp(argv[i], "--report-dir") == 0 && i + 1 < argc) {
-      options.report_dir = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument '%s' (supported: --quick, --seed N, "
-                   "--trials N, --threads N, --metric-threads N, "
-                   "--time-budget S, --max-rounds N, --oracle-sample F, "
-                   "--bench-dir DIR, --obs-jsonl FILE, --report-dir DIR)\n",
-                   argv[i]);
-      std::exit(2);
     }
+  } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+    std::fprintf(stderr, "malformed or out-of-range value '%s' for %s\n",
+                 argv[i], argv[i - 1]);
+    std::exit(2);
   }
   return options;
 }

@@ -79,16 +79,15 @@ int main(int argc, char** argv) {
   const Hypergraph base = RentCircuit(circuit);
   const HierarchySpec spec = FullBinaryHierarchy(base.total_size(), 3, 0.2);
 
-  // Flat FLOW with the sampled separation oracle — the same regime the
-  // serve_throughput bench runs this circuit in. kGlobalOnce keeps the
-  // round counters a pure cold-vs-warm comparison (header comment).
+  // Flat FLOW, the same regime the serve_throughput bench runs this circuit
+  // in. kGlobalOnce keeps the round counters a pure cold-vs-warm comparison
+  // (header comment).
   HtpFlowParams params;
   params.iterations = 1;
   params.seed = options.seed;
   params.threads = options.threads;
   params.metric_threads = options.metric_threads;
   params.metric_scope = MetricScope::kGlobalOnce;
-  params.injection.oracle_sample = 0.02;
   params.keep_best_metric = true;
   params.budget = bench::FlowBudget(options);
 
@@ -220,7 +219,6 @@ int main(int argc, char** argv) {
     out << "  \"seed\": " << options.seed << ",\n";
     out << "  \"threads\": " << options.threads << ",\n";
     out << "  \"metric_threads\": " << options.metric_threads << ",\n";
-    out << "  \"oracle_sample\": " << params.injection.oracle_sample << ",\n";
     out << "  \"calibration_seconds\": " << calibration << ",\n";
     out << "  \"circuits\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {

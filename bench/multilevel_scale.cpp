@@ -1,12 +1,10 @@
 // Multilevel scaling harness: RunMultilevelFlow on generated Rent-style
-// circuits of 10k / 50k / 100k nodes — the sizes the flat exact-oracle
-// pipeline cannot touch (one injection round is O(n^2 log n); docs/scaling.md
-// works the numbers). Reports the same row schema as regression_suite so
-// scripts/bench_regression.py gates it against the "multilevel" section of
-// BENCH_htp.json:
+// circuits of 10k / 50k / 100k nodes (docs/scaling.md). Reports the same
+// row schema as regression_suite so scripts/bench_regression.py gates it
+// against the "multilevel" section of BENCH_htp.json:
 //
 //   multilevel_scale --json out.json [--quick] [--seed N] [--threads N]
-//                    [--metric-threads N] [--oracle-sample F]
+//                    [--metric-threads N]
 //
 // --quick keeps the 10k and 50k circuits (the CI gate); the full run adds
 // 100k. Deterministic fields (cost, injections, dijkstra_pops, and fm_moves,
@@ -60,10 +58,6 @@ int main(int argc, char** argv) {
                      "coarsen -> FLOW -> uncoarsen on 10k..100k-node Rent "
                      "circuits (docs/scaling.md)",
                      options);
-  if (options.oracle_sample > 0.0)
-    std::printf("oracle sample: %.3g of sources per metric (results differ "
-                "from the exact-oracle table)\n",
-                options.oracle_sample);
 
   const double calibration = bench::CalibrationSeconds();
   std::printf("calibration kernel: %.3fs\n", calibration);
@@ -85,7 +79,6 @@ int main(int argc, char** argv) {
     params.flow.threads = options.threads;
     params.flow.metric_threads = options.metric_threads;
     params.flow.budget = bench::FlowBudget(options);
-    params.flow.injection.oracle_sample = options.oracle_sample;
     ScaleRow row;
     row.name = "rent" + std::to_string(gates / 1000) + "k";
     MultilevelResult result{TreePartition(hg, spec.root_level())};
@@ -123,7 +116,6 @@ int main(int argc, char** argv) {
     out << "  \"seed\": " << options.seed << ",\n";
     out << "  \"threads\": " << options.threads << ",\n";
     out << "  \"metric_threads\": " << options.metric_threads << ",\n";
-    out << "  \"oracle_sample\": " << options.oracle_sample << ",\n";
     out << "  \"calibration_seconds\": " << calibration << ",\n";
     out << "  \"circuits\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {

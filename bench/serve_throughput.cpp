@@ -69,15 +69,13 @@ int main(int argc, char** argv) {
   circuit.seed = options.seed;
   auto hg = std::make_shared<const Hypergraph>(RentCircuit(circuit));
 
-  // The request a serve client would repeat: flat FLOW with the sampled
-  // separation oracle (docs/scaling.md) — the tractable way to run 10k
-  // nodes flat, and the regime where the metric phase dominates the wall
-  // clock, which is exactly what the cache tiers skip on the warm run.
+  // The request a serve client would repeat: flat FLOW, where the metric
+  // phase dominates the wall clock — exactly what the cache tiers skip on
+  // the warm run.
   serve::SessionRequest request;
   request.netlist = hg;
   request.height = 3;
   request.iterations = 1;
-  request.oracle_sample = 0.02;
   request.threads = options.threads;
   request.metric_threads = options.metric_threads;
   request.seed = options.seed;
@@ -150,7 +148,6 @@ int main(int argc, char** argv) {
     out << "  \"seed\": " << options.seed << ",\n";
     out << "  \"threads\": " << options.threads << ",\n";
     out << "  \"metric_threads\": " << options.metric_threads << ",\n";
-    out << "  \"oracle_sample\": " << options.oracle_sample << ",\n";
     out << "  \"calibration_seconds\": " << calibration << ",\n";
     out << "  \"circuits\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -24,9 +24,6 @@ obs::Counter c_rounds_truncated("flow.rounds_truncated");
 // Computations seeded from a prior converged metric (ECO warm starts,
 // docs/incremental.md); zero on cold runs, so cold totals are untouched.
 obs::Counter c_warm_starts("flow.warm_starts");
-// Sources dropped by the sampled separation oracle (oracle_sample in
-// (0,1)); zero on exact runs, so exact totals are untouched by the knob.
-obs::Counter c_oracle_skipped("flow.oracle_skipped_sources");
 obs::Timer t_compute_metric("flow.compute_metric");
 // Distributions across metric computations (one Record per call). kValue:
 // deterministic, so they land in the RunReport's deterministic section.
@@ -38,27 +35,6 @@ obs::Histogram h_compute_metric_ns("flow.compute_metric_ns",
 // nested subproblems (multilevel levels, driver iterations — each with its
 // own pre-forked seed) sort into distinct runs, `round` orders within one.
 obs::Event e_round("flow.round");
-
-// Applies FlowInjectionParams::oracle_sample to a freshly initialized
-// worklist: keeps a deterministic random subset of ceil(fraction * n)
-// sources, restored to ascending id order (the round loop shuffles again
-// anyway; the sort just makes the sample a canonical set). Draws from `rng`
-// only when sampling is active, so the exact path's RNG stream — and with
-// it every pre-existing seed's result — is bit-for-bit unchanged.
-void MaybeSampleWorklist(std::vector<NodeId>& worklist, double fraction,
-                         Rng& rng) {
-  HTP_CHECK_MSG(fraction >= 0.0 && fraction <= 1.0,
-                "oracle_sample must lie in [0, 1]");
-  if (fraction <= 0.0 || fraction >= 1.0) return;
-  const std::size_t keep = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::ceil(fraction * static_cast<double>(worklist.size()))));
-  if (keep >= worklist.size()) return;
-  rng.shuffle(worklist);
-  c_oracle_skipped.Add(worklist.size() - keep);
-  worklist.resize(keep);
-  std::sort(worklist.begin(), worklist.end());
-}
 
 // Applies FlowInjectionParams::warm_metric to the freshly epsilon-filled
 // flow vector: each seed value d is inverted back into the flow that would
@@ -115,7 +91,6 @@ FlowInjectionResult ComputeSpreadingMetric(const Hypergraph& hg,
   // leaves the worklist permanently.
   std::vector<NodeId> worklist(hg.num_nodes());
   for (NodeId v = 0; v < hg.num_nodes(); ++v) worklist[v] = v;
-  MaybeSampleWorklist(worklist, params.oracle_sample, rng);
   std::vector<NodeId> still_violated;
 
   // Each round is a sequence of scan/commit batches over the shuffled
@@ -217,7 +192,6 @@ FlowInjectionResult ComputePairPathSpreadingMetric(
 
   std::vector<NodeId> worklist(hg.num_nodes());
   for (NodeId v = 0; v < hg.num_nodes(); ++v) worklist[v] = v;
-  MaybeSampleWorklist(worklist, params.oracle_sample, rng);
   // Serial: the injection step walks the violating tree's parent links,
   // which only the single-source form returns.
   ViolationScanner scanner(hg, spec, 1, params.csr);

@@ -37,21 +37,6 @@ struct FlowInjectionParams {
   std::size_t max_rounds = 4000;
   /// Random seed for the per-round visiting order.
   std::uint64_t seed = 1;
-  /// Sampled separation oracle for constraint family (5). The exact oracle
-  /// checks (5) from every source, so one round of Algorithm 2 costs
-  /// O(n^2 log n) in the worst case — the scaling wall ROADMAP item 1
-  /// names. With `oracle_sample` in (0, 1), each metric computation seeds
-  /// its worklist with a deterministic random sample of
-  /// ceil(oracle_sample * n) sources instead of all n, so rounds stay
-  /// subquadratic on large inputs. The resulting metric satisfies (5) only
-  /// on the sampled family — a relaxation in the Charikar–Chatziafratis
-  /// approximate-separation sense (docs/scaling.md) — which FLOW's
-  /// construction tolerates because the metric is a guide, not a
-  /// certificate (the Lemma-2 lower bound no longer applies). 0 (the
-  /// default) and 1 both mean exact. Sampling is drawn from `seed` before
-  /// any scan starts, so results remain bit-identical for every `threads`
-  /// value.
-  double oracle_sample = 0.0;
   /// Worker threads for the candidate scan inside each injection round
   /// (ViolationScanner). 1 = serial, 0 = all hardware threads. Results are
   /// bit-identical for every value; only wall-clock changes. Ignored by

@@ -155,11 +155,10 @@ class ViolationScanner::BallBound {
   }
 
   // The extension's stop rule, checked after Settle once the concave stop
-  // certificate has fired: (c) the budget of settled nodes is spent,
-  // (b) the ball can never hold another node, or (a) the tail no longer
-  // lowers ρ, so ρ already equals its value at exhaustion.
-  bool Done(std::size_t tree_nodes, std::size_t limit) const {
-    if (tree_nodes >= limit) return true;
+  // certificate has fired: (b) the ball can never hold another node, or
+  // (a) the tail no longer lowers ρ, so ρ already equals its value at
+  // exhaustion.
+  bool Done(std::size_t tree_nodes) const {
     if (tree_nodes >= 2 && settled_min_ < nearest_other_) return true;
     return TailMin() >= settled_min_;
   }
@@ -298,22 +297,18 @@ std::optional<SpreadingViolation> ViolationScanner::FindViolationFrom(
 // Until the concave stop certificate fires, this is FindViolationFrom's
 // growth. A passing growth then keeps going for its ball — without further
 // verdict checks, since the certificate already proved that no later prefix
-// violates — until BallBound::Done, at most to k0·(1 + w/n) settled nodes
-// for a stop at k0 and a worklist of w candidates: a sparse worklist (late
-// rounds, a sampled oracle) has few candidates left for a ball to cover, so
-// it pays for little extension. Everything here is a pure function of
-// (source, metric, w), so the ball is as thread-invariant as the verdict.
+// violates — until BallBound::Done. Everything here is a pure function of
+// (source, metric), so the ball is as thread-invariant as the verdict.
 double ViolationScanner::GrowCandidate(
     NodeId source, const SpreadingMetric& metric, double tolerance,
-    std::size_t worklist, Worker& worker, Slot& slot,
-    const std::atomic<std::size_t>* cancel_below, std::size_t index) const {
+    Worker& worker, Slot& slot, const std::atomic<std::size_t>* cancel_below,
+    std::size_t index) const {
   slot.violated = false;
   slot.cancelled = false;
   slot.stats = DijkstraStats{};
   BallBound ball(*this, tolerance);
-  std::size_t limit = 0;  // set once the stop certificate fires
+  bool passed = false;  // set once the stop certificate fires
   bool stopped = false;
-  const std::uint64_t n = hg_.num_nodes();
   worker.workspace.Grow(
       *csr_, source, metric,
       [&](const GrowState& state) {
@@ -324,20 +319,17 @@ double ViolationScanner::GrowCandidate(
           return GrowAction::kStop;
         }
         const double rhs = spec_.g(state.tree_size);
-        if (limit == 0) {
+        if (!passed) {
           const GrowAction action = CheckPrefix(state, rhs, tolerance, slot);
           if (slot.violated) {
             stopped = true;
             return GrowAction::kStop;
           }
-          ball.Settle(state, rhs);
-          if (action == GrowAction::kContinue) return GrowAction::kContinue;
-          const std::uint64_t k0 = state.tree_nodes;
-          limit = static_cast<std::size_t>(k0 + k0 * worklist / n);
-        } else {
-          ball.Settle(state, rhs);
+          passed = action == GrowAction::kStop;
         }
-        stopped = ball.Done(state.tree_nodes, limit);
+        ball.Settle(state, rhs);
+        if (!passed) return GrowAction::kContinue;
+        stopped = ball.Done(state.tree_nodes);
         return stopped ? GrowAction::kStop : GrowAction::kContinue;
       },
       worker.tree, &slot.stats);
@@ -390,7 +382,7 @@ std::optional<ViolationScanner::ScanHit> ViolationScanner::FindFirstViolation(
         if (certified_[v] ||
             hint_[v].load(std::memory_order_relaxed) == epoch)
           continue;
-        const double radius = GrowCandidate(v, metric, tolerance, end, worker,
+        const double radius = GrowCandidate(v, metric, tolerance, worker,
                                             slot, &first_violation, i);
         if (slot.cancelled) return;  // a lower index already won; nothing
                                      // after this index can commit either
@@ -445,7 +437,7 @@ std::optional<ViolationScanner::ScanHit> ViolationScanner::FindFirstViolation(
           certified_[balls[b]] = 1;
     } else {
       const double radius =
-          GrowCandidate(v, metric, tolerance, end, local, slot, nullptr, i);
+          GrowCandidate(v, metric, tolerance, local, slot, nullptr, i);
       if (slot.violated) TreeNetsInto(local.tree, slot.nets);
       ForEachInBall(local.tree, radius, [&](NodeId x) { certified_[x] = 1; });
     }

@@ -145,9 +145,7 @@ class ViolationScanner {
   /// and returns the lowest-index violation, or nullopt when every scanned
   /// candidate satisfies family (5). Certified candidates pass without a
   /// growth; passing growths certify their balls. `metric` must be
-  /// pointwise >= the metric of every earlier call on this scanner, and
-  /// `candidates.size()` (the round's worklist size) sizes how far a
-  /// passing growth extends for its ball.
+  /// pointwise >= the metric of every earlier call on this scanner.
   std::optional<ScanHit> FindFirstViolation(std::span<const NodeId> candidates,
                                             std::size_t begin,
                                             const SpreadingMetric& metric,
@@ -186,15 +184,13 @@ class ViolationScanner {
   GrowAction CheckPrefix(const GrowState& state, double rhs, double tolerance,
                          Slot& slot) const;
 
-  /// One batch growth from `source` for a round of `worklist` candidates:
-  /// the verdict goes into `slot`, and a passing growth returns its ball
-  /// radius (every settled node within it is certified); a violated or
-  /// cancelled growth returns a negative radius. `cancel_below` (parallel
-  /// scans only) stops the growth once a violation below index `index` is
-  /// known, setting `slot.cancelled`.
+  /// One batch growth from `source`: the verdict goes into `slot`, and a
+  /// passing growth returns its ball radius (every settled node within it
+  /// is certified); a violated or cancelled growth returns a negative
+  /// radius. `cancel_below` (parallel scans only) stops the growth once a
+  /// violation below index `index` is known, setting `slot.cancelled`.
   double GrowCandidate(NodeId source, const SpreadingMetric& metric,
-                       double tolerance, std::size_t worklist, Worker& worker,
-                       Slot& slot,
+                       double tolerance, Worker& worker, Slot& slot,
                        const std::atomic<std::size_t>* cancel_below,
                        std::size_t index) const;
 

@@ -72,14 +72,13 @@ std::uint64_t HashSpec(const HierarchySpec& spec) {
 }
 
 std::uint64_t HashInjectionParams(const FlowInjectionParams& params) {
-  std::uint64_t h = HashBytes(kFnvOffset, "htp-injection-hash-v2");
+  std::uint64_t h = HashBytes(kFnvOffset, "htp-injection-hash-v3");
   h = FoldDouble(h, params.epsilon);
   h = FoldDouble(h, params.alpha);
   h = FoldDouble(h, params.delta);
   h = FoldDouble(h, params.tolerance);
   h = FoldU64(h, params.max_rounds);
   h = FoldU64(h, params.seed);
-  h = FoldDouble(h, params.oracle_sample);
   // The full warm-start seed (ECO, docs/incremental.md): every value
   // shifts the computation it seeds, so a warm-seeded metric must never
   // alias the cold artifact for the same (netlist, spec, seed) — folding

@@ -13,14 +13,14 @@
 //     partitioning). This is the hash serve responses report and
 //     docs/file-formats.md specifies.
 //   * hierarchy-spec hash — every level's (capacity, max_branches, weight).
-//   * injection-params hash ("htp-injection-hash-v2") — the fields of
+//   * injection-params hash ("htp-injection-hash-v3") — the fields of
 //     FlowInjectionParams that can change the computed metric: epsilon,
-//     alpha, delta, tolerance, max_rounds, seed, oracle_sample, and the
-//     full warm_metric seed when one is set (ECO warm starts must never
-//     alias the cold artifact). Deliberately excluded: `threads` (results
-//     are thread-invariant by contract), `cancel` (a fired token
-//     truncates — truncated results are never cached), and `csr` (a pure
-//     function of the hypergraph).
+//     alpha, delta, tolerance, max_rounds, seed, and the full warm_metric
+//     seed when one is set (ECO warm starts must never alias the cold
+//     artifact). Deliberately excluded: `threads` (results are
+//     thread-invariant by contract), `cancel` (a fired token truncates —
+//     truncated results are never cached), and `csr` (a pure function of
+//     the hypergraph).
 //
 // Keys render as 16-hex-digit strings in JSON responses so 64-bit values
 // survive consumers that parse numbers as doubles.

@@ -23,10 +23,9 @@ const std::set<std::string, std::less<>>& KnownRequestKeys() {
       "algo",            "height",            "branching",
       "slack",           "weights",           "iterations",
       "threads",         "metric_threads",    "refine",
-      "multilevel",      "coarsen_threshold", "oracle_sample",
-      "seed",            "deadline_ms",       "max_rounds",
-      "report",          "delta_text",        "warm_text",
-      "emit_warm_state",
+      "multilevel",      "coarsen_threshold", "seed",
+      "deadline_ms",     "max_rounds",        "report",
+      "delta_text",      "warm_text",         "emit_warm_state",
   };
   return keys;
 }
@@ -155,7 +154,6 @@ ServeRequest ParseServeRequest(const JsonValue& doc) {
   s.refine = GetBool(doc, "refine", false);
   s.multilevel = GetBool(doc, "multilevel", false);
   s.coarsen_threshold = GetCount(doc, "coarsen_threshold", 800);
-  s.oracle_sample = GetNumber(doc, "oracle_sample", 0.0);
   // ECO members (docs/incremental.md): inline documents only — the daemon
   // never opens request-named paths, mirroring bench_text vs bench_file.
   s.delta_text = GetString(doc, "delta_text", "");

@@ -255,7 +255,6 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     params.metric_threads = request.metric_threads;
     params.budget.max_rounds = request.budget.max_rounds;
     params.cancel = run_token;
-    params.injection.oracle_sample = request.oracle_sample;
     if (request.algo == "flow-mst") params.carver = CarverKind::kMstSplit;
 
     if (cache && (cache->metric_enabled() || cache->csr_enabled())) {

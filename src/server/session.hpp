@@ -56,7 +56,6 @@ struct SessionRequest {
   bool refine = false;
   bool multilevel = false;
   std::size_t coarsen_threshold = 800;
-  double oracle_sample = 0.0;
   /// Incremental (ECO) repartitioning inputs (docs/incremental.md).
   /// `delta_text` is an inline "htp-delta v1" document, `delta_file` a path
   /// read up-front (mutually exclusive). The delta applies to the resolved

@@ -53,14 +53,15 @@ void Usage(const char* argv0) {
                "  --iterations N     Algorithm-1 iterations (default 4)\n"
                "  --threads T        worker threads for FLOW iterations; "
                "0 = all\n"
-               "                     hardware threads (default 0); results "
-               "are\n"
-               "                     identical for every T\n"
+               "                     hardware threads (default 0; at most "
+               "256);\n"
+               "                     results are identical for every T\n"
                "  --metric-threads M worker threads for the candidate scan\n"
                "                     inside each flow-injection round "
                "(default 1;\n"
-               "                     0 = all); results are identical for "
-               "every M\n"
+               "                     0 = all; at most 256); results are "
+               "identical\n"
+               "                     for every M\n"
                "  --time-budget SEC  wall-clock budget in seconds; when it "
                "fires,\n"
                "                     the best partition found so far is "
@@ -79,12 +80,6 @@ void Usage(const char* argv0) {
                "                     stop coarsening at N supernodes "
                "(default 800);\n"
                "                     inputs already below N run flat\n"
-               "  --oracle-sample F  sampled separation oracle: check "
-               "family-(5)\n"
-               "                     constraints from a ceil(F*n) sample of "
-               "sources\n"
-               "                     per metric (0 or 1 = exact, the "
-               "default)\n"
                "  --refine           apply generalized FM afterwards\n"
                "  --delta FILE       htp-delta v1 netlist edit applied to "
                "the\n"
@@ -178,17 +173,16 @@ int main(int argc, char** argv) {
       else if (arg("--weights")) weights_csv = argv[++i];
       else if (arg("--iterations"))
         request.iterations = ParseUnsigned(argv[++i]);
-      else if (arg("--threads")) request.threads = ParseUnsigned(argv[++i]);
+      else if (arg("--threads"))
+        request.threads = ParseUnsigned(argv[++i], tools::kMaxThreads);
       else if (arg("--metric-threads"))
-        request.metric_threads = ParseUnsigned(argv[++i]);
+        request.metric_threads = ParseUnsigned(argv[++i], tools::kMaxThreads);
       else if (arg("--time-budget"))
         request.budget.time_budget_seconds = ParseDouble(argv[++i]);
       else if (arg("--max-rounds"))
         request.budget.max_rounds = ParseUnsigned(argv[++i]);
       else if (arg("--coarsen-threshold"))
         request.coarsen_threshold = ParseUnsigned(argv[++i]);
-      else if (arg("--oracle-sample"))
-        request.oracle_sample = ParseDouble(argv[++i]);
       else if (std::strcmp(argv[i], "--multilevel") == 0)
         request.multilevel = true;
       else if (arg("--seed")) request.seed = ParseUnsigned(argv[++i]);

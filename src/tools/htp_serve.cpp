@@ -38,7 +38,7 @@ void Usage(const char* argv0) {
                "bytes)\n"
                "  --threads T        pool workers executing requests "
                "(default 0 =\n"
-               "                     all hardware threads)\n"
+               "                     all hardware threads; at most 256)\n"
                "  --cache-netlists N netlist cache entries (default 8; 0 "
                "disables)\n"
                "  --cache-csr N      CSR-view cache entries (default 16; 0 "
@@ -77,7 +77,8 @@ int main(int argc, char** argv) {
         return true;
       };
       if (arg("--socket")) options.socket_path = argv[++i];
-      else if (arg("--threads")) options.threads = ParseUnsigned(argv[++i]);
+      else if (arg("--threads"))
+        options.threads = ParseUnsigned(argv[++i], tools::kMaxThreads);
       else if (arg("--cache-netlists"))
         options.cache.netlist_capacity = ParseUnsigned(argv[++i]);
       else if (arg("--cache-csr"))

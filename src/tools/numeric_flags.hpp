@@ -1,9 +1,9 @@
-// Strict numeric flag parsing shared by htp_cli and htp_serve.
+// Strict numeric flag parsing shared by htp_cli, htp_serve and the benches.
 //
 // Numeric flags must consume their whole argument: std::stoull and
 // std::stod alone stop at the first bad character ("3x" reads as 3) and
 // stoull wraps a leading '-'. Failures throw std::invalid_argument or
-// std::out_of_range, which both tools' main map to exit 2.
+// std::out_of_range, which every driver maps to exit 2.
 #pragma once
 
 #include <cctype>
@@ -13,6 +13,11 @@
 #include <string>
 
 namespace htp::tools {
+
+// Upper bound on every thread-count flag (--threads, --metric-threads).
+// Pools start exactly the requested number of OS threads, so an unchecked
+// value could ask for millions of them.
+inline constexpr std::uint64_t kMaxThreads = 256;
 
 inline std::uint64_t ParseUnsigned(
     const std::string& text,

@@ -1,6 +1,6 @@
 // RunMultilevelFlow: end-to-end validity, the per-level stats chain, the
 // {threads} x {metric_threads} bit-identity cross product, the flat path,
-// the figure-2 golden bound, the sampled oracle, and anytime behaviour.
+// the figure-2 golden bound, and anytime behaviour.
 #include <gtest/gtest.h>
 
 #include "core/cost.hpp"
@@ -117,35 +117,6 @@ TEST(MultilevelFlowTest, GoldenFigure2StaysOptimal) {
   RequireValidPartition(result.partition, spec);
   EXPECT_EQ(result.coarsen_levels, 0u);
   EXPECT_NEAR(result.cost, kFigure2OptimalCost, 1e-9);
-}
-
-TEST(MultilevelFlowTest, SampledOracleIsValidDeterministicAndExactAtOne) {
-  const Hypergraph hg = TestCircuit(400, 21);
-  const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 3, 0.5);
-  HtpFlowParams exact;
-  exact.iterations = 1;
-  exact.seed = 5;
-  HtpFlowParams one = exact;
-  one.injection.oracle_sample = 1.0;  // documented as exact
-  HtpFlowParams sampled = exact;
-  sampled.injection.oracle_sample = 0.3;
-
-  const HtpFlowResult a = RunHtpFlow(hg, spec, exact);
-  const HtpFlowResult b = RunHtpFlow(hg, spec, one);
-  EXPECT_DOUBLE_EQ(a.cost, b.cost);
-  for (NodeId v = 0; v < hg.num_nodes(); ++v)
-    ASSERT_EQ(a.partition.leaf_of(v), b.partition.leaf_of(v));
-
-  const HtpFlowResult s1 = RunHtpFlow(hg, spec, sampled);
-  const HtpFlowResult s2 = RunHtpFlow(hg, spec, sampled);
-  RequireValidPartition(s1.partition, spec);
-  EXPECT_DOUBLE_EQ(s1.cost, s2.cost);
-  HtpFlowParams sampled_mt = sampled;
-  sampled_mt.metric_threads = 4;
-  const HtpFlowResult s3 = RunHtpFlow(hg, spec, sampled_mt);
-  EXPECT_DOUBLE_EQ(s1.cost, s3.cost);
-  for (NodeId v = 0; v < hg.num_nodes(); ++v)
-    ASSERT_EQ(s1.partition.leaf_of(v), s3.partition.leaf_of(v));
 }
 
 TEST(MultilevelFlowTest, ExpiredBudgetStillYieldsValidPartition) {

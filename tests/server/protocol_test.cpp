@@ -108,13 +108,16 @@ TEST(Protocol, RejectsUnknownMembersAndBadTypes) {
   EXPECT_THROW(
       ParseServeRequest(ParseJson(R"({"circuit":"c1355","weights":[true]})")),
       Error);
-  // The construction-mode knob and the cache-derived warm route were
-  // removed from the v1 wire format.
+  // The construction-mode knob, the cache-derived warm route and the
+  // sampled separation oracle were removed from the v1 wire format.
   EXPECT_THROW(
       ParseServeRequest(ParseJson(R"({"circuit":"c1355","build_threads":2})")),
       Error);
   EXPECT_THROW(ParseServeRequest(ParseJson(
                    R"({"circuit":"c1355","warm_from_cache":true})")),
+               Error);
+  EXPECT_THROW(ParseServeRequest(ParseJson(
+                   R"({"circuit":"c1355","oracle_sample":0.02})")),
                Error);
   // Counts past the exact-integer range of a JSON number (2^53), or past
   // the member's own type, are rejected instead of truncated.
