@@ -11,12 +11,17 @@
 // the FM moves applied by the per-level refinement) are bit-exact for every
 // threads x metric-threads combination — the multilevel pipeline inherits
 // the flat driver's determinism contract (coarsening and refinement are
-// serial and RNG-free).
+// serial and RNG-free). partition_hash is the FNV-1a hash of the partition
+// text after an untimed whole-graph RefineHtpFm, the stage a `--refine`
+// session runs next; it pins the partition itself, not only its cost.
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/partition_io.hpp"
 #include "multilevel/multilevel_flow.hpp"
+#include "partition/htp_fm.hpp"
+#include "server/artifact_key.hpp"
 
 namespace {
 
@@ -27,6 +32,7 @@ struct ScaleRow {
   std::uint64_t injections = 0;
   std::uint64_t dijkstra_pops = 0;
   std::uint64_t fm_moves = 0;
+  std::string partition_hash;
   double metric_phase_ms = 0.0;
   std::size_t levels = 0;
   htp::NodeId coarsest_nodes = 0;
@@ -95,6 +101,9 @@ int main(int argc, char** argv) {
     for (const obs::TimerValue& t : snap.timers)
       if (t.name == "flow.compute_metric")
         row.metric_phase_ms = static_cast<double>(t.total_ns) / 1e6;
+    (void)RefineHtpFm(result.partition, spec);
+    row.partition_hash = serve::HexKey(serve::HashBytes(
+        serve::kFnvOffset, WritePartitionText(result.partition)));
     std::printf("%-10s %9u %12.3f %12.3f %10.0f %14llu %9llu %7zu %9u\n",
                 row.name.c_str(), hg.num_nodes(), row.flow_wall_seconds,
                 row.flow_wall_seconds / calibration, row.cost,
@@ -127,6 +136,7 @@ int main(int argc, char** argv) {
           << ", \"injections\": " << r.injections
           << ", \"dijkstra_pops\": " << r.dijkstra_pops
           << ", \"fm_moves\": " << r.fm_moves
+          << ", \"partition_hash\": \"" << r.partition_hash << "\""
           << ", \"metric_phase_ms\": " << r.metric_phase_ms
           << ", \"levels\": " << r.levels
           << ", \"coarsest_nodes\": " << r.coarsest_nodes << "}"

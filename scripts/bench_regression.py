@@ -11,7 +11,9 @@ kernel timed inside the same process. Comparison rules:
   threads x metric-threads combination), so any drift is a real behavior
   change, not noise. ``fm_moves`` (FM moves applied, emitted by
   bench/multilevel_scale) is compared exactly wherever the baseline row
-  records it, which gates FM work by count rather than by wall time;
+  records it, which gates FM work by count rather than by wall time, and so
+  is ``partition_hash`` (multilevel_scale's FNV-1a hash of the partition
+  text after a whole-graph FM), which pins the partition itself;
 * ``normalized_wall`` may regress by at most ``--tolerance`` (default 15%).
   Normalization by the calibration kernel makes the ratio transfer across
   hosts of different speeds; improvements never fail the check.
@@ -49,7 +51,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE = REPO / "BENCH_htp.json"
 EXACT_FIELDS = ("cost", "injections", "dijkstra_pops")
 # Exact as well, but only for baseline rows that record them.
-OPTIONAL_EXACT_FIELDS = ("fm_moves",)
+OPTIONAL_EXACT_FIELDS = ("fm_moves", "partition_hash")
 
 
 def run_suite(binary, extra_args):

@@ -3,6 +3,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "netlist/text_scan.hpp"
+
 namespace htp {
 namespace {
 
@@ -11,63 +13,69 @@ namespace {
               ": " + msg);
 }
 
+// Appends `key` and `values`, each after a space, and a newline.
+template <typename... Ints>
+void AppendLine(std::string& out, std::string_view key, Ints... values) {
+  out += key;
+  ((out += ' ', text::AppendInt(out, values)), ...);
+  out += '\n';
+}
+
 }  // namespace
 
 std::string WritePartitionText(const TreePartition& tp) {
   HTP_CHECK_MSG(tp.fully_assigned(), "cannot serialize a partial partition");
-  std::ostringstream os;
-  os << "htp-partition v1\n";
-  const Hypergraph& fp = tp.hypergraph();
-  os << "netlist " << fp.num_nodes() << " " << fp.num_nets() << " "
-     << fp.num_pins() << "\n";
-  os << "root_level " << tp.root_level() << "\n";
-  os << "blocks " << tp.num_blocks() << "\n";
-  for (BlockId q = 0; q < tp.num_blocks(); ++q) {
-    os << "block " << q << " " << tp.level(q) << " ";
-    if (tp.parent(q) == kInvalidBlock)
-      os << "-1\n";
-    else
-      os << tp.parent(q) << "\n";
-  }
   const Hypergraph& hg = tp.hypergraph();
+  // At most: "assign", the node and the leaf id, two spaces and a newline
+  // per node; 64 characters per block line and for the header.
+  std::string out = "htp-partition v1\n";
+  out.reserve(64 * (tp.num_blocks() + 4) +
+              std::size_t{hg.num_nodes()} *
+                  (9 + text::DecimalDigits(hg.num_nodes()) +
+                   text::DecimalDigits(tp.num_blocks())));
+  AppendLine(out, "netlist", hg.num_nodes(), hg.num_nets(), hg.num_pins());
+  AppendLine(out, "root_level", tp.root_level());
+  AppendLine(out, "blocks", tp.num_blocks());
+  for (BlockId q = 0; q < tp.num_blocks(); ++q) {
+    const BlockId parent = tp.parent(q);
+    AppendLine(out, "block", q, tp.level(q),
+               parent == kInvalidBlock ? -1LL : static_cast<long long>(parent));
+  }
   for (NodeId v = 0; v < hg.num_nodes(); ++v)
-    os << "assign " << v << " " << tp.leaf_of(v) << "\n";
-  return os.str();
+    AppendLine(out, "assign", v, tp.leaf_of(v));
+  return out;
 }
 
 TreePartition ReadPartitionText(const Hypergraph& hg,
                                 const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_no = 0;
+  text::LineReader lines(text);
+  std::string_view line;
+  // Skips empty lines; a line of blanks is not empty.
   auto next_line = [&]() -> bool {
-    while (std::getline(in, line)) {
-      ++line_no;
+    while (lines.Next(line))
       if (!line.empty()) return true;
-    }
     return false;
   };
 
   if (!next_line() || line != "htp-partition v1")
-    Fail(line_no, "missing 'htp-partition v1' header");
+    Fail(lines.line_no(), "missing 'htp-partition v1' header");
 
   // Netlist fingerprint: a partition is meaningless against a different
   // hypergraph, and a matching node count alone does not catch that.
   // Optional for backward compatibility with fingerprint-less files.
   {
-    const std::istream::pos_type mark = in.tellg();
-    const std::size_t mark_line = line_no;
+    const text::LineReader mark = lines;
     if (next_line()) {
-      std::istringstream ls(line);
-      std::string key;
+      text::Fields fields(line);
+      std::string_view key;
       long long nodes = 0, nets = 0, pins = 0;
-      if (ls >> key && key == "netlist") {
-        if (!(ls >> nodes >> nets >> pins))
-          Fail(line_no, "expected 'netlist <nodes> <nets> <pins>'");
+      if (fields.Word(key) && key == "netlist") {
+        if (!(fields.Int(nodes) && fields.Int(nets) && fields.Int(pins)))
+          Fail(lines.line_no(), "expected 'netlist <nodes> <nets> <pins>'");
         if (nodes != static_cast<long long>(hg.num_nodes()) ||
             nets != static_cast<long long>(hg.num_nets()) ||
             pins != static_cast<long long>(hg.num_pins()))
-          Fail(line_no,
+          Fail(lines.line_no(),
                "partition was written for a different netlist (" +
                    std::to_string(nodes) + "/" + std::to_string(nets) + "/" +
                    std::to_string(pins) + " vs " +
@@ -75,63 +83,66 @@ TreePartition ReadPartitionText(const Hypergraph& hg,
                    std::to_string(hg.num_nets()) + "/" +
                    std::to_string(hg.num_pins()) + " nodes/nets/pins)");
       } else {
-        in.seekg(mark);  // no fingerprint line: rewind
-        line_no = mark_line;
+        lines = mark;  // no fingerprint line: rewind
       }
     }
   }
 
-  auto expect_kv = [&](const std::string& key) -> long long {
-    if (!next_line()) Fail(line_no, "unexpected end of input");
-    std::istringstream ls(line);
-    std::string k;
+  auto expect_kv = [&](std::string_view key) -> long long {
+    if (!next_line()) Fail(lines.line_no(), "unexpected end of input");
+    text::Fields fields(line);
+    std::string_view k;
     long long value = 0;
-    if (!(ls >> k >> value) || k != key)
-      Fail(line_no, "expected '" + key + " <n>'");
+    if (!(fields.Word(k) && fields.Int(value)) || k != key)
+      Fail(lines.line_no(), "expected '" + std::string(key) + " <n>'");
     return value;
   };
 
   const long long root_level = expect_kv("root_level");
-  if (root_level < 0 || root_level > 64) Fail(line_no, "bad root level");
+  if (root_level < 0 || root_level > 64)
+    Fail(lines.line_no(), "bad root level");
   const long long num_blocks = expect_kv("blocks");
-  if (num_blocks < 1) Fail(line_no, "bad block count");
+  if (num_blocks < 1) Fail(lines.line_no(), "bad block count");
 
   TreePartition tp(hg, static_cast<Level>(root_level));
   for (long long q = 0; q < num_blocks; ++q) {
-    if (!next_line()) Fail(line_no, "missing block line");
-    std::istringstream ls(line);
-    std::string k;
+    if (!next_line()) Fail(lines.line_no(), "missing block line");
+    text::Fields fields(line);
+    std::string_view k;
     long long id = 0, level = 0, parent = 0;
-    if (!(ls >> k >> id >> level >> parent) || k != "block")
-      Fail(line_no, "expected 'block <id> <level> <parent>'");
-    if (id != q) Fail(line_no, "blocks must appear in id order");
+    if (!(fields.Word(k) && fields.Int(id) && fields.Int(level) &&
+          fields.Int(parent)) ||
+        k != "block")
+      Fail(lines.line_no(), "expected 'block <id> <level> <parent>'");
+    if (id != q) Fail(lines.line_no(), "blocks must appear in id order");
     if (q == 0) {
       if (parent != -1 || level != root_level)
-        Fail(line_no, "block 0 must be the root");
+        Fail(lines.line_no(), "block 0 must be the root");
       continue;
     }
     if (parent < 0 || parent >= q)
-      Fail(line_no, "parent must precede the child");
+      Fail(lines.line_no(), "parent must precede the child");
     const BlockId created = tp.AddChild(static_cast<BlockId>(parent));
     if (created != static_cast<BlockId>(q) ||
         tp.level(created) != static_cast<Level>(level))
-      Fail(line_no, "inconsistent block level");
+      Fail(lines.line_no(), "inconsistent block level");
   }
 
   for (NodeId v = 0; v < hg.num_nodes(); ++v) {
-    if (!next_line()) Fail(line_no, "missing assign line");
-    std::istringstream ls(line);
-    std::string k;
+    if (!next_line()) Fail(lines.line_no(), "missing assign line");
+    text::Fields fields(line);
+    std::string_view k;
     long long node = 0, leaf = 0;
-    if (!(ls >> k >> node >> leaf) || k != "assign")
-      Fail(line_no, "expected 'assign <node> <leaf>'");
+    if (!(fields.Word(k) && fields.Int(node) && fields.Int(leaf)) ||
+        k != "assign")
+      Fail(lines.line_no(), "expected 'assign <node> <leaf>'");
     if (node < 0 || static_cast<NodeId>(node) >= hg.num_nodes())
-      Fail(line_no, "node id out of range");
+      Fail(lines.line_no(), "node id out of range");
     if (leaf < 0 || static_cast<BlockId>(leaf) >= tp.num_blocks())
-      Fail(line_no, "leaf id out of range");
+      Fail(lines.line_no(), "leaf id out of range");
     tp.AssignNode(static_cast<NodeId>(node), static_cast<BlockId>(leaf));
   }
-  if (next_line()) Fail(line_no, "trailing content after assignments");
+  if (next_line()) Fail(lines.line_no(), "trailing content after assignments");
   HTP_CHECK(tp.fully_assigned());
   return tp;
 }

@@ -23,7 +23,8 @@ namespace htp {
 
 /// Parses .hgr text. Throws htp::Error with a line number on bad input
 /// (pin out of range, wrong line counts, nets with < 2 distinct pins are
-/// dropped like everywhere else in the library).
+/// dropped like everywhere else in the library). docs/file-formats.md has
+/// the exact rules.
 Hypergraph ParseHmetis(std::string_view text);
 
 /// Reads a .hgr file from disk.

@@ -8,8 +8,11 @@ namespace htp {
 NodeId HypergraphBuilder::add_node(double size, std::string name) {
   HTP_CHECK_MSG(size > 0.0, "node size must be positive");
   node_size_.push_back(size);
-  if (!name.empty()) any_name_ = true;
-  node_name_.push_back(std::move(name));
+  // Names are stored from the first named node on; build() pads the rest.
+  if (!name.empty()) {
+    node_name_.resize(node_size_.size());
+    node_name_.back() = std::move(name);
+  }
   return static_cast<NodeId>(node_size_.size() - 1);
 }
 
@@ -29,20 +32,29 @@ void HypergraphBuilder::add_net(std::span<const NodeId> pin_nodes,
   net_pins_.insert(net_pins_.end(), pins.begin(), pins.end());
   net_offset_.push_back(net_pins_.size());
   net_capacity_.push_back(capacity);
-  if (!name.empty()) any_name_ = true;
-  net_name_.push_back(std::move(name));
+  if (!name.empty()) {
+    net_name_.resize(net_capacity_.size());
+    net_name_.back() = std::move(name);
+  }
 }
 
 Hypergraph HypergraphBuilder::build() {
   Hypergraph hg;
+  if (!node_name_.empty() || !net_name_.empty()) {
+    // Names are a named hypergraph's largest arrays (a string per node and
+    // net) and grew by doubling; a hypergraph lives long, so it keeps only
+    // the names it holds.
+    node_name_.resize(node_size_.size());
+    net_name_.resize(net_capacity_.size());
+    node_name_.shrink_to_fit();
+    net_name_.shrink_to_fit();
+    hg.node_name_ = std::move(node_name_);
+    hg.net_name_ = std::move(net_name_);
+  }
   hg.node_size_ = std::move(node_size_);
   hg.net_capacity_ = std::move(net_capacity_);
   hg.net_offset_ = std::move(net_offset_);
   hg.net_pins_ = std::move(net_pins_);
-  if (any_name_) {
-    hg.node_name_ = std::move(node_name_);
-    hg.net_name_ = std::move(net_name_);
-  }
   hg.total_size_ =
       std::accumulate(hg.node_size_.begin(), hg.node_size_.end(), 0.0);
   hg.unit_sizes_ = std::all_of(hg.node_size_.begin(), hg.node_size_.end(),

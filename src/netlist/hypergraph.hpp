@@ -117,13 +117,12 @@ class HypergraphBuilder {
 
  private:
   std::vector<double> node_size_;
-  std::vector<std::string> node_name_;
+  std::vector<std::string> node_name_;  // empty until a node is named
   std::vector<double> net_capacity_;
-  std::vector<std::string> net_name_;
+  std::vector<std::string> net_name_;   // empty until a net is named
   std::vector<std::size_t> net_offset_{0};
   std::vector<NodeId> net_pins_;
   std::size_t dropped_nets_ = 0;
-  bool any_name_ = false;
 };
 
 /// Summary statistics of a netlist (the quantities of Table 1).

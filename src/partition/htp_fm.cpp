@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <optional>
 #include <queue>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "partition/move_oracle.hpp"
@@ -38,43 +40,59 @@ class Refiner {
  public:
   Refiner(TreePartition& tp, const HierarchySpec& spec)
       : tp_(tp), hg_(tp.hypergraph()), oracle_(tp, spec),
-        leaves_(tp.Leaves()), stamp_(hg_.num_nodes(), 0),
-        locked_(hg_.num_nodes(), 0) {}
+        stamp_(hg_.num_nodes(), 0), locked_(hg_.num_nodes(), 0) {}
 
   struct Best {
     double gain;
     BlockId target;
   };
-  std::optional<Best> BestMove(NodeId v) {
+  // The best feasible move of v. `seeding` is set while the pass has
+  // applied no move yet, so the memoized feasible targets hold.
+  std::optional<Best> BestMove(NodeId v, bool seeding) {
     const BlockId from = tp_.leaf_of(v);
     const bool interior = oracle_.InteriorDeltas(v, by_lca_);
     std::optional<Best> best;
-    for (BlockId leaf : leaves_) {
-      if (leaf == from || !oracle_.Feasible(v, leaf)) continue;
-      const double gain = -(interior ? by_lca_[tp_.LcaLevel(from, leaf)]
+    const auto consider = [&](BlockId leaf) {
+      const double gain = -(interior ? by_lca_[oracle_.LcaLevel(from, leaf)]
                                      : oracle_.Delta(v, leaf));
       if (!best || gain > best->gain) best = Best{gain, leaf};
+    };
+    if (seeding) {
+      const auto [begin, end] = FeasibleTargets(v);
+      for (std::size_t i = begin; i < end; ++i) consider(memo_targets_[i]);
+    } else {
+      for (BlockId leaf : oracle_.leaves())
+        if (leaf != from && oracle_.Feasible(v, leaf)) consider(leaf);
     }
     return best;
   }
 
-  // Marks every node incident to a net spanning >= 2 leaves. One O(pins)
-  // sweep per pass; a pure function of the current partition, so the
-  // boundary-seeded pass is exactly as deterministic as the full one.
+  // Before a pass applies its first move every block has its start size,
+  // so Feasible(v, t) depends on v only through its leaf and its size. The
+  // seeding loop therefore finds each (leaf, size)'s feasible targets once,
+  // in leaf order, and BestMove visits exactly the leaves the unmemoized
+  // loop would not skip. Returns a [begin, end) range of memo_targets_.
+  std::pair<std::size_t, std::size_t> FeasibleTargets(NodeId v) {
+    const auto key = std::make_pair(tp_.leaf_of(v), hg_.node_size(v));
+    const auto [it, inserted] = memo_.try_emplace(key);
+    if (inserted) {
+      it->second.first = memo_targets_.size();
+      for (BlockId leaf : oracle_.leaves())
+        if (oracle_.Feasible(v, leaf)) memo_targets_.push_back(leaf);
+      it->second.second = memo_targets_.size();
+    }
+    return it->second;
+  }
+
+  // Marks every node incident to a net spanning >= 2 leaves: one O(nets)
+  // sweep of the span tables per pass, plus the pins of the cut nets. A
+  // pure function of the current partition, so the boundary-seeded pass is
+  // exactly as deterministic as the full one.
   void MarkBoundary(std::vector<char>& boundary) const {
     std::fill(boundary.begin(), boundary.end(), 0);
-    for (NetId e = 0; e < hg_.num_nets(); ++e) {
-      const auto pins = hg_.pins(e);
-      const BlockId first = tp_.leaf_of(pins.front());
-      bool spans = false;
-      for (NodeId u : pins)
-        if (tp_.leaf_of(u) != first) {
-          spans = true;
-          break;
-        }
-      if (!spans) continue;
-      for (NodeId u : pins) boundary[u] = 1;
-    }
+    for (NetId e = 0; e < hg_.num_nets(); ++e)
+      if (oracle_.CutAtLeaves(e))
+        for (NodeId u : hg_.pins(e)) boundary[u] = 1;
   }
 
   // A pass ends once this many consecutive applied moves have not beaten
@@ -87,9 +105,11 @@ class Refiner {
   // One FM pass; returns the realized (best-prefix) gain.
   double Pass(bool boundary_only, std::size_t& moves_kept) {
     std::fill(locked_.begin(), locked_.end(), 0);
-    std::priority_queue<HeapEntry> heap;
-    auto push_best = [&](NodeId v) {
-      if (auto best = BestMove(v))
+    std::vector<HeapEntry> storage;
+    storage.reserve(hg_.num_nodes());
+    std::priority_queue<HeapEntry> heap({}, std::move(storage));
+    auto push_best = [&](NodeId v, bool seeding = false) {
+      if (auto best = BestMove(v, seeding))
         heap.push({best->gain, v, best->target, stamp_[v]});
     };
     std::vector<char> boundary;
@@ -99,9 +119,11 @@ class Refiner {
       c_boundary_seeds.Add(static_cast<std::uint64_t>(
           std::count(boundary.begin(), boundary.end(), char{1})));
     }
+    memo_.clear();
+    memo_targets_.clear();
     for (NodeId v = 0; v < hg_.num_nodes(); ++v) {
       ++stamp_[v];
-      if (!boundary_only || boundary[v]) push_best(v);
+      if (!boundary_only || boundary[v]) push_best(v, true);
     }
 
     std::vector<std::pair<NodeId, BlockId>> log;  // (node, previous leaf)
@@ -165,8 +187,11 @@ class Refiner {
   TreePartition& tp_;
   const Hypergraph& hg_;
   HtpMoveOracle oracle_;
-  std::vector<BlockId> leaves_;
   std::vector<double> by_lca_;  // BestMove's InteriorDeltas buffer
+  // The seeding memo: (leaf, node size) -> range of memo_targets_.
+  std::map<std::pair<BlockId, double>, std::pair<std::size_t, std::size_t>>
+      memo_;
+  std::vector<BlockId> memo_targets_;
   std::vector<std::uint32_t> stamp_;
   std::vector<char> locked_;
 };

@@ -12,7 +12,9 @@
 //    per-net-per-level span tables maintained incrementally; every push
 //    re-evaluates the node against every feasible leaf, except that an
 //    interior node (all nets inside its own leaf) is evaluated once per
-//    LCA level, since its gain depends on nothing else;
+//    LCA level, since its gain depends on nothing else; until a pass
+//    applies its first move, each (leaf, node size)'s feasible leaves are
+//    found once (docs/algorithms.md);
 //  * passes follow FM discipline: each node moves at most once per pass,
 //    and moves are applied best-gain-first (lazy max-heap with version
 //    stamps). A pass ends when its heap empties or once 300 consecutive

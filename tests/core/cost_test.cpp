@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "core/paper_examples.hpp"
+#include "netlist/rng.hpp"
+#include "test_util.hpp"
 
 namespace htp {
 namespace {
@@ -116,6 +121,79 @@ TEST(Cost, SingleLeafTreeCostsNothing) {
   tp.AssignNode(1, TreePartition::kRoot);
   HierarchySpec spec({{2.0, 2, 1.0}, {2.0, 2, 1.0}});
   EXPECT_DOUBLE_EQ(PartitionCost(tp, spec), 0.0);
+}
+
+// A random tree over `hg`: each block above level 0 gets 1 to 3 children,
+// so single-child chains are common, and every node goes to a random leaf.
+// Capacities are ignored; the cost does not read them.
+TreePartition RandomTree(const Hypergraph& hg, Level root_level, Rng& rng) {
+  TreePartition tp(hg, root_level);
+  std::vector<BlockId> frontier{TreePartition::kRoot};
+  for (Level l = root_level; l > 0; --l) {
+    std::vector<BlockId> next;
+    for (BlockId q : frontier)
+      for (std::size_t c = 1 + rng.next_below(3); c > 0; --c)
+        next.push_back(tp.AddChild(q));
+    frontier = std::move(next);
+  }
+  for (NodeId v = 0; v < hg.num_nodes(); ++v)
+    tp.AssignNode(v, frontier[rng.next_below(frontier.size())]);
+  return tp;
+}
+
+// span(e, l) from a set of block_at values, independent of cost.cpp.
+std::size_t BruteSpan(const TreePartition& tp, NetId e, Level l) {
+  std::set<BlockId> blocks;
+  for (NodeId v : tp.hypergraph().pins(e)) blocks.insert(tp.block_at(v, l));
+  return blocks.size() >= 2 ? blocks.size() : 0;
+}
+
+// Equation (1) summed net by net equals PartitionCost exactly, and every
+// sibling statistic matches a brute-force span, on random trees with
+// fractional capacities and weights and one zero-weight level.
+TEST(Cost, PartitionCostIsTheExactSumOfNetCosts) {
+  static constexpr double kWeights[] = {1.0, 1.7, 0.3, 2.2, 0.9};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Hypergraph hg = testutil::WithFractionalCapacities(
+        testutil::RandomConnectedHypergraph(20 + seed, 40, 2 + seed % 6, seed),
+        seed);
+    const Level height = 1 + static_cast<Level>(seed % 5);
+    std::vector<LevelSpec> levels;
+    for (Level l = 0; l <= height; ++l)
+      levels.push_back({hg.total_size(), 3,
+                        l == seed % (height + 1) ? 0.0 : kWeights[l % 5]});
+    const HierarchySpec spec(levels);
+    Rng rng(seed);
+    const TreePartition tp = RandomTree(hg, height, rng);
+
+    double sum = 0.0;
+    std::vector<double> by_level(height, 0.0);
+    std::vector<std::size_t> cuts(height, 0);
+    for (NetId e = 0; e < hg.num_nets(); ++e) {
+      sum += NetCost(tp, spec, e);
+      double cost = 0.0;
+      for (Level l = 0; l < height; ++l) {
+        const std::size_t span = BruteSpan(tp, e, l);
+        ASSERT_EQ(NetSpan(tp, e, l), span) << "net " << e << " level " << l;
+        if (span == 0) continue;
+        cost += spec.weight(l) * static_cast<double>(span) * hg.net_capacity(e);
+        by_level[l] +=
+            spec.weight(l) * static_cast<double>(span) * hg.net_capacity(e);
+        ++cuts[l];
+      }
+      EXPECT_EQ(NetCost(tp, spec, e), cost) << "net " << e;
+    }
+    EXPECT_EQ(PartitionCost(tp, spec), sum) << "seed " << seed;
+    EXPECT_EQ(PartitionCostByLevel(tp, spec), by_level) << "seed " << seed;
+    EXPECT_EQ(CutNetsByLevel(tp), cuts) << "seed " << seed;
+    for (Level l = 0; l <= height; ++l) {
+      double km1 = 0.0;
+      for (NetId e = 0; e < hg.num_nets(); ++e)
+        if (const std::size_t span = BruteSpan(tp, e, l); span >= 2)
+          km1 += static_cast<double>(span - 1) * hg.net_capacity(e);
+      EXPECT_EQ(ConnectivityCost(tp, l), km1) << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace

@@ -42,6 +42,16 @@ TEST(HmetisIo, ParsesWeights) {
   EXPECT_DOUBLE_EQ(hg.total_size(), 100.0);
 }
 
+TEST(HmetisIo, AcceptsLeadingPlus) {
+  // An explicit '+' reads as it always has, on counts, pins and weights.
+  Hypergraph hg = ParseHmetis("+1 +3 +11\n+2.5 +1 +3\n+1\n2\n+0.5\n");
+  EXPECT_EQ(hg.num_nets(), 1u);
+  EXPECT_EQ(hg.pins(0)[1], 2u);
+  EXPECT_DOUBLE_EQ(hg.net_capacity(0), 2.5);
+  EXPECT_DOUBLE_EQ(hg.node_size(2), 0.5);
+  EXPECT_THROW(ParseHmetis("1 3\n1 +-2\n"), Error);
+}
+
 TEST(HmetisIo, DropsDegenerateNets) {
   Hypergraph hg = ParseHmetis("2 3\n1 1 1\n2 3\n");
   EXPECT_EQ(hg.num_nets(), 1u);  // the self-net collapses and is dropped

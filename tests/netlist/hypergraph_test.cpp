@@ -27,6 +27,34 @@ TEST(HypergraphBuilder, BuildsSimpleNetlist) {
   EXPECT_EQ(hg.net_name(1), "n1");
 }
 
+TEST(HypergraphBuilder, NamesSomeEntriesAndPadsTheRest) {
+  // Names are stored from the first named entry on; the rest read "".
+  HypergraphBuilder builder;
+  const NodeId a = builder.add_node();
+  const NodeId b = builder.add_node(1.0, "b");
+  const NodeId c = builder.add_node();
+  builder.add_net({a, b});
+  builder.add_net({c}, 1.0, "dropped");
+  builder.add_net({b, c}, 1.0, "n1");
+  builder.add_net({a, c});
+  const Hypergraph hg = builder.build();
+  ASSERT_EQ(hg.num_nets(), 3u);
+  EXPECT_EQ(hg.node_name(a), "");
+  EXPECT_EQ(hg.node_name(b), "b");
+  EXPECT_EQ(hg.node_name(c), "");
+  EXPECT_EQ(hg.net_name(0), "");
+  EXPECT_EQ(hg.net_name(1), "n1");
+  EXPECT_EQ(hg.net_name(2), "");
+
+  HypergraphBuilder unnamed;
+  unnamed.add_node();
+  unnamed.add_node();
+  unnamed.add_net({0u, 1u});
+  const Hypergraph plain = unnamed.build();
+  EXPECT_EQ(plain.node_name(1), "");
+  EXPECT_EQ(plain.net_name(0), "");
+}
+
 TEST(HypergraphBuilder, MergesDuplicatePins) {
   HypergraphBuilder builder;
   const NodeId a = builder.add_node();

@@ -94,6 +94,47 @@ TEST(MalformedHmetis, HostileHeaderCountsDoNotAllocate) {
                Error);
 }
 
+// Parsing `text` throws htp::Error naming line `line`.
+void ExpectErrorAtLine(const std::string& text, int line) {
+  try {
+    ParseHmetis(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("at line " + std::to_string(line) +
+                                         ":"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Tokens after `<nets> <nodes> [fmt]` used to be dropped: `2 3 junk` read
+// as fmt 0.
+TEST(MalformedHmetis, HeaderJunkIsRejected) {
+  ExpectErrorAtLine("% c\n2 3 junk\n1 2\n2 3\n", 2);
+  ExpectErrorAtLine("2 3 1 7\n1 1 2\n1 2 3\n", 1);
+  ExpectErrorAtLine("2 3x\n1 2\n2 3\n", 1);
+}
+
+// A node-weight line `2 junk` used to read as size 2.
+TEST(MalformedHmetis, NodeWeightJunkIsRejected) {
+  ExpectErrorAtLine("1 2 10\n1 2\n2 junk\n1\n", 3);
+  ExpectErrorAtLine("1 2 10\n1 2\n1\n2 3\n", 4);
+}
+
+// A sign alone or an integer beyond 64 bits used to end a net line
+// silently, dropping that pin.
+TEST(MalformedHmetis, DanglingPinIsRejected) {
+  ExpectErrorAtLine("1 3\n1 2 +\n", 2);
+  ExpectErrorAtLine("1 3\n1 2 99999999999999999999\n", 2);
+}
+
+TEST(MalformedHmetis, NonFiniteWeightsAreRejected) {
+  for (const char* w : {"inf", "nan", "1e400", "-inf", "infinity"}) {
+    ExpectErrorAtLine(std::string("1 2 1\n") + w + " 1 2\n", 2);
+    ExpectErrorAtLine(std::string("1 2 10\n1 2\n1\n") + w + "\n", 4);
+  }
+}
+
 TEST(MalformedHmetis, EveryTruncationThrowsOrParses) {
   const std::string text = "% c\n3 4 11\n2 1 2\n5 3 4\n1 2 3\n10\n20\n30\n40\n";
   ASSERT_NO_THROW(ParseHmetis(text));
