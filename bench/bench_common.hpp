@@ -191,10 +191,9 @@ inline std::uint64_t CounterTotal(const obs::Snapshot& snap,
 }
 
 /// Scopes telemetry totals to one measured section (a circuit, a parameter
-/// setting): resets the registry on construction; on destruction emits the
-/// section's snapshot as JSONL (when --obs-jsonl is set) and optionally a
-/// one-line per-phase breakdown under the section's table row. Everything
-/// degrades to a no-op when obs is compiled out (snapshots are empty).
+/// setting): resets the caller's obs scope on construction; on destruction
+/// emits the section's snapshot as JSONL (when --obs-jsonl is set) and
+/// optionally a one-line per-phase breakdown under the section's table row.
 class ObsSection {
  public:
   ObsSection(const Options& options, const char* bench, std::string scope,

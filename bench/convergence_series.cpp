@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   // through the public API (one row per cap; costs are cumulative states,
   // not re-randomized: the seed fixes the whole run). The two telemetry
   // columns (Dijkstra pops during the metric computation, its CPU time)
-  // come from the obs registry and read 0 when obs is compiled out.
+  // come from the obs snapshot.
   std::printf("%8s %12s %14s %12s %10s %14s %12s\n", "rounds", "violated",
               "injections", "metric cost", "converged", "dijkstra pops",
               "metric ms");

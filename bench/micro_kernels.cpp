@@ -10,8 +10,6 @@
 //
 // The BM_Obs* group prices the telemetry probes themselves (obs/obs.hpp)
 // with no sink attached — the configuration every production run pays for.
-// Comparing BM_Dijkstra here against an -DHTP_OBS_ENABLED=OFF build is the
-// "<1% overhead when compiled in but unused" check from the design note.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -179,8 +177,7 @@ BENCHMARK(BM_PartitionCost)->RangeMultiplier(4)->Range(256, 4096)
     ->Complexity(benchmark::oN);
 
 // Cost of one counter increment on the thread-local shard (the unit the
-// hot loops pay per *batched* flush, not per element). Expect ~1ns when
-// obs is on and ~0 when compiled out.
+// hot loops pay per *batched* flush, not per element). Expect ~1ns.
 void BM_ObsCounterAdd(benchmark::State& state) {
   static obs::Counter counter("bench.obs_counter_add");
   for (auto _ : state) counter.Add();

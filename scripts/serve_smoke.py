@@ -20,7 +20,14 @@ contracts docs/server.md promises:
   warm injections and returns the cold partition byte for byte, and the
   daemon's warm partition is byte-identical to what ``htp_cli
   --warm-start`` writes from the same state file;
-* ping answers inline and shutdown terminates the daemon cleanly.
+* ping answers inline and shutdown terminates the daemon cleanly;
+* report parity (docs/server.md, "Observability"): a second daemon, every
+  cache tier off, runs four concurrent ``"report": true`` requests with
+  distinct seeds. Each report's deterministic ``meta``, ``result``,
+  histograms, journal and non-zero counters equal ``htp_cli --report``'s
+  for the same request: a report holds its own request's telemetry alone.
+  The daemon-only ``serve.requests`` and ``serve.errors`` read 0 in it,
+  and the daemon's shutdown ``--report`` sums the four requests.
 
 Usage (CI and ctest run exactly this):
 
@@ -48,6 +55,20 @@ REQUEST = {
 CLI_ARGS = [
     "--circuit", "c1355", "--height", "3", "--iterations", "1", "--seed", "1",
 ]
+# The report-parity requests: FLOW+ (two iterations, then FM) per seed.
+PARITY_SEEDS = (3, 5, 7, 9)
+PARITY_REQUEST = {
+    "circuit": "c1355",
+    "height": 3,
+    "iterations": 2,
+    "refine": True,
+    "report": True,
+}
+PARITY_CLI_ARGS = [
+    "--circuit", "c1355", "--height", "3", "--iterations", "2", "--refine",
+]
+CACHES_OFF = ["--cache-netlists", "0", "--cache-csr", "0",
+              "--cache-metrics", "0"]
 
 
 def recv_line(sock):
@@ -66,6 +87,115 @@ def deterministic_slice(response):
     return json.dumps(response["deterministic"])
 
 
+def start_daemon(serve, sock_path, extra, deadline):
+    daemon = subprocess.Popen([serve, "--socket", str(sock_path), *extra])
+    while not sock_path.exists():
+        if time.monotonic() > deadline:
+            daemon.kill()
+            daemon.wait()
+            raise RuntimeError("daemon never created its socket")
+        if daemon.poll() is not None:
+            raise RuntimeError(f"daemon exited early with {daemon.returncode}")
+        time.sleep(0.05)
+    return daemon
+
+
+def connect(sock_path, timeout):
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(timeout)
+    sock.connect(str(sock_path))
+    return sock
+
+
+def report_slice(report):
+    """The parts of a report's deterministic section a request owns."""
+    det = report["deterministic"]
+    return {
+        "meta": det["meta"],
+        "result": det["result"],
+        "counters": {k: v for k, v in det["counters"].items() if v},
+        "histograms": det["histograms"],
+        "journal": det["journal"],
+    }
+
+
+def check_report_parity(args, tmp):
+    sock_path = tmp / "parity.sock"
+    shutdown_report = tmp / "parity.report.json"
+    daemon = start_daemon(
+        args.serve, sock_path,
+        ["--threads", "2", *CACHES_OFF, "--report", str(shutdown_report)],
+        time.monotonic() + args.timeout)
+    try:
+        # One connection per request, every request sent before any answer
+        # is read, so the daemon runs them side by side.
+        socks = []
+        for seed in PARITY_SEEDS:
+            sock = connect(sock_path, args.timeout)
+            request = dict(PARITY_REQUEST, id=seed, seed=seed)
+            sock.sendall(json.dumps(request).encode() + b"\n")
+            socks.append(sock)
+        reports = {}
+        for seed, sock in zip(PARITY_SEEDS, socks):
+            response = recv_line(sock)
+            sock.close()
+            assert response["status"] == "ok", response
+            assert response["id"] == seed, response
+            reports[seed] = response["report"]
+        sock = connect(sock_path, args.timeout)
+        sock.sendall(b'{"op":"shutdown"}\n')
+        assert recv_line(sock)["status"] == "ok"
+        sock.close()
+        if daemon.wait(timeout=args.timeout) != 0:
+            raise RuntimeError(
+                f"daemon exited with {daemon.returncode} after shutdown")
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+
+    for seed in PARITY_SEEDS:
+        counters = reports[seed]["deterministic"]["counters"]
+        for name in ("serve.requests", "serve.errors"):
+            assert counters.get(name) == 0, (
+                f"seed {seed}: {name} = {counters.get(name)} in a request's "
+                "report; the daemon counts it outside any request")
+        cli_report = tmp / f"cli.{seed}.report.json"
+        subprocess.run(
+            [args.cli, *PARITY_CLI_ARGS, "--seed", str(seed),
+             "--report", str(cli_report)],
+            check=True, stdout=subprocess.DEVNULL)
+        cli = json.loads(cli_report.read_text())
+        assert "serve.requests" not in cli["deterministic"]["counters"], (
+            "htp_cli must not intern the daemon's serve.* request counters")
+        daemon_slice = report_slice(reports[seed])
+        cli_slice = report_slice(cli)
+        for key in daemon_slice:
+            assert daemon_slice[key] == cli_slice[key], (
+                f"seed {seed}: the daemon report's {key} differs from "
+                f"htp_cli --report's:\n  daemon: "
+                f"{json.dumps(daemon_slice[key])[:300]}...\n  cli:    "
+                f"{json.dumps(cli_slice[key])[:300]}...")
+    print(f"report parity: {len(PARITY_SEEDS)} concurrent daemon reports "
+          "each equal htp_cli --report for the same request")
+
+    # The shutdown report is the process scope: every request's totals,
+    # and a journal of the daemon's own per-request records only.
+    total = json.loads(shutdown_report.read_text())["deterministic"]
+    for name in ("driver.runs", "flow.metrics", "fm.refines"):
+        want = sum(reports[seed]["deterministic"]["counters"][name]
+                   for seed in PARITY_SEEDS)
+        assert total["counters"][name] == want, (
+            f"shutdown report {name} = {total['counters'][name]}, want the "
+            f"requests' sum {want}")
+    assert total["counters"]["serve.requests"] == len(PARITY_SEEDS), total
+    events = [record["event"] for record in total["journal"]]
+    assert events == ["serve.request"] * len(PARITY_SEEDS), events
+    print(f"shutdown report: sums the {len(PARITY_SEEDS)} requests "
+          f"(driver.runs {total['counters']['driver.runs']}), journal holds "
+          "only serve.request records")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--serve", required=True, help="htp_serve binary")
@@ -78,21 +208,10 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         sock_path = tmp / "htp.sock"
-        daemon = subprocess.Popen(
-            [args.serve, "--socket", str(sock_path), "--threads", "1"])
+        daemon = start_daemon(args.serve, sock_path, ["--threads", "1"],
+                              time.monotonic() + args.timeout)
         try:
-            deadline = time.monotonic() + args.timeout
-            while not sock_path.exists():
-                if time.monotonic() > deadline:
-                    raise RuntimeError("daemon never created its socket")
-                if daemon.poll() is not None:
-                    raise RuntimeError(
-                        f"daemon exited early with {daemon.returncode}")
-                time.sleep(0.05)
-
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(args.timeout)
-            sock.connect(str(sock_path))
+            sock = connect(sock_path, args.timeout)
 
             sock.sendall(json.dumps({"op": "ping", "id": "p"}).encode()
                          + b"\n")
@@ -198,6 +317,7 @@ def main():
             if daemon.poll() is None:
                 daemon.kill()
                 daemon.wait()
+        check_report_parity(args, tmp)
     print("serve smoke passed")
     return 0
 

@@ -209,20 +209,16 @@ HtpFlowResult RunHtpFlow(const Hypergraph& hg, const HierarchySpec& spec,
   HTP_CHECK(params.constructions_per_metric >= 1);
   obs::PhaseScope run_span(t_run);
   c_runs.Add();
-  // The deterministic iteration cap truncates the plan up front; because
-  // streams are forked in serial order below, the capped run equals the
-  // uncapped run's first `planned` iterations bit for bit.
-  const std::size_t planned =
-      params.budget.max_iterations > 0
-          ? std::min(params.iterations, params.budget.max_iterations)
-          : params.iterations;
-  c_iterations.Add(planned);
+  // Streams are forked in serial order below, so a run of k iterations
+  // equals the first k iterations of any longer run, bit for bit.
+  const std::size_t iterations = params.iterations;
+  c_iterations.Add(iterations);
   const CancellationToken cancel = StartBudget(params.budget, params.cancel);
   Rng master(params.seed);
 
   std::vector<IterationStreams> streams;
-  streams.reserve(planned);
-  for (std::size_t iter = 0; iter < planned; ++iter) {
+  streams.reserve(iterations);
+  for (std::size_t iter = 0; iter < iterations; ++iter) {
     // Braced init evaluates left to right — the serial draw order.
     streams.push_back(IterationStreams{master.fork(iter).next_u64(),
                                        master.fork(2000 + iter),
@@ -234,8 +230,8 @@ HtpFlowResult RunHtpFlow(const Hypergraph& hg, const HierarchySpec& spec,
   // propagate from the lowest failing iteration regardless of thread count.
   // Safepoint: between outer iterations — a fired token skips whole
   // iterations, except iteration 0, which carries the floor guarantee.
-  std::vector<IterationOutcome> outcomes(planned);
-  ParallelFor(params.threads, planned, [&](std::size_t iter) {
+  std::vector<IterationOutcome> outcomes(iterations);
+  ParallelFor(params.threads, iterations, [&](std::size_t iter) {
     if (iter != 0 && cancel.Cancelled()) {
       outcomes[iter].skipped = true;
       return;
@@ -263,22 +259,22 @@ HtpFlowResult RunHtpFlow(const Hypergraph& hg, const HierarchySpec& spec,
   // achieving the minimum cost — reproduce that tie-break exactly.
   // Skipped/fully-truncated iterations have no partition and never win;
   // iteration 0 always has one (the floor guarantee).
-  std::size_t winner = planned;
+  std::size_t winner = iterations;
   std::size_t skipped = 0;
   bool token_truncated = false;
-  for (std::size_t i = 0; i < planned; ++i) {
+  for (std::size_t i = 0; i < iterations; ++i) {
     if (outcomes[i].skipped) {
       ++skipped;
       continue;
     }
     token_truncated |= outcomes[i].truncated;
     if (!outcomes[i].best_partition) continue;
-    if (winner == planned ||
+    if (winner == iterations ||
         outcomes[i].best_cost < outcomes[winner].best_cost)
       winner = i;
   }
   token_truncated |= skipped > 0;
-  HTP_CHECK_MSG(winner != planned,
+  HTP_CHECK_MSG(winner != iterations,
                 "anytime floor violated: no construction completed");
 
   HtpFlowResult result{std::move(*outcomes[winner].best_partition),
@@ -289,21 +285,16 @@ HtpFlowResult RunHtpFlow(const Hypergraph& hg, const HierarchySpec& spec,
                        {}};
   if (params.keep_best_metric)
     result.best_metric = std::move(outcomes[winner].metric);
-  result.iterations.reserve(planned - skipped);
+  result.iterations.reserve(iterations - skipped);
   for (IterationOutcome& out : outcomes)
     if (!out.skipped) result.iterations.push_back(out.stats);
 
   if (token_truncated) {
-    // A fired token is the runtime event that actually cut the run, so it
-    // outranks the deterministic iteration cap.
     const StopReason fired = cancel.FiredReason();
     result.stop_reason =
         fired != StopReason::kCompleted ? fired : StopReason::kCancelled;
     result.completed = false;
     c_cancelled.Add();
-  } else if (planned < params.iterations) {
-    result.stop_reason = StopReason::kIterationCap;
-    result.completed = false;
   }
   if (skipped > 0) c_iterations_skipped.Add(skipped);
   // Finite only when a deadline was armed (via params.budget or an already

@@ -133,8 +133,7 @@ struct HtpFlowResult {
   std::vector<HtpFlowIteration> iterations;
   /// True iff every requested iteration ran every construction to the end.
   bool completed = true;
-  /// Why the run stopped (kCompleted, kIterationCap, kDeadline,
-  /// kCancelled). A fired token outranks the deterministic iteration cap.
+  /// Why the run stopped (kCompleted, kDeadline, kCancelled).
   StopReason stop_reason = StopReason::kCompleted;
   /// The winning iteration's converged global metric d(e), populated iff
   /// `params.keep_best_metric` was set (empty otherwise). This is the seed

@@ -19,17 +19,23 @@ NodeId HypergraphBuilder::add_node(double size, std::string name) {
 void HypergraphBuilder::add_net(std::span<const NodeId> pin_nodes,
                                 double capacity, std::string name) {
   HTP_CHECK_MSG(capacity > 0.0, "net capacity must be positive");
-  // Merge duplicate pins while preserving first-seen order.
-  std::vector<NodeId> pins(pin_nodes.begin(), pin_nodes.end());
-  std::sort(pins.begin(), pins.end());
-  pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
-  for (NodeId v : pins)
-    HTP_CHECK_MSG(v < node_size_.size(), "net references unknown node");
-  if (pins.size() < 2) {
+  // Stage the pins at the tail of net_pins_, sort them there and merge
+  // duplicates: a net stores its distinct pins in ascending order.
+  const std::size_t begin = net_pins_.size();
+  net_pins_.insert(net_pins_.end(), pin_nodes.begin(), pin_nodes.end());
+  const auto first = net_pins_.begin() + static_cast<std::ptrdiff_t>(begin);
+  std::sort(first, net_pins_.end());
+  net_pins_.erase(std::unique(first, net_pins_.end()), net_pins_.end());
+  const std::size_t distinct = net_pins_.size() - begin;
+  // The sorted tail ends in its largest pin. A rejected or dropped net is
+  // truncated away, leaving the builder as it found it.
+  const bool known = distinct == 0 || net_pins_.back() < node_size_.size();
+  if (!known || distinct < 2) net_pins_.resize(begin);
+  HTP_CHECK_MSG(known, "net references unknown node");
+  if (distinct < 2) {
     ++dropped_nets_;
     return;
   }
-  net_pins_.insert(net_pins_.end(), pins.begin(), pins.end());
   net_offset_.push_back(net_pins_.size());
   net_capacity_.push_back(capacity);
   if (!name.empty()) {

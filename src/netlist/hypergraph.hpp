@@ -95,10 +95,11 @@ class HypergraphBuilder {
  public:
   /// Adds a node and returns its id. `size` must be > 0.
   NodeId add_node(double size = 1.0, std::string name = {});
-  /// Adds a net over `pin_nodes`. Capacity must be > 0. Returns the id the
-  /// net will have *if kept*; nets with < 2 distinct pins are dropped at
-  /// build() and later ids shift down accordingly, so callers that need
-  /// stable ids should pass only valid nets.
+  /// Adds a net over the distinct `pin_nodes`, stored in ascending order.
+  /// Capacity must be > 0, and every pin a node already added. A net with
+  /// < 2 distinct pins is dropped (counted by dropped_nets()) and takes no
+  /// id, so later ids shift down; callers that need stable ids should pass
+  /// only valid nets. A rejected net leaves the builder unchanged.
   void add_net(std::span<const NodeId> pin_nodes, double capacity = 1.0,
                std::string name = {});
   void add_net(std::initializer_list<NodeId> pin_nodes, double capacity = 1.0,

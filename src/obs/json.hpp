@@ -13,9 +13,6 @@
 //     within the exact-integer range print as integers, everything else
 //     as shortest-round-trip decimal; non-finite values (which would be
 //     invalid JSON) degrade to null.
-//
-// Header-only-independent of the obs on/off mode: emission operates on
-// plain data, so it compiles identically under -DHTP_OBS_ENABLED=OFF.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,5 @@
 #include "obs/obs.hpp"
 
-#if HTP_OBS_ENABLED
-
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -96,21 +94,33 @@ struct RawJournal {
 
 }  // namespace
 
-// A run scope's records, shared by every thread working for the run.
-struct ScopeJournal {
-  std::mutex mutex;
-  std::vector<RawJournal> records;
+// Records by interned id: a thread's unflushed shard, or a scope's merged
+// totals. Cells past the end of a vector read zero.
+struct ScopeRecords {
+  std::vector<std::uint64_t> counters;
+  std::vector<TimerCell> timers;
+  std::vector<HistogramCell> histograms;
+  std::vector<RawEvent> spans;
+  std::vector<RawJournal> journal;
+
+  bool empty() const {
+    return counters.empty() && timers.empty() && histograms.empty() &&
+           spans.empty() && journal.empty();
+  }
+  void clear() {
+    counters.clear();
+    timers.clear();
+    histograms.clear();
+    spans.clear();
+    journal.clear();
+  }
 };
 
 namespace {
 
-struct ThreadShard;
-
-// Process-wide registry: interned names (written only during static
-// initialization of the instrumentation sites, i.e. single-threaded) plus
-// the merged totals of every exited thread. All mutation of the merged
-// state is serialized by `mutex_`; live shards are touched only by their
-// owning thread.
+// Process-wide registry: interned names plus the process scope. One mutex
+// serializes interning and every scope's totals; a thread's shard is
+// touched only by that thread until it flushes here.
 class Registry {
  public:
   static Registry& Get() {
@@ -122,14 +132,12 @@ class Registry {
     std::lock_guard<std::mutex> lock(mutex_);
     counter_names_.emplace_back(name);
     counter_kinds_.push_back(kind);
-    counter_totals_.push_back(0);
     return static_cast<std::uint32_t>(counter_names_.size() - 1);
   }
 
   std::uint32_t InternTimer(const char* name) {
     std::lock_guard<std::mutex> lock(mutex_);
     timer_names_.emplace_back(name);
-    timer_totals_.emplace_back();
     return static_cast<std::uint32_t>(timer_names_.size() - 1);
   }
 
@@ -137,7 +145,6 @@ class Registry {
     std::lock_guard<std::mutex> lock(mutex_);
     histogram_names_.emplace_back(name);
     histogram_kinds_.push_back(kind);
-    histogram_totals_.emplace_back();
     return static_cast<std::uint32_t>(histogram_names_.size() - 1);
   }
 
@@ -163,30 +170,62 @@ class Registry {
     return lane_names_;
   }
 
-  void Merge(ThreadShard& shard);
-  Snapshot TakeSnapshot(const ThreadShard& local);
-  std::vector<TraceEvent> DrainTrace(ThreadShard& local);
-  std::vector<EventRecord> DrainEvents(ThreadShard& local);
-  std::vector<EventRecord> ResolveJournal(const std::vector<RawJournal>& raw);
-  void Reset(ThreadShard& local);
+  // In each of these, a null `scope` names the process scope.
+
+  // Moves a thread's shard into its scope.
+  void Flush(ScopeRecords& shard, ScopeRecords* scope) {
+    if (shard.empty()) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    ScopeRecords& into = Target(scope);
+    MergeTotalsLocked(shard, into);
+    into.journal.insert(into.journal.end(), shard.journal.begin(),
+                        shard.journal.end());
+    shard.clear();
+  }
+
+  // Folds an ended run scope into its enclosing scope; the journal is
+  // dropped.
+  void Fold(ScopeRecords& run, ScopeRecords* enclosing) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    MergeTotalsLocked(run, Target(enclosing));
+    run.clear();
+  }
+
+  Snapshot TakeSnapshot(ScopeRecords* scope);
+  std::vector<TraceEvent> DrainTrace(ScopeRecords* scope);
+  std::vector<EventRecord> DrainEvents(ScopeRecords* scope);
+
+  void Reset(ScopeRecords* scope) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    Target(scope).clear();
+  }
 
  private:
-  void MergeCountersLocked(const std::vector<std::uint64_t>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
+  ScopeRecords& Target(ScopeRecords* scope) {
+    return scope ? *scope : process_;
+  }
+
+  void MergeTotalsLocked(const ScopeRecords& from, ScopeRecords& into) {
+    if (into.counters.size() < from.counters.size())
+      into.counters.resize(from.counters.size(), 0);
+    for (std::size_t i = 0; i < from.counters.size(); ++i) {
       if (counter_kinds_[i] == CounterKind::kSum)
-        counter_totals_[i] += cells[i];
+        into.counters[i] += from.counters[i];
       else
-        counter_totals_[i] = std::max(counter_totals_[i], cells[i]);
+        into.counters[i] = std::max(into.counters[i], from.counters[i]);
     }
+    if (into.timers.size() < from.timers.size())
+      into.timers.resize(from.timers.size());
+    for (std::size_t i = 0; i < from.timers.size(); ++i)
+      if (from.timers[i].count > 0) into.timers[i].MergeFrom(from.timers[i]);
+    if (into.histograms.size() < from.histograms.size())
+      into.histograms.resize(from.histograms.size());
+    for (std::size_t i = 0; i < from.histograms.size(); ++i)
+      if (from.histograms[i].count > 0)
+        into.histograms[i].MergeFrom(from.histograms[i]);
+    into.spans.insert(into.spans.end(), from.spans.begin(), from.spans.end());
   }
-  void MergeTimersLocked(const std::vector<TimerCell>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i)
-      if (cells[i].count > 0) timer_totals_[i].MergeFrom(cells[i]);
-  }
-  void MergeHistogramsLocked(const std::vector<HistogramCell>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i)
-      if (cells[i].count > 0) histogram_totals_[i].MergeFrom(cells[i]);
-  }
+
   TraceEvent Resolve(const RawEvent& raw) const {
     return TraceEvent{timer_names_[raw.timer_id],
                       raw.arg_key ? raw.arg_key : "",
@@ -208,34 +247,25 @@ class Registry {
   std::mutex mutex_;
   std::vector<std::string> counter_names_;
   std::vector<CounterKind> counter_kinds_;
-  std::vector<std::uint64_t> counter_totals_;
   std::vector<std::string> timer_names_;
-  std::vector<TimerCell> timer_totals_;
   std::vector<std::string> histogram_names_;
   std::vector<HistogramKind> histogram_kinds_;
-  std::vector<HistogramCell> histogram_totals_;
   std::vector<std::string> event_names_;
-  std::vector<RawEvent> events_;
-  std::vector<RawJournal> journal_;
+  ScopeRecords process_;
   std::vector<std::string> lane_names_;
   std::uint32_t next_tid_ = 0;
 };
 
-// Per-thread cells, indexed by interned id and grown on demand. Touched
-// without synchronization by the owning thread only; merged into the
-// registry exactly once, when the thread exits (thread_local destruction).
-// ParallelFor joins its transient workers before returning, so fork-join
-// boundaries imply merged shards.
+// A thread's unflushed records and its active scope (null: the process
+// scope). Touched without synchronization by the owning thread only.
 struct ThreadShard {
-  std::vector<std::uint64_t> counters;
-  std::vector<TimerCell> timers;
-  std::vector<HistogramCell> histograms;
-  std::vector<RawEvent> events;
-  std::vector<RawJournal> journal;
+  ScopeRecords records;
+  ScopeRef scope;
   std::uint32_t tid;
 
   ThreadShard() : tid(Registry::Get().AssignTid()) {}
-  ~ThreadShard() { Registry::Get().Merge(*this); }
+  ~ThreadShard() { Flush(); }
+  void Flush() { Registry::Get().Flush(records, scope.get()); }
 };
 
 ThreadShard& Shard() {
@@ -243,57 +273,44 @@ ThreadShard& Shard() {
   return shard;
 }
 
-// The calling thread's active run scope (see RunScope); null outside runs.
-thread_local ScopeRef tls_scope;
-
-void Registry::Merge(ThreadShard& shard) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  MergeCountersLocked(shard.counters);
-  MergeTimersLocked(shard.timers);
-  MergeHistogramsLocked(shard.histograms);
-  events_.insert(events_.end(), shard.events.begin(), shard.events.end());
-  journal_.insert(journal_.end(), shard.journal.begin(), shard.journal.end());
-  shard.counters.clear();
-  shard.timers.clear();
-  shard.histograms.clear();
-  shard.events.clear();
-  shard.journal.clear();
+// Flushes the calling thread's shard into its scope, then makes `next` its
+// scope. Returns the scope it left.
+ScopeRef SwitchScope(ScopeRef next) {
+  ThreadShard& shard = Shard();
+  shard.Flush();
+  return std::exchange(shard.scope, std::move(next));
 }
 
-Snapshot Registry::TakeSnapshot(const ThreadShard& local) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Merged totals overlaid with the calling thread's live cells.
-  std::vector<std::uint64_t> counters = counter_totals_;
-  for (std::size_t i = 0; i < local.counters.size(); ++i) {
-    if (counter_kinds_[i] == CounterKind::kSum)
-      counters[i] += local.counters[i];
-    else
-      counters[i] = std::max(counters[i], local.counters[i]);
-  }
-  std::vector<TimerCell> timers = timer_totals_;
-  for (std::size_t i = 0; i < local.timers.size(); ++i)
-    if (local.timers[i].count > 0) timers[i].MergeFrom(local.timers[i]);
-  std::vector<HistogramCell> histograms = histogram_totals_;
-  for (std::size_t i = 0; i < local.histograms.size(); ++i)
-    if (local.histograms[i].count > 0)
-      histograms[i].MergeFrom(local.histograms[i]);
+// The calling thread's scope, with the thread's own records flushed in.
+ScopeRecords* FlushedScope() {
+  ThreadShard& shard = Shard();
+  shard.Flush();
+  return shard.scope.get();
+}
 
+Snapshot Registry::TakeSnapshot(ScopeRecords* scope) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const ScopeRecords& totals = Target(scope);
+  // Every interned entry, zero where the scope never recorded it.
   Snapshot snap;
-  snap.counters.reserve(counters.size());
-  for (std::size_t i = 0; i < counters.size(); ++i)
-    snap.counters.push_back(
-        CounterValue{counter_names_[i], counter_kinds_[i], counters[i]});
-  snap.timers.reserve(timers.size());
-  for (std::size_t i = 0; i < timers.size(); ++i) {
-    const TimerCell& cell = timers[i];
+  snap.counters.reserve(counter_names_.size());
+  for (std::size_t i = 0; i < counter_names_.size(); ++i)
+    snap.counters.push_back(CounterValue{
+        counter_names_[i], counter_kinds_[i],
+        i < totals.counters.size() ? totals.counters[i] : 0});
+  snap.timers.reserve(timer_names_.size());
+  for (std::size_t i = 0; i < timer_names_.size(); ++i) {
+    const TimerCell cell =
+        i < totals.timers.size() ? totals.timers[i] : TimerCell{};
     snap.timers.push_back(TimerValue{timer_names_[i], cell.count,
                                      cell.total_ns,
                                      cell.count ? cell.min_ns : 0,
                                      cell.max_ns});
   }
-  snap.histograms.reserve(histograms.size());
-  for (std::size_t i = 0; i < histograms.size(); ++i) {
-    const HistogramCell& cell = histograms[i];
+  snap.histograms.reserve(histogram_names_.size());
+  for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
+    const HistogramCell cell =
+        i < totals.histograms.size() ? totals.histograms[i] : HistogramCell{};
     HistogramValue value{histogram_names_[i], histogram_kinds_[i],
                          cell.count,          cell.sum,
                          cell.count ? cell.min : 0,
@@ -318,14 +335,15 @@ Snapshot Registry::TakeSnapshot(const ThreadShard& local) {
   return snap;
 }
 
-std::vector<TraceEvent> Registry::DrainTrace(ThreadShard& local) {
-  std::lock_guard<std::mutex> lock(mutex_);
+std::vector<TraceEvent> Registry::DrainTrace(ScopeRecords* scope) {
   std::vector<TraceEvent> out;
-  out.reserve(events_.size() + local.events.size());
-  for (const RawEvent& raw : events_) out.push_back(Resolve(raw));
-  for (const RawEvent& raw : local.events) out.push_back(Resolve(raw));
-  events_.clear();
-  local.events.clear();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<RawEvent>& spans = Target(scope).spans;
+    out.reserve(spans.size());
+    for (const RawEvent& raw : spans) out.push_back(Resolve(raw));
+    spans.clear();
+  }
   std::sort(out.begin(), out.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               return a.tid != b.tid ? a.tid < b.tid : a.ts_ns < b.ts_ns;
@@ -333,31 +351,20 @@ std::vector<TraceEvent> Registry::DrainTrace(ThreadShard& local) {
   return out;
 }
 
-std::vector<EventRecord> Registry::DrainEvents(ThreadShard& local) {
-  std::vector<RawJournal> raw;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    raw.swap(journal_);
-  }
-  raw.insert(raw.end(), local.journal.begin(), local.journal.end());
-  local.journal.clear();
-  return ResolveJournal(raw);
-}
-
-std::vector<EventRecord> Registry::ResolveJournal(
-    const std::vector<RawJournal>& raw) {
+std::vector<EventRecord> Registry::DrainEvents(ScopeRecords* scope) {
   std::vector<EventRecord> out;
-  out.reserve(raw.size());
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const RawJournal& record : raw)
-      out.push_back(ResolveJournal(record));
+    std::vector<RawJournal>& journal = Target(scope).journal;
+    out.reserve(journal.size());
+    for (const RawJournal& raw : journal) out.push_back(ResolveJournal(raw));
+    journal.clear();
   }
-  // Order by (name, fields) only — never by timestamp or by shard merge
-  // order — so the drained journal is bit-identical across thread counts
-  // whenever the payloads are. Recording sites make the payload tuples
-  // unique (leading iteration/round/level indices), so ties can only occur
-  // between records that are identical up to their timestamps.
+  // Order by (name, fields) only — never by timestamp or by flush order —
+  // so the drained journal is bit-identical across thread counts whenever
+  // the payloads are. Recording sites make the payload tuples unique
+  // (leading iteration/round/level indices), so ties can only occur between
+  // records that are identical up to their timestamps.
   std::sort(out.begin(), out.end(),
             [](const EventRecord& a, const EventRecord& b) {
               if (a.name != b.name) return a.name < b.name;
@@ -366,26 +373,10 @@ std::vector<EventRecord> Registry::ResolveJournal(
   return out;
 }
 
-void Registry::Reset(ThreadShard& local) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::fill(counter_totals_.begin(), counter_totals_.end(), 0);
-  std::fill(timer_totals_.begin(), timer_totals_.end(), TimerCell{});
-  std::fill(histogram_totals_.begin(), histogram_totals_.end(),
-            HistogramCell{});
-  events_.clear();
-  journal_.clear();
-  local.counters.clear();
-  local.timers.clear();
-  local.histograms.clear();
-  local.events.clear();
-  local.journal.clear();
-  // lane_names_ survives: the threads that claimed them are still alive.
-}
-
 void RecordTimer(std::uint32_t id, std::uint64_t dur_ns) {
-  ThreadShard& shard = Shard();
-  if (shard.timers.size() <= id) shard.timers.resize(id + 1);
-  shard.timers[id].Record(dur_ns);
+  std::vector<TimerCell>& timers = Shard().records.timers;
+  if (timers.size() <= id) timers.resize(id + 1);
+  timers[id].Record(dur_ns);
 }
 
 }  // namespace
@@ -394,12 +385,12 @@ Counter::Counter(const char* name, CounterKind kind)
     : id_(Registry::Get().InternCounter(name, kind)), kind_(kind) {}
 
 void Counter::Add(std::uint64_t n) {
-  ThreadShard& shard = Shard();
-  if (shard.counters.size() <= id_) shard.counters.resize(id_ + 1, 0);
+  std::vector<std::uint64_t>& counters = Shard().records.counters;
+  if (counters.size() <= id_) counters.resize(id_ + 1, 0);
   if (kind_ == CounterKind::kSum)
-    shard.counters[id_] += n;
+    counters[id_] += n;
   else
-    shard.counters[id_] = std::max(shard.counters[id_], n);
+    counters[id_] = std::max(counters[id_], n);
 }
 
 Timer::Timer(const char* name) : id_(Registry::Get().InternTimer(name)) {}
@@ -408,9 +399,9 @@ Histogram::Histogram(const char* name, HistogramKind kind)
     : id_(Registry::Get().InternHistogram(name, kind)) {}
 
 void Histogram::Record(std::uint64_t value) {
-  ThreadShard& shard = Shard();
-  if (shard.histograms.size() <= id_) shard.histograms.resize(id_ + 1);
-  shard.histograms[id_].Record(value);
+  std::vector<HistogramCell>& histograms = Shard().records.histograms;
+  if (histograms.size() <= id_) histograms.resize(id_ + 1);
+  histograms[id_].Record(value);
 }
 
 ScopedHistogramTimer::ScopedHistogramTimer(Histogram& histogram)
@@ -431,14 +422,7 @@ void Event::Record(std::initializer_list<EventField> fields) {
     if (raw.num_fields == kMaxEventFields) break;
     raw.fields[raw.num_fields++] = field;
   }
-  // Inside a run the record belongs to the run's scope, which pool tasks
-  // share (hence the lock); outside, to this thread's shard.
-  if (ScopeJournal* scope = tls_scope.get()) {
-    std::lock_guard<std::mutex> lock(scope->mutex);
-    scope->records.push_back(raw);
-    return;
-  }
-  Shard().journal.push_back(raw);
+  Shard().records.journal.push_back(raw);
 }
 
 ScopedTimer::ScopedTimer(const Timer& timer)
@@ -456,8 +440,8 @@ PhaseScope::~PhaseScope() {
   RecordTimer(id_, end_ns - start_ns_);
   if (!g_tracing.load(std::memory_order_relaxed)) return;
   ThreadShard& shard = Shard();
-  shard.events.push_back(RawEvent{id_, shard.tid, arg_key_, arg_value_,
-                                  start_ns_, end_ns - start_ns_});
+  shard.records.spans.push_back(RawEvent{id_, shard.tid, arg_key_, arg_value_,
+                                         start_ns_, end_ns - start_ns_});
 }
 
 void SetTracing(bool enabled) {
@@ -474,39 +458,39 @@ std::vector<std::string> TakeLaneNames() {
   return Registry::Get().LaneNames();
 }
 
-Snapshot TakeSnapshot() { return Registry::Get().TakeSnapshot(Shard()); }
+Snapshot TakeSnapshot() {
+  return Registry::Get().TakeSnapshot(FlushedScope());
+}
 
 std::vector<TraceEvent> DrainTrace() {
-  return Registry::Get().DrainTrace(Shard());
+  return Registry::Get().DrainTrace(FlushedScope());
 }
 
 std::vector<EventRecord> DrainEvents() {
-  return Registry::Get().DrainEvents(Shard());
+  return Registry::Get().DrainEvents(FlushedScope());
 }
 
-void ResetAll() { Registry::Get().Reset(Shard()); }
+void ResetAll() {
+  ThreadShard& shard = Shard();
+  shard.records.clear();
+  Registry::Get().Reset(shard.scope.get());
+  // Lane names survive: the threads that claimed them are still alive.
+}
 
-ScopeRef CurrentScope() { return tls_scope; }
+ScopeRef CurrentScope() { return Shard().scope; }
 
 ScopeGuard::ScopeGuard(ScopeRef scope)
-    : previous_(std::exchange(tls_scope, std::move(scope))) {}
+    : previous_(SwitchScope(std::move(scope))) {}
 
-ScopeGuard::~ScopeGuard() { tls_scope = std::move(previous_); }
+ScopeGuard::~ScopeGuard() { SwitchScope(std::move(previous_)); }
 
 RunScope::RunScope()
-    : journal_(std::make_shared<ScopeJournal>()), guard_(journal_) {}
+    : scope_(std::make_shared<ScopeRecords>()),
+      enclosing_(SwitchScope(scope_)) {}
 
-RunScope::~RunScope() = default;
-
-std::vector<EventRecord> RunScope::DrainEvents() {
-  std::vector<RawJournal> raw;
-  {
-    std::lock_guard<std::mutex> lock(journal_->mutex);
-    raw.swap(journal_->records);
-  }
-  return Registry::Get().ResolveJournal(raw);
+RunScope::~RunScope() {
+  SwitchScope(enclosing_);
+  Registry::Get().Fold(*scope_, enclosing_.get());
 }
 
 }  // namespace htp::obs
-
-#endif  // HTP_OBS_ENABLED

@@ -1,5 +1,5 @@
-// htp-obs: zero-overhead-when-off telemetry (counters, timers, histograms,
-// journal events, trace spans).
+// htp-obs: the telemetry layer (counters, timers, histograms, journal
+// events, trace spans).
 //
 // The paper's evaluation is all per-phase numbers — injections per metric,
 // worklist rounds, carve attempts, FM pass gains — so the pipeline records
@@ -21,7 +21,7 @@
 //     excluded, like timers. `ScopedHistogramTimer` is the RAII recorder
 //     for the latter.
 //   * `Event` — one journal record: interned name + up to kMaxEventFields
-//     (key, double) payload pairs, buffered on the thread-local shards and
+//     (key, double) payload pairs, buffered on the thread-local shard and
 //     drained via `DrainEvents`. Events are the run journal the RunReport
 //     (obs/report.hpp) serializes: per-injection-round records, per-
 //     iteration records, per-uncoarsening-level records. Each record also
@@ -29,35 +29,30 @@
 //     the determinism contract exactly like timers, and DrainEvents orders
 //     records by (name, payload) — never by time — so the drained journal
 //     is a deterministic function of the recorded payloads.
-//   * `RunScope` — a run's private journal. While one is installed on a
-//     thread, `Event::Record` there (and in every ThreadPool task that
-//     thread submits) appends to the scope instead of the process-wide
-//     journal; the run drains it into its report or drops it with the
-//     scope. A long-lived process (the htp_serve daemon) thus never
-//     accumulates the journals of past runs, and one run's drain never
-//     takes another's records. Counters, timers and histograms stay
-//     process-wide.
-//   * Thread-local shards merge into the global registry when their thread
-//     exits. The runtime's `ParallelFor` uses transient pools whose workers
-//     join at the fork-join boundary, so by the time a caller of
-//     `RunHtpFlow` can observe anything, every worker shard has merged.
-//     Integer sums and maxes are order-independent, which extends the
-//     `threads`-invariance guarantee to counter and value-histogram totals;
-//     timers measure real durations and are excluded from that guarantee
-//     (like `HtpFlowIteration::wall_seconds`).
+//   * Scopes. Every record belongs to the scope active on the thread that
+//     made it: the innermost `RunScope` installed there, else the process
+//     scope. A record lands in the thread's shard first (plain cells, no
+//     locks) and reaches its scope when the shard flushes: when the thread
+//     enters or leaves a scope (`ScopeGuard`), when it reads its scope
+//     (`TakeSnapshot`, `DrainEvents`, `DrainTrace`), and when it exits.
+//     The runtime's `ParallelFor` runs each task under its caller's scope
+//     and flushes the task's records before the join releases the caller,
+//     so a caller that can observe anything sees every record its tasks
+//     made. A `RunScope` that ends folds its counters, timers, histograms
+//     and spans into the enclosing scope and drops its undrained journal:
+//     a long-lived process (the htp_serve daemon) reports each run's
+//     telemetry alone, still sums every run at the process scope, and never
+//     keeps past runs' journals. Integer sums and maxes are
+//     order-independent, which extends the `threads`-invariance guarantee
+//     to counter and value-histogram totals; timers measure real durations
+//     and are excluded from that guarantee (like
+//     `HtpFlowIteration::wall_seconds`).
 //
 // Naming scheme (see docs/observability.md): dotted `subsystem.metric`
 // paths — `flow.*` (Algorithm 2), `dijkstra.*`, `carve.*` (find_cut / MST
 // split), `build.*` (Algorithm 3), `fm.*` (refiner), `driver.*`
 // (Algorithm 1 phase spans), `multilevel.*` / `uncoarsen.*`.
-//
-// Compiled with HTP_OBS_ENABLED=0 (CMake -DHTP_OBS_ENABLED=OFF) every type
-// here is an empty inline no-op and the instrumentation vanishes entirely.
 #pragma once
-
-#ifndef HTP_OBS_ENABLED
-#error "obs/obs.hpp requires the HTP_OBS_ENABLED define; link against htp_obs"
-#endif
 
 #include <cstdint>
 #include <initializer_list>
@@ -152,13 +147,10 @@ struct EventField {
   double value;
 };
 
-/// A run scope's journal buffer (opaque). Shared by the RunScope that owns
-/// it and by the ThreadPool tasks that carry it, so a task that outlives
-/// its run never writes through a dangling pointer.
-struct ScopeJournal;
-using ScopeRef = std::shared_ptr<ScopeJournal>;
-
-#if HTP_OBS_ENABLED
+/// A run scope's merged records (opaque). Shared by the RunScope that owns
+/// it and by the ParallelFor tasks that run under it.
+struct ScopeRecords;
+using ScopeRef = std::shared_ptr<ScopeRecords>;
 
 /// Named monotonic counter. Construct once (namespace-scope static at the
 /// instrumentation site); `Add` is cheap enough for per-call use — batch
@@ -257,7 +249,7 @@ class PhaseScope {
 };
 
 /// Turns trace-span collection on/off (off by default; counters, timers,
-/// histograms, and events are always recorded when obs is compiled in).
+/// histograms, and events are always recorded).
 void SetTracing(bool enabled);
 bool TracingEnabled();
 
@@ -271,34 +263,34 @@ void NameThisThread(const std::string& name);
 /// back to `htp-thread-<tid>`).
 std::vector<std::string> TakeLaneNames();
 
-/// Merged totals from every exited thread plus the calling thread's own
-/// live shard. Call from a quiescent point (no instrumented worker threads
-/// running) for complete numbers; RunHtpFlow joins its workers before
-/// returning, so "after it returns" is always quiescent.
+/// The calling thread's scope's totals, after flushing the thread's own
+/// shard. Another thread's records in the scope are included once that
+/// thread flushed: after the ParallelFor that ran it returns, or after it
+/// exited.
 Snapshot TakeSnapshot();
 
-/// Moves out every collected trace span (merged shards + calling thread).
+/// Moves out the calling thread's scope's trace spans, ordered by (tid, ts)
+/// so each lane reads chronologically.
 std::vector<TraceEvent> DrainTrace();
 
-/// Moves out every buffered journal record (merged shards + calling
-/// thread), ordered by (name, fields) — field pairs compare in recorded
-/// order, (key, value) lexicographically — never by timestamp, so the
-/// order is bit-identical across thread counts whenever the payloads are.
-/// Same quiescence caveat as TakeSnapshot.
+/// Moves out the calling thread's scope's journal records, ordered by
+/// (name, fields) — field pairs compare in recorded order, (key, value)
+/// lexicographically — never by timestamp, so the order is bit-identical
+/// across thread counts whenever the payloads are.
 std::vector<EventRecord> DrainEvents();
 
-/// Zeroes all counters/timers/histograms and discards pending trace spans
-/// and journal records, including the calling thread's shard. Quiescent
-/// points only (benches use this to scope totals per circuit). Records held
-/// by a RunScope belong to that scope and are left alone.
+/// Zeroes the calling thread's scope's counters, timers and histograms and
+/// discards its trace spans and journal records, the thread's unflushed
+/// ones included (benches use this to scope totals per circuit).
 void ResetAll();
 
-/// The calling thread's active run scope (null when none is installed).
+/// The calling thread's active run scope (null for the process scope).
 ScopeRef CurrentScope();
 
-/// Makes `scope` (possibly null) the calling thread's active run scope for
-/// this object's lifetime, then restores the previous one. ThreadPool runs
-/// every task under the scope that was active where it was submitted.
+/// Makes `scope` (null: the process scope) the calling thread's scope for
+/// this object's lifetime, then restores the previous one. Both switches
+/// first flush the thread's shard into the scope it leaves. ParallelFor
+/// runs each task under one holding its caller's scope.
 class ScopeGuard {
  public:
   explicit ScopeGuard(ScopeRef scope);
@@ -310,8 +302,10 @@ class ScopeGuard {
   ScopeRef previous_;
 };
 
-/// One run's private journal: creates a fresh scope and installs it on the
-/// calling thread until destruction, when undrained records are dropped.
+/// One run's scope: a fresh scope installed on the calling thread until
+/// destruction, so TakeSnapshot and DrainEvents there read the run's own
+/// telemetry. On destruction its counters, timers, histograms and spans
+/// fold into the enclosing scope and its undrained journal is dropped.
 /// `serve::RunSession` installs one per run.
 class RunScope {
  public:
@@ -320,87 +314,9 @@ class RunScope {
   RunScope(const RunScope&) = delete;
   RunScope& operator=(const RunScope&) = delete;
 
-  /// Moves out the records made under this scope so far, ordered like
-  /// obs::DrainEvents. Quiescent points only, like DrainEvents.
-  std::vector<EventRecord> DrainEvents();
-
  private:
-  ScopeRef journal_;
-  ScopeGuard guard_;
+  ScopeRef scope_;
+  ScopeRef enclosing_;
 };
-
-#else  // HTP_OBS_ENABLED == 0: the whole layer compiles to nothing.
-
-class Counter {
- public:
-  explicit Counter(const char*, CounterKind = CounterKind::kSum) {}
-  void Add(std::uint64_t = 1) {}
-};
-
-class Timer {
- public:
-  explicit Timer(const char*) {}
-};
-
-class Histogram {
- public:
-  explicit Histogram(const char*, HistogramKind = HistogramKind::kValue) {}
-  void Record(std::uint64_t) {}
-};
-
-class ScopedHistogramTimer {
- public:
-  explicit ScopedHistogramTimer(Histogram&) {}
-  ScopedHistogramTimer(const ScopedHistogramTimer&) = delete;
-  ScopedHistogramTimer& operator=(const ScopedHistogramTimer&) = delete;
-};
-
-class Event {
- public:
-  explicit Event(const char*) {}
-  void Record(std::initializer_list<EventField>) {}
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const Timer&) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-};
-
-class PhaseScope {
- public:
-  explicit PhaseScope(const Timer&, const char* = nullptr,
-                      std::uint64_t = 0) {}
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-};
-
-inline void SetTracing(bool) {}
-inline bool TracingEnabled() { return false; }
-inline void NameThisThread(const std::string&) {}
-inline std::vector<std::string> TakeLaneNames() { return {}; }
-inline Snapshot TakeSnapshot() { return {}; }
-inline std::vector<TraceEvent> DrainTrace() { return {}; }
-inline std::vector<EventRecord> DrainEvents() { return {}; }
-inline void ResetAll() {}
-inline ScopeRef CurrentScope() { return nullptr; }
-
-class ScopeGuard {
- public:
-  explicit ScopeGuard(const ScopeRef&) {}
-  ScopeGuard(const ScopeGuard&) = delete;
-  ScopeGuard& operator=(const ScopeGuard&) = delete;
-};
-
-class RunScope {
- public:
-  RunScope() = default;
-  RunScope(const RunScope&) = delete;
-  RunScope& operator=(const RunScope&) = delete;
-  std::vector<EventRecord> DrainEvents() { return {}; }
-};
-
-#endif  // HTP_OBS_ENABLED
 
 }  // namespace htp::obs

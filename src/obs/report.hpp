@@ -1,6 +1,6 @@
 // RunReport: the schema-versioned, machine-readable account of one
-// pipeline run — the artifact `htp_cli --report` writes, `HtpFlowResult::
-// report` carries, and a future `htp_serve` would return per request.
+// pipeline run — the artifact `htp_cli --report` writes and an htp_serve
+// request with `"report": true` returns.
 //
 // A report has two top-level sections with opposite contracts:
 //
@@ -18,9 +18,9 @@
 //     tolerance, or not at all.
 //
 // The builder collects the run facts; Render() folds in the telemetry
-// (a Snapshot plus the drained journal) and emits the JSON document.
-// Everything operates on plain data, so reports build identically with
-// HTP_OBS_ENABLED=OFF — the telemetry sections are just empty there.
+// (a Snapshot plus the drained journal) and emits the JSON document from
+// plain data. RunSession renders it inside the run's obs::RunScope, so the
+// telemetry is that run's alone.
 //
 // Schema versioning policy (docs/observability.md): `schema_version` bumps
 // on any breaking change (renamed/removed fields, changed meaning);

@@ -11,9 +11,7 @@
 // All caller-provided strings (bench names, scopes, timer names, arg keys,
 // lane names) are routed through EscapeJson (obs/json.hpp) before being
 // interpolated into JSON, so hostile names cannot produce an invalid
-// artifact. The sinks operate on plain Snapshot / TraceEvent data, so they
-// compile identically with HTP_OBS_ENABLED=OFF (where every snapshot is
-// empty).
+// artifact. The sinks operate on plain Snapshot / TraceEvent data.
 #pragma once
 
 #include <iosfwd>

@@ -43,7 +43,6 @@ struct CancellationToken::State {
 const char* StopReasonName(StopReason reason) {
   switch (reason) {
     case StopReason::kCompleted: return "completed";
-    case StopReason::kIterationCap: return "iteration-cap";
     case StopReason::kDeadline: return "deadline";
     case StopReason::kCancelled: return "cancelled";
   }

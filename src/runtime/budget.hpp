@@ -5,8 +5,8 @@
 // partition. This header provides the two pieces every stage shares:
 //
 //  * `Budget` — what the caller is willing to spend: an optional wall-clock
-//    deadline plus deterministic caps on Algorithm-2 rounds and Algorithm-1
-//    iterations.
+//    deadline plus a deterministic cap on Algorithm-2 rounds. (A smaller
+//    `iterations` is the deterministic cap on Algorithm-1 iterations.)
 //  * `CancellationToken` — a cheap, thread-safe handle the pipeline polls at
 //    deterministic *safepoints* only: between Algorithm-1 outer iterations,
 //    between Algorithm-2 scan/commit steps (after a commit, never mid-scan),
@@ -14,9 +14,9 @@
 //    where the in-flight state is already consistent, a fired token can only
 //    truncate work, never corrupt it.
 //
-// Determinism contract (docs/robustness.md): the round/iteration caps are
-// pure functions of the inputs, so results under a cap are bit-identical for
-// every thread count. The wall-clock deadline is inherently
+// Determinism contract (docs/robustness.md): the round cap is a pure
+// function of the inputs, so results under it are bit-identical for every
+// thread count. The wall-clock deadline is inherently
 // schedule-dependent; when it never fires, results are bit-identical to an
 // unbudgeted run (the polls are read-only), and when it fires the result is
 // still a valid partition with `stop_reason` reporting why it is partial.
@@ -35,14 +35,13 @@ namespace htp {
 /// Why a budgeted run stopped. Ordered so that the zero value means "no
 /// cancellation happened" and a token's fired state can store the reason.
 enum class StopReason : std::uint8_t {
-  kCompleted = 0,    ///< every requested iteration ran to the end
-  kIterationCap = 1, ///< Budget::max_iterations truncated the outer loop
-  kDeadline = 2,     ///< the wall-clock deadline fired
-  kCancelled = 3,    ///< an external CancellationToken::Cancel() fired
+  kCompleted = 0,  ///< every requested iteration ran to the end
+  kDeadline = 1,   ///< the wall-clock deadline fired
+  kCancelled = 2,  ///< an external CancellationToken::Cancel() fired
 };
 
-/// Stable lowercase name for CLI / log output ("completed",
-/// "iteration-cap", "deadline", "cancelled").
+/// Stable lowercase name for CLI / log output ("completed", "deadline",
+/// "cancelled").
 const char* StopReasonName(StopReason reason);
 
 /// What a run may spend. Default-constructed = unlimited (the pre-anytime
@@ -60,17 +59,12 @@ struct Budget {
   /// max_rounds). Results under a cap are a bit-identical function of the
   /// cap for every thread count.
   std::size_t max_rounds = 0;
-  /// Deterministic cap on Algorithm-1 outer iterations (0 = no cap).
-  /// Because per-iteration RNG streams are pre-forked in serial order, a
-  /// capped run equals the first `max_iterations` iterations of the
-  /// uncapped run, bit for bit.
-  std::size_t max_iterations = 0;
 
   bool HasDeadline() const {
     return time_budget_seconds < kNoTimeLimit;
   }
   bool Unlimited() const {
-    return !HasDeadline() && max_rounds == 0 && max_iterations == 0;
+    return !HasDeadline() && max_rounds == 0;
   }
 };
 

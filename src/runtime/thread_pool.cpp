@@ -45,10 +45,9 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  Task entry{std::move(task), obs::CurrentScope()};
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push(std::move(entry));
+    queue_.push(std::move(task));
   }
   wake_.notify_one();
 }
@@ -56,7 +55,7 @@ void ThreadPool::Submit(std::function<void()> task) {
 void ThreadPool::WorkerLoop() {
   tls_in_parallel_worker = true;
   for (;;) {
-    Task task;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -64,8 +63,7 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop();
     }
-    obs::ScopeGuard scope(std::move(task.scope));
-    task.run();
+    task();
   }
 }
 
@@ -89,13 +87,19 @@ void ParallelFor(ThreadPool& pool, std::size_t count,
   ForkJoin join;
   join.remaining = count;
   join.error_index = count;
+  const obs::ScopeRef scope = obs::CurrentScope();
   for (std::size_t i = 0; i < count; ++i) {
-    pool.Submit([&join, &body, i] {
+    pool.Submit([&join, &body, &scope, i] {
       std::exception_ptr error;
-      try {
-        body(i);
-      } catch (...) {
-        error = std::current_exception();
+      {
+        // Leaving the guard flushes the task's records into the caller's
+        // scope, before the join below can release the caller.
+        obs::ScopeGuard guard(scope);
+        try {
+          body(i);
+        } catch (...) {
+          error = std::current_exception();
+        }
       }
       std::lock_guard<std::mutex> lock(join.mutex);
       if (error && i < join.error_index) {

@@ -22,8 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/obs.hpp"
-
 namespace htp {
 
 /// Maps a user-facing thread-count knob to a worker count: 0 means "all
@@ -55,20 +53,15 @@ class ThreadPool {
 
   /// Enqueues a task. Tasks must not block waiting for other queued tasks
   /// (the pool has no work stealing, so that can deadlock). The task runs
-  /// under the obs run scope active on the submitting thread, so journal
-  /// records made inside a ParallelFor land in the run that forked it.
+  /// under the worker's own obs scope, the process scope, unless it
+  /// installs one; ParallelFor installs its caller's.
   void Submit(std::function<void()> task);
 
  private:
-  struct Task {
-    std::function<void()> run;
-    obs::ScopeRef scope;
-  };
-
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
-  std::queue<Task> queue_;
+  std::queue<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable wake_;
   bool stop_ = false;
@@ -77,7 +70,9 @@ class ThreadPool {
 /// Fork-join: runs body(i) for every i in [0, count) on the pool and blocks
 /// until all invocations finished. Every task runs to completion even when
 /// another throws; if any threw, the exception of the lowest failing index
-/// is rethrown here and the others are discarded.
+/// is rethrown here and the others are discarded. Each body(i) runs under
+/// the caller's obs scope, and its records reach that scope before this
+/// returns.
 void ParallelFor(ThreadPool& pool, std::size_t count,
                  const std::function<void(std::size_t)>& body);
 

@@ -29,9 +29,10 @@
 // on each other.
 //
 // Observability: serve.cache_{hit,miss,evict}_{netlist,csr,metric}
-// counters record every lookup outcome (a dedup wait counts as a hit).
-// Counters are process-global like all obs state; per-request outcomes are
-// the booleans GetOrCompute returns.
+// counters record every lookup outcome (a dedup wait counts as a hit). Like
+// every obs record they belong to the looking-up thread's scope: inside
+// RunSession, that run's. The wire response's per-request `cache` section
+// comes from the booleans GetOrCompute returns.
 #pragma once
 
 #include <cstddef>

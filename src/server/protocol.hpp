@@ -41,9 +41,10 @@ struct ServeRequest {
   /// htp_cli --time-budget — armed when the request starts *running*
   /// (queue wait is excluded; serve.queue_wait observes it instead).
   double deadline_ms = 0.0;
-  /// Embed the full RunReport under the top-level "report" key. Off by
-  /// default: report counters are process-cumulative in a daemon, so the
-  /// report is NOT part of the deterministic response section.
+  /// Embed the full RunReport under the top-level "report" key: this
+  /// request's telemetry alone. Off by default, and NOT part of the
+  /// deterministic response section: its counters include the request's
+  /// cache outcomes, and its wall section times the run.
   bool want_report = false;
 };
 

@@ -66,12 +66,11 @@ struct ProviderStats {
 
 // The run's one RunReport (obs/report.hpp), rendered after the last stage
 // so it covers every stage: `cost` is the final (post-refinement) cost and
-// `algo_cost` the constructor's, as in the wire response. Snapshotting the
-// counters and draining the run's own journal scope here makes RunSession
-// the one place a run's telemetry is collected.
+// `algo_cost` the constructor's, as in the wire response. It runs inside
+// the run's obs::RunScope, so the snapshot and the journal are this run's
+// alone, and RunSession is the one place a run's telemetry is collected.
 std::string RenderRunReport(const SessionRequest& request,
-                            const SessionResult& result,
-                            obs::RunScope& scope) {
+                            const SessionResult& result) {
   const Hypergraph& hg = *result.netlist;
   obs::RunReportBuilder rb(request.report_tool);
   rb.MetaString("algorithm", request.algo);
@@ -124,16 +123,17 @@ std::string RenderRunReport(const SessionRequest& request,
   }
   rb.WallNumber("threads", static_cast<double>(request.threads));
   rb.WallNumber("metric_threads", static_cast<double>(request.metric_threads));
-  return rb.Render(obs::TakeSnapshot(), scope.DrainEvents());
+  return rb.Render(obs::TakeSnapshot(), obs::DrainEvents());
 }
 
 }  // namespace
 
 SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
   const auto start = std::chrono::steady_clock::now();
-  // Every journal record this run makes, on any thread it forks, goes to
-  // this scope: rendered into the report when one is requested, dropped
-  // with the scope otherwise (a daemon must not keep past runs' journals).
+  // Every record this run makes, on any thread it forks, goes to this
+  // scope: the report, when one is requested, holds this run's telemetry
+  // alone. At the end the totals fold into the caller's scope and the
+  // journal is dropped (a daemon must not keep past runs' journals).
   obs::RunScope run_scope;
   SessionResult result;
 
@@ -377,7 +377,7 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
   }
 
   if (request.collect_report)
-    result.report = RenderRunReport(request, result, run_scope);
+    result.report = RenderRunReport(request, result);
 
   result.cache.csr_hits =
       provider_stats->csr_hits.load(std::memory_order_relaxed);

@@ -19,22 +19,18 @@ if(NOT cli_status EQUAL 0)
   message(FATAL_ERROR "htp_cli failed with status ${cli_status}")
 endif()
 
-# With obs compiled out all three artifacts must still be valid JSON, but
-# the telemetry in them is legitimately empty — only gate on content when
-# the probes are compiled in.
 execute_process(
   COMMAND ${PYTHON} -c
 "import json, sys
-trace, jsonl, report, obs_on = sys.argv[1:5]
+trace, jsonl, report = sys.argv[1:4]
 t = json.load(open(trace))
 assert isinstance(t['traceEvents'], list), 'trace must carry traceEvents'
 rows = [json.loads(line) for line in open(jsonl)]
 assert all('type' in row and 'name' in row for row in rows)
-if obs_on == '1':
-    assert rows, 'jsonl snapshot must not be empty'
+assert rows, 'jsonl snapshot must not be empty'
 json.load(open(report))
 print(f'trace {len(t[\"traceEvents\"])} events, jsonl {len(rows)} rows')"
-          ${TRACE} ${JSONL} ${REPORT} ${OBS_ENABLED}
+          ${TRACE} ${JSONL} ${REPORT}
   RESULT_VARIABLE parse_status)
 if(NOT parse_status EQUAL 0)
   message(FATAL_ERROR "artifact JSON parse failed")

@@ -315,10 +315,7 @@ int main(int argc, char** argv) {
       std::ofstream trace(trace_file);
       if (!trace) throw Error("cannot open for writing: " + trace_file);
       obs::WriteChromeTrace(trace, obs::DrainTrace(), obs::TakeLaneNames());
-      std::printf("chrome trace written to %s%s\n", trace_file.c_str(),
-                  obs::TracingEnabled()
-                      ? ""
-                      : " (empty: built with HTP_OBS_ENABLED=OFF)");
+      std::printf("chrome trace written to %s\n", trace_file.c_str());
     }
     if (!report_file.empty()) {
       std::ofstream report(report_file);

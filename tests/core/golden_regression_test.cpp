@@ -20,13 +20,11 @@
 namespace htp {
 namespace {
 
-#if HTP_OBS_ENABLED
 std::uint64_t DijkstraPops() {
   for (const obs::CounterValue& c : obs::TakeSnapshot().counters)
     if (c.name == "dijkstra.pops") return c.value;
   return 0;
 }
-#endif
 
 TEST(GoldenRegression, Figure2ExampleCostIsTwenty) {
   // The paper's worked example (Figure 2): FLOW must land on the known
@@ -50,13 +48,9 @@ TEST(GoldenRegression, SpreadingLpOnFigure2IsPinned) {
   const HierarchySpec spec = Figure2Spec();
   SpreadingLpOptions options;
   options.max_rounds = 300;
-#if HTP_OBS_ENABLED
   const std::uint64_t pops_before = DijkstraPops();
-#endif
   const SpreadingLpResult lp = SolveSpreadingLp(hg, spec, options);
-#if HTP_OBS_ENABLED
   EXPECT_EQ(DijkstraPops() - pops_before, 3188u);
-#endif
   EXPECT_EQ(lp.status, LpStatus::kOptimal);
   EXPECT_TRUE(lp.converged);
   EXPECT_EQ(lp.lower_bound, 0x1.400000000001ep+4);
@@ -70,14 +64,10 @@ TEST(GoldenRegression, PairPathMetricOnC1355IsPinned) {
   FlowInjectionParams params;
   params.seed = 1997;
   params.max_rounds = 600;
-#if HTP_OBS_ENABLED
   const std::uint64_t pops_before = DijkstraPops();
-#endif
   const FlowInjectionResult result =
       ComputePairPathSpreadingMetric(hg, spec, params);
-#if HTP_OBS_ENABLED
   EXPECT_EQ(DijkstraPops() - pops_before, 199167u);
-#endif
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.injections, 891u);
   EXPECT_EQ(result.rounds, 5u);

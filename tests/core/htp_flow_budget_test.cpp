@@ -1,8 +1,8 @@
 // The anytime contract of the FLOW driver (docs/robustness.md):
 //  * an unlimited budget reproduces the unbudgeted run bit for bit;
-//  * deterministic caps (max_iterations, max_rounds) equal a prefix /
-//    reparameterization of the uncapped run, identically for every thread
-//    count;
+//  * a smaller `iterations` is a prefix of a longer run, and the
+//    deterministic round cap (max_rounds) a reparameterization of the
+//    uncapped run, identically for every thread count;
 //  * a fired deadline — even one that is pre-expired — still yields a
 //    *valid* best-so-far partition with completed=false and the right
 //    stop_reason;
@@ -69,59 +69,37 @@ TEST(HtpFlowBudget, HugeDeadlineNeverFiresAndChangesNothing) {
   EXPECT_EQ(result.stop_reason, StopReason::kCompleted);
 }
 
-TEST(HtpFlowBudget, IterationCapEqualsPrefixOfUncappedRun) {
+// A smaller `iterations` is the deterministic cap on Algorithm 1: the
+// per-iteration RNG streams are pre-forked in serial order, so a 2-iteration
+// run is the 4-iteration run's prefix, for every thread count.
+TEST(HtpFlowBudget, ShorterRunIsPrefixOfLongerRun) {
   const Hypergraph hg = TestCircuit();
   const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 3, 0.2);
   const HtpFlowResult full = RunHtpFlow(hg, spec, BaseParams());
-
-  HtpFlowParams capped = BaseParams();
-  capped.budget.max_iterations = 2;
-  const HtpFlowResult result = RunHtpFlow(hg, spec, capped);
-
-  EXPECT_FALSE(result.completed);
-  EXPECT_EQ(result.stop_reason, StopReason::kIterationCap);
-  ASSERT_EQ(result.iterations.size(), 2u);
-  // Pre-forked streams make the capped run the uncapped run's prefix.
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_DOUBLE_EQ(result.iterations[i].metric_cost,
-                     full.iterations[i].metric_cost);
-    EXPECT_DOUBLE_EQ(result.iterations[i].best_partition_cost,
-                     full.iterations[i].best_partition_cost);
-    EXPECT_EQ(result.iterations[i].injections, full.iterations[i].injections);
-  }
-  // And the winner is the best of that prefix.
-  double best = result.iterations[0].best_partition_cost;
-  for (const HtpFlowIteration& it : result.iterations)
-    best = std::min(best, it.best_partition_cost);
-  EXPECT_DOUBLE_EQ(result.cost, best);
-  RequireValidPartition(result.partition, spec);
-}
-
-TEST(HtpFlowBudget, IterationCapAtOrAboveNIsANoOp) {
-  const Hypergraph hg = TestCircuit();
-  const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 3, 0.2);
-  const HtpFlowResult full = RunHtpFlow(hg, spec, BaseParams());
-
-  HtpFlowParams capped = BaseParams();
-  capped.budget.max_iterations = 9;  // above iterations=4
-  const HtpFlowResult result = RunHtpFlow(hg, spec, capped);
-  ExpectSamePartition(full, result, hg);
-  EXPECT_TRUE(result.completed);
-  EXPECT_EQ(result.stop_reason, StopReason::kCompleted);
-}
-
-TEST(HtpFlowBudget, IterationCapIsBitIdenticalAcrossThreadCounts) {
-  const Hypergraph hg = TestCircuit();
-  const HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 3, 0.2);
-  HtpFlowParams capped = BaseParams(1);
-  capped.budget.max_iterations = 3;
-  const HtpFlowResult serial = RunHtpFlow(hg, spec, capped);
-  for (std::size_t threads : {2u, 8u}) {
-    capped.threads = threads;
-    const HtpFlowResult parallel = RunHtpFlow(hg, spec, capped);
+  for (std::size_t threads : {1u, 2u, 8u}) {
     SCOPED_TRACE(threads);
-    ExpectSamePartition(serial, parallel, hg);
-    EXPECT_EQ(parallel.stop_reason, StopReason::kIterationCap);
+    HtpFlowParams shorter = BaseParams(threads);
+    shorter.iterations = 2;
+    const HtpFlowResult result = RunHtpFlow(hg, spec, shorter);
+    EXPECT_TRUE(result.completed);
+    EXPECT_EQ(result.stop_reason, StopReason::kCompleted);
+    ASSERT_EQ(result.iterations.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(result.iterations[i].metric_cost,
+                full.iterations[i].metric_cost);
+      EXPECT_EQ(result.iterations[i].best_partition_cost,
+                full.iterations[i].best_partition_cost);
+      EXPECT_EQ(result.iterations[i].injections,
+                full.iterations[i].injections);
+      EXPECT_EQ(result.iterations[i].metric_converged,
+                full.iterations[i].metric_converged);
+    }
+    // And the winner is the best of that prefix.
+    double best = result.iterations[0].best_partition_cost;
+    for (const HtpFlowIteration& it : result.iterations)
+      best = std::min(best, it.best_partition_cost);
+    EXPECT_DOUBLE_EQ(result.cost, best);
+    RequireValidPartition(result.partition, spec);
   }
 }
 

@@ -235,13 +235,11 @@ TEST(StopCertificate, ToleranceEdgeMatchesReferenceToTheUlp) {
   }
 }
 
-#if HTP_OBS_ENABLED
 std::uint64_t Counter(const std::string& name) {
   for (const obs::CounterValue& c : obs::TakeSnapshot().counters)
     if (c.name == name) return c.value;
   return 0;
 }
-#endif
 
 TEST(StopCertificate, PathCertifiesAfterThreeSettles) {
   // Hand-worked: the path 0-1-2-3-4-5, unit sizes and lengths, so from
@@ -260,15 +258,11 @@ TEST(StopCertificate, PathCertifiesAfterThreeSettles) {
   const HierarchySpec spec({{2.0, 2, 1.0}, {6.0, 3, 1.0}});
   const SpreadingMetric metric(hg.num_nets(), 1.0);
   ViolationScanner scanner(hg, spec, 1);
-#if HTP_OBS_ENABLED
   const std::uint64_t settled_before = Counter("dijkstra.settled");
   const std::uint64_t pops_before = Counter("dijkstra.pops");
-#endif
   EXPECT_FALSE(scanner.FindViolationFrom(0, metric).has_value());
-#if HTP_OBS_ENABLED
   EXPECT_EQ(Counter("dijkstra.settled") - settled_before, 3u);
   EXPECT_EQ(Counter("dijkstra.pops") - pops_before, 3u);
-#endif
   EXPECT_FALSE(ReferenceCheck(hg, spec, 0, metric, 1e-7).violated);
 }
 
@@ -328,19 +322,15 @@ void RunLockstep(const Hypergraph& hg, const HierarchySpec& spec,
       std::vector<std::uint64_t> first_counters;
       for (std::size_t s = 0; s < scanners.size(); ++s) {
         SCOPED_TRACE(testing::Message() << "workers " << worker_counts[s]);
-#if HTP_OBS_ENABLED
         const std::uint64_t calls = Counter("dijkstra.calls");
         const std::uint64_t pops = Counter("dijkstra.pops");
         const std::uint64_t skips = Counter("flow.ball_skips");
-#endif
         auto hit = scanners[s]->FindFirstViolation(worklist, cursor, metric,
                                                    tolerance);
         std::vector<std::uint64_t> counters;
-#if HTP_OBS_ENABLED
         counters = {Counter("dijkstra.calls") - calls,
                     Counter("dijkstra.pops") - pops,
                     Counter("flow.ball_skips") - skips};
-#endif
         // Without the exhaustive reference, the serial scanner is the
         // reference for the parallel ones.
         if (s == 0 && !reference) want = hit ? hit->index : worklist.size();

@@ -19,14 +19,12 @@
 namespace htp {
 namespace {
 
-#if HTP_OBS_ENABLED
 std::uint64_t CounterTotal(const std::string& name) {
   for (const obs::CounterValue& c : obs::TakeSnapshot().counters)
     if (c.name == name) return c.value;
   ADD_FAILURE() << "counter not in snapshot: " << name;
   return 0;
 }
-#endif
 
 struct ConvergedRun {
   std::shared_ptr<const Hypergraph> hg;
@@ -130,9 +128,7 @@ TEST(EcoRepartition, SingleNetDeltaRecarvesOnlyTouchedSubtrees) {
   // Pin the pure delta-scoped path: with the race on, a rebuild can
   // legitimately win and report zero reuse.
   eco.race_rebuild = false;
-#if HTP_OBS_ENABLED
   const std::uint64_t attempts_before = CounterTotal("carve.attempts");
-#endif
   const EcoResult result = RunEcoRepartition(app, run.spec, old_tp, warm, eco);
   RequireValidPartition(result.partition, run.spec);
   const std::size_t root_children =
@@ -140,11 +136,9 @@ TEST(EcoRepartition, SingleNetDeltaRecarvesOnlyTouchedSubtrees) {
   EXPECT_FALSE(result.full_rebuild);
   EXPECT_EQ(result.blocks_recarved, 1u);
   EXPECT_EQ(result.blocks_reused, root_children - 1);
-#if HTP_OBS_ENABLED
   // The re-carve runs FLOW's best-of-carves, so it is credited to the same
   // counter a cold construction is.
   EXPECT_GT(CounterTotal("carve.attempts"), attempts_before);
-#endif
 }
 
 TEST(EcoRepartition, BitIdenticalAcrossFullKnobMatrix) {

@@ -85,6 +85,14 @@ TEST(HypergraphBuilder, RejectsBadInputs) {
   const NodeId b = builder.add_node();
   EXPECT_THROW(builder.add_net({a, b}, 0.0), Error);
   EXPECT_THROW(builder.add_net({a, 99u}), Error);
+  EXPECT_THROW(builder.add_net({99u}), Error);
+  // The rejected nets left nothing behind: the next net is net 0.
+  builder.add_net({b, a, b});
+  const Hypergraph hg = builder.build();
+  ASSERT_EQ(hg.num_nets(), 1u);
+  ASSERT_EQ(hg.num_pins(), 2u);
+  EXPECT_EQ(hg.pins(0)[0], a);
+  EXPECT_EQ(hg.pins(0)[1], b);
 }
 
 TEST(Hypergraph, CrossIndexConsistency) {

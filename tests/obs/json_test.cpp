@@ -1,8 +1,7 @@
 // Unit tests for the shared JSON emission layer (obs/json.hpp): EscapeJson
 // against hostile names, JsonWriter number/comma handling, and the
 // guarantee that every sink stays valid JSON no matter what strings the
-// caller feeds it. These run identically with HTP_OBS_ENABLED=OFF — the
-// emitters operate on plain data.
+// caller feeds it. The emitters operate on plain data.
 #include <gtest/gtest.h>
 
 #include <limits>

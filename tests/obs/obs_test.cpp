@@ -1,10 +1,7 @@
 // Unit tests for the htp-obs telemetry layer: deterministic shard merging
-// across fork-join boundaries, snapshot/reset semantics, and the exact
-// shape of the sink outputs (stats report, Chrome trace JSON, JSONL).
-//
-// Bodies that assert recorded values are gated on HTP_OBS_ENABLED so the
-// suite also passes in a -DHTP_OBS_ENABLED=OFF build, where it instead
-// pins the compiled-out contract (empty snapshots, no-op probes).
+// across fork-join boundaries, snapshot/reset semantics, the scope rule
+// (every record belongs to the scope of the thread that made it), and the
+// exact shape of the sink outputs (stats report, Chrome trace JSON, JSONL).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -32,7 +29,6 @@ obs::TimerValue FindTimer(const obs::Snapshot& snap, const std::string& name) {
   return {};
 }
 
-#if HTP_OBS_ENABLED
 
 TEST(ObsRegistry, SumCounterAccumulatesOnCallingThread) {
   obs::ResetAll();
@@ -293,8 +289,8 @@ TEST(ObsEvent, ResetDiscardsBufferedRecords) {
   EXPECT_TRUE(obs::DrainEvents().empty());
 }
 
-// A run scope owns every record made under it, on its own thread and on
-// the pool tasks that thread submits; records outside any scope still
+// A run scope owns every record made under it, on its own thread and in
+// the ParallelFor tasks that thread forks; records outside any scope still
 // reach the process journal, and an undrained scope drops its records.
 TEST(RunScope, KeepsItsRunsRecordsAcrossParallelFor) {
   static obs::Event event("test.event_scoped");
@@ -307,13 +303,13 @@ TEST(RunScope, KeepsItsRunsRecordsAcrossParallelFor) {
       event.Record({{"i", static_cast<double>(i)}});
     });
     event.Record({{"i", 6.0}});
-    scoped = scope.DrainEvents();
+    scoped = obs::DrainEvents();
     {
       obs::RunScope nested;  // shadows the outer scope, then restores it
       event.Record({{"i", 9.0}});
     }
     event.Record({{"i", 7.0}});
-    const std::vector<obs::EventRecord> rest = scope.DrainEvents();
+    const std::vector<obs::EventRecord> rest = obs::DrainEvents();
     ASSERT_EQ(rest.size(), 1u);
     EXPECT_EQ(rest[0].fields[0].second, 7.0);
     event.Record({{"i", 10.0}});  // undrained: dropped with the scope
@@ -327,6 +323,41 @@ TEST(RunScope, KeepsItsRunsRecordsAcrossParallelFor) {
   const std::vector<obs::EventRecord> global = obs::DrainEvents();
   ASSERT_EQ(global.size(), 1u);
   EXPECT_EQ(global[0].fields[0].second, 8.0);
+}
+
+// Two runs, one after the other, fork onto the same persistent pool, as a
+// daemon's requests do. Each run's snapshot holds only its own totals, and
+// holds them as soon as ParallelFor returns, though the workers that made
+// them are still alive. Ended runs fold into the enclosing scope.
+TEST(RunScope, SequentialScopesOnOnePoolSnapshotOnlyTheirOwnTotals) {
+  static obs::Counter sum("test.scope_sum");
+  static obs::Counter high_water("test.scope_max", obs::CounterKind::kMax);
+  static obs::Histogram histogram("test.scope_hist");
+  obs::ResetAll();
+  ThreadPool pool(3);
+  const auto run = [&pool](std::size_t tasks, std::uint64_t each) {
+    obs::RunScope scope;
+    ParallelFor(pool, tasks, [each](std::size_t i) {
+      sum.Add(each);
+      high_water.Add(each * (i + 1));
+      histogram.Record(each);
+    });
+    return obs::TakeSnapshot();
+  };
+  const obs::Snapshot first = run(8, 1);
+  EXPECT_EQ(FindCounter(first, "test.scope_sum").value, 8u);
+  EXPECT_EQ(FindCounter(first, "test.scope_max").value, 8u);
+  EXPECT_EQ(FindHistogram(first, "test.scope_hist").count, 8u);
+  const obs::Snapshot second = run(5, 10);
+  EXPECT_EQ(FindCounter(second, "test.scope_sum").value, 50u);
+  EXPECT_EQ(FindCounter(second, "test.scope_max").value, 50u);
+  EXPECT_EQ(FindHistogram(second, "test.scope_hist").count, 5u);
+  EXPECT_EQ(FindHistogram(second, "test.scope_hist").sum, 50u);
+
+  const obs::Snapshot process = obs::TakeSnapshot();
+  EXPECT_EQ(FindCounter(process, "test.scope_sum").value, 58u);
+  EXPECT_EQ(FindCounter(process, "test.scope_max").value, 50u);
+  EXPECT_EQ(FindHistogram(process, "test.scope_hist").count, 13u);
 }
 
 TEST(ObsLanes, NamesSurviveResetAndIndexByTid) {
@@ -358,24 +389,6 @@ TEST(ObsLanes, PoolWorkersAreNamedByIndex) {
   EXPECT_GE(workers, 2) << "ThreadPool must name its workers worker-<i>";
 }
 
-#else  // HTP_OBS_ENABLED == 0
-
-TEST(ObsRegistry, CompiledOutProbesYieldEmptySnapshots) {
-  static obs::Counter counter("test.off_counter");
-  static obs::Timer timer("test.off_timer");
-  counter.Add(42);
-  { obs::ScopedTimer t(timer); }
-  obs::SetTracing(true);
-  { obs::PhaseScope span(timer, "k", 1); }
-  EXPECT_FALSE(obs::TracingEnabled());
-  const obs::Snapshot snap = obs::TakeSnapshot();
-  EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.timers.empty());
-  EXPECT_TRUE(obs::DrainTrace().empty());
-  obs::ResetAll();
-}
-
-#endif  // HTP_OBS_ENABLED
 
 TEST(ObsSinks, StatsReportListsEverySection) {
   obs::Snapshot snap;

@@ -2,10 +2,7 @@
 // (deterministic vs wall), DeterministicSection extraction, and the
 // headline contracts of the report RunSession renders — it covers the
 // whole run (FM refinement included) and its deterministic section is
-// bit-identical for every threads x metric_threads combination. The
-// builder operates on plain data, so the shape tests run with
-// HTP_OBS_ENABLED=OFF too; the pipeline tests then pin the (weaker, still
-// exact) compiled-out artifact.
+// bit-identical for every threads x metric_threads combination.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -108,8 +105,8 @@ TEST(DeterministicSection, ExtractsTheExactBraceMatchedSlice) {
 }
 
 // A RunSession request over c1355-like instance `instance_seed`, with the
-// 3-level binary hierarchy and a RunReport collected from a clean slate
-// (counters and the journal are process-global and cumulative).
+// 3-level binary hierarchy and a RunReport collected. The report holds
+// this run's telemetry alone, whatever ran in the process before.
 serve::SessionRequest ReportRequest(std::uint64_t instance_seed) {
   serve::SessionRequest request;
   request.netlist = std::make_shared<const Hypergraph>(
@@ -119,8 +116,6 @@ serve::SessionRequest ReportRequest(std::uint64_t instance_seed) {
   request.seed = 11;
   request.refine = true;
   request.collect_report = true;
-  obs::ResetAll();
-  obs::DrainEvents();
   return request;
 }
 
@@ -172,15 +167,10 @@ TEST(RunReportPipeline, DeterministicSectionIsThreadCountInvariant) {
         EXPECT_EQ(det, reference);
     }
   }
-#if HTP_OBS_ENABLED
   EXPECT_NE(reference.find("\"event\":\"driver.iteration\""),
             std::string::npos);
   EXPECT_NE(reference.find("\"event\":\"flow.round\""), std::string::npos);
   EXPECT_TRUE(HasCounter(reference, "fm.refines", 1));
-#else
-  EXPECT_NE(reference.find("\"journal\":[]"), std::string::npos)
-      << "compiled-out builds render reports with empty telemetry";
-#endif
 }
 
 // FLOW+ is FLOW followed by generalized FM: the report is rendered after
@@ -204,10 +194,8 @@ TEST(RunReportPipeline, FlowRefineReportCarriesTheFinalCost) {
       << result;
   EXPECT_NE(result.find("\"refined\":true"), std::string::npos) << result;
   EXPECT_NE(run.report.find("\"tool\":\"report_test\""), std::string::npos);
-#if HTP_OBS_ENABLED
   EXPECT_TRUE(
       HasCounter(obs::DeterministicSection(run.report), "fm.refines", 1));
-#endif
 }
 
 TEST(RunReportPipeline, MultilevelReportCoversTheWholePipeline) {
@@ -223,7 +211,6 @@ TEST(RunReportPipeline, MultilevelReportCoversTheWholePipeline) {
   EXPECT_NE(ResultSection(run.report)
                 .find("\"cost\":" + JsonNumber(run.fm.final_cost) + ","),
             std::string::npos);
-#if HTP_OBS_ENABLED
   // One journal covers the whole pipeline: the coarse flow's records, the
   // per-level records, and every FM refine — one per uncoarsening level
   // plus the session's final one.
@@ -232,7 +219,6 @@ TEST(RunReportPipeline, MultilevelReportCoversTheWholePipeline) {
   EXPECT_NE(det.find("\"event\":\"multilevel.level\""),
             std::string_view::npos);
   EXPECT_TRUE(HasCounter(det, "fm.refines", run.coarsen_levels + 1));
-#endif
 }
 
 TEST(RunReportPipeline, ReportIsEmptyUnlessRequested) {

@@ -11,13 +11,11 @@
 namespace htp {
 namespace {
 
-#if HTP_OBS_ENABLED
 std::uint64_t MovesApplied() {
   for (const obs::CounterValue& c : obs::TakeSnapshot().counters)
     if (c.name == "fm.moves_applied") return c.value;
   return 0;
 }
-#endif
 
 TEST(HtpFm, FixesASingleMisplacedNode) {
   Hypergraph hg = Figure2Graph();
@@ -87,13 +85,9 @@ TEST(HtpFm, PassStopsWithinTheWindow) {
     return leaf_of;
   };
   const std::vector<BlockId> converged = leaves();
-#if HTP_OBS_ENABLED
   const std::uint64_t applied_before = MovesApplied();
-#endif
   const HtpFmStats stats = RefineHtpFm(tp, spec);
-#if HTP_OBS_ENABLED
   EXPECT_LE(MovesApplied() - applied_before, 300u);
-#endif
   EXPECT_EQ(stats.passes, 1u);
   EXPECT_EQ(stats.moves_kept, 0u);
   EXPECT_EQ(leaves(), converged);

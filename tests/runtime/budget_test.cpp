@@ -27,10 +27,6 @@ TEST(Budget, AnyKnobMakesItLimited) {
   rounds.max_rounds = 10;
   EXPECT_FALSE(rounds.HasDeadline());
   EXPECT_FALSE(rounds.Unlimited());
-
-  Budget iterations;
-  iterations.max_iterations = 2;
-  EXPECT_FALSE(iterations.Unlimited());
 }
 
 TEST(CancellationToken, DefaultTokenIsInertForever) {
@@ -131,7 +127,6 @@ TEST(StartBudget, DeadlineBudgetArmsAToken) {
 
 TEST(StopReason, NamesMatchTheCliContract) {
   EXPECT_STREQ(StopReasonName(StopReason::kCompleted), "completed");
-  EXPECT_STREQ(StopReasonName(StopReason::kIterationCap), "iteration-cap");
   EXPECT_STREQ(StopReasonName(StopReason::kDeadline), "deadline");
   EXPECT_STREQ(StopReasonName(StopReason::kCancelled), "cancelled");
 }

@@ -147,15 +147,6 @@ TEST(Session, RejectsUnknownAlgoAndBadWeights) {
   EXPECT_THROW(RunSession(empty_file, nullptr), Error);
 }
 
-// The `journal` member of a report's deterministic section (its last
-// member), or "" when the report has none.
-std::string JournalSection(const std::string& report) {
-  const std::string_view det = obs::DeterministicSection(report);
-  const std::size_t at = det.find("\"journal\":");
-  return at == std::string_view::npos ? std::string()
-                                      : std::string(det.substr(at));
-}
-
 // A FLOW+ request whose iterations run on pool workers, so its journal
 // records are made on threads other than the one that runs the session.
 SessionRequest ForkingRequest(std::uint64_t seed) {
@@ -178,30 +169,32 @@ TEST(Session, ReportlessRunsLeaveNoJournalBehind) {
   EXPECT_TRUE(obs::DrainEvents().empty());
 }
 
-// A report's journal is exactly its own run's: concurrent runs, with or
-// without reports, neither add records to it nor take records from it.
+// The deterministic section of the report `request` asks for.
+std::string DeterministicReport(const SessionRequest& request) {
+  return std::string(
+      obs::DeterministicSection(RunSession(request, nullptr).report));
+}
+
+// A report is exactly its own run's: concurrent runs, with or without
+// reports, neither add records to it nor take records from it — counters,
+// histograms and journal alike — so its whole deterministic section equals
+// the same run's alone.
 TEST(Session, ConcurrentReportJournalMatchesSoloRun) {
   SessionRequest first = ForkingRequest(1);
   first.collect_report = true;
   SessionRequest second = ForkingRequest(7);
   second.collect_report = true;
-  const std::string first_solo =
-      JournalSection(RunSession(first, nullptr).report);
-  const std::string second_solo =
-      JournalSection(RunSession(second, nullptr).report);
-  ASSERT_FALSE(first_solo.empty());
-#if HTP_OBS_ENABLED
+  const std::string first_solo = DeterministicReport(first);
+  const std::string second_solo = DeterministicReport(second);
+  ASSERT_NE(first_solo.find("\"driver.runs\":1,"), std::string::npos)
+      << first_solo;
+  ASSERT_NE(first_solo.find("\"journal\":[{"), std::string::npos);
   ASSERT_NE(first_solo, second_solo);
-#endif
 
   std::string first_concurrent, second_concurrent;
   std::vector<std::thread> runs;
-  runs.emplace_back([&] {
-    first_concurrent = JournalSection(RunSession(first, nullptr).report);
-  });
-  runs.emplace_back([&] {
-    second_concurrent = JournalSection(RunSession(second, nullptr).report);
-  });
+  runs.emplace_back([&] { first_concurrent = DeterministicReport(first); });
+  runs.emplace_back([&] { second_concurrent = DeterministicReport(second); });
   for (std::uint64_t seed : {2u, 3u})
     runs.emplace_back([seed] { RunSession(ForkingRequest(seed), nullptr); });
   for (std::thread& run : runs) run.join();
