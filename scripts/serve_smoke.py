@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """End-to-end smoke test for the htp_serve daemon.
 
-Starts the daemon on a throwaway AF_UNIX socket, sends the same partition
-request twice over one connection (cold cache, then warm), and checks the
-contracts docs/server.md promises:
+Starts the daemon on a throwaway AF_UNIX socket, sends the same
+``"report": true`` partition request twice over one connection (cold
+cache, then warm; a report request always runs, so the repeat reaches the
+artifact tiers rather than the response tier), and checks the contracts
+docs/server.md promises:
 
 * both responses report status "ok" with matching echoed ids;
-* the cold request misses every cache tier and the warm one hits them;
+* the cold request misses every artifact tier and the warm one hits them;
 * the top-level ``deterministic`` sections of the two responses are
   byte-identical (cache state must never leak into results);
 * the partition the daemon returns is byte-identical to what ``htp_cli
@@ -21,6 +23,13 @@ contracts docs/server.md promises:
   daemon's warm partition is byte-identical to what ``htp_cli
   --warm-start`` writes from the same state file;
 * ping answers inline and shutdown terminates the daemon cleanly;
+* the response tier (docs/server.md, "Response tier"): a daemon with the
+  default tiers answers a repeated cold request, a repeated
+  ``emit_warm_state`` request and a repeated ECO request (a delta plus
+  ``warm_text``) with ``"response": "hit"``. Each hit's deterministic
+  section is byte-identical to its miss's, and its partition to what
+  ``htp_cli --out`` writes for the same request. The ``stats`` reply
+  parses, and its response-tier counts move by the repeats;
 * report parity (docs/server.md, "Observability"): a second daemon, every
   cache tier off, runs four concurrent ``"report": true`` requests with
   distinct seeds. Each report's deterministic ``meta``, ``result``,
@@ -69,6 +78,9 @@ PARITY_CLI_ARGS = [
 ]
 CACHES_OFF = ["--cache-netlists", "0", "--cache-csr", "0",
               "--cache-metrics", "0"]
+# A size-neutral edit for the response-tier phase's ECO request.
+DELTA_TEXT = "htp-delta v1\nremove-net 17\nadd-net 1 3 40\n"
+TIERS = ("netlist", "csr", "metric", "response")
 
 
 def recv_line(sock):
@@ -117,6 +129,91 @@ def report_slice(report):
         "histograms": det["histograms"],
         "journal": det["journal"],
     }
+
+
+def round_trip(sock, request):
+    sock.sendall(json.dumps(request).encode() + b"\n")
+    response = recv_line(sock)
+    assert response["status"] == "ok", response
+    assert response["id"] == request["id"], response
+    return response
+
+
+def stats(sock, request_id):
+    reply = round_trip(sock, {"op": "stats", "id": request_id})
+    assert reply["op"] == "stats", reply
+    for tier in TIERS:
+        counts = reply["cache"][tier]
+        assert sorted(counts) == sorted(
+            ["entries", "capacity", "hits", "misses", "evictions"]), counts
+    assert sorted(reply["pool"]) == ["in_flight", "queued"], reply
+    return reply
+
+
+def cli_partition(args, tmp, name, extra):
+    out_file = tmp / f"{name}.part"
+    subprocess.run([args.cli, *CLI_ARGS, *extra, "--out", str(out_file)],
+                   check=True, stdout=subprocess.DEVNULL)
+    return out_file.read_text()
+
+
+def check_response_tier(args, tmp):
+    sock_path = tmp / "tier.sock"
+    daemon = start_daemon(args.serve, sock_path, ["--threads", "2"],
+                          time.monotonic() + args.timeout)
+    try:
+        sock = connect(sock_path, args.timeout)
+        before = stats(sock, "s0")
+        assert before["cache"]["response"]["capacity"] == 256, before
+        assert before["pool"] == {"queued": 0, "in_flight": 0}, before
+
+        state_file = tmp / "tier.warm"
+        delta_file = tmp / "tier.delta"
+        delta_file.write_text(DELTA_TEXT)
+        cases = [("cold", {}, []),
+                 ("emit", {"emit_warm_state": True}, []),
+                 ("eco", {"delta_text": DELTA_TEXT},
+                  ["--warm-start", str(state_file),
+                   "--delta", str(delta_file)])]
+        for name, members, cli_extra in cases:
+            if name == "eco":
+                members["warm_text"] = state_file.read_text()
+            miss = round_trip(sock, dict(REQUEST, id=name + "-1", **members))
+            hit = round_trip(sock, dict(REQUEST, id=name + "-2", **members))
+            assert miss["cache"]["response"] == "miss", miss["cache"]
+            assert hit["cache"]["response"] == "hit", hit["cache"]
+            assert hit["wall"] == {"run_seconds": 0, "queue_wait_ms": 0}, (
+                hit["wall"])
+            assert deterministic_slice(hit) == deterministic_slice(miss), (
+                f"{name}: the hit's deterministic section differs from the "
+                "miss's")
+            partition = cli_partition(args, tmp, "tier-" + name, cli_extra)
+            assert hit["deterministic"]["partition"] == partition, (
+                f"{name}: the hit's partition differs from htp_cli --out")
+            if name == "emit":
+                state_file.write_text(hit["deterministic"]["warm_state"])
+        print(f"response tier: {len(cases)} repeats (cold, emit_warm_state, "
+              "ECO) hit, byte-identical to their misses and to htp_cli")
+
+        after = stats(sock, "s1")
+        tier = after["cache"]["response"]
+        moved = {k: tier[k] - before["cache"]["response"][k]
+                 for k in ("entries", "hits", "misses")}
+        assert moved == {"entries": len(cases), "hits": len(cases),
+                         "misses": len(cases)}, (before, after)
+        assert after["pool"] == {"queued": 0, "in_flight": 0}, after
+        print(f"stats: response tier entries/hits/misses moved by {moved}")
+
+        sock.sendall(b'{"op":"shutdown"}\n')
+        assert recv_line(sock)["status"] == "ok"
+        sock.close()
+        if daemon.wait(timeout=args.timeout) != 0:
+            raise RuntimeError(
+                f"daemon exited with {daemon.returncode} after shutdown")
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
 
 
 def check_report_parity(args, tmp):
@@ -231,15 +328,14 @@ def main():
             print("nesting: a 300,000-level line got a typed error; the "
                   "daemon still answers")
 
-            responses = []
-            for request_id in ("cold", "warm"):
-                request = dict(REQUEST, id=request_id)
-                sock.sendall(json.dumps(request).encode() + b"\n")
-                response = recv_line(sock)
-                assert response["status"] == "ok", response
-                assert response["id"] == request_id, response
-                responses.append(response)
-            cold, warm = responses
+            # A report request bypasses the response tier, so the warm
+            # repeat runs and meets the artifact tiers.
+            cold, warm = (
+                round_trip(sock, dict(REQUEST, id=request_id, report=True))
+                for request_id in ("cold", "warm"))
+            for response in (cold, warm):
+                assert response["cache"]["response"] == "off", (
+                    response["cache"])
 
             assert cold["cache"]["netlist"] == "miss", cold["cache"]
             assert cold["cache"]["metric"]["hits"] == 0, cold["cache"]
@@ -258,31 +354,22 @@ def main():
             print("determinism: cold and warm deterministic sections are "
                   "byte-identical")
 
-            out_file = tmp / "cli.part"
-            subprocess.run(
-                [args.cli, *CLI_ARGS, "--out", str(out_file)],
-                check=True, stdout=subprocess.DEVNULL)
-            cli_partition = out_file.read_text()
+            cli_part = cli_partition(args, tmp, "cli", [])
             serve_partition = cold["deterministic"]["partition"]
-            assert serve_partition == cli_partition, (
+            assert serve_partition == cli_part, (
                 "daemon partition differs from htp_cli --out for the same "
                 "request and seed")
             print(f"parity: daemon partition is byte-identical to htp_cli "
-                  f"({len(cli_partition)} bytes)")
+                  f"({len(cli_part)} bytes)")
 
             # ECO warm-start parity: emit the state, resume from it, and
             # check the daemon's warm run against htp_cli --warm-start.
-            emit_request = dict(REQUEST, id="emit", emit_warm_state=True)
-            sock.sendall(json.dumps(emit_request).encode() + b"\n")
-            emitted = recv_line(sock)
-            assert emitted["status"] == "ok", emitted
+            emitted = round_trip(
+                sock, dict(REQUEST, id="emit", emit_warm_state=True))
             warm_state = emitted["deterministic"]["warm_state"]
             assert warm_state.startswith("htp-warm-start v1"), warm_state[:40]
 
-            eco_request = dict(REQUEST, id="eco", warm_text=warm_state)
-            sock.sendall(json.dumps(eco_request).encode() + b"\n")
-            eco = recv_line(sock)
-            assert eco["status"] == "ok", eco
+            eco = round_trip(sock, dict(REQUEST, id="eco", warm_text=warm_state))
             eco_summary = eco["deterministic"]["result"]["eco"]
             assert eco_summary["warm_source"] == "state", eco_summary
             assert not eco_summary["full_rebuild"], eco_summary
@@ -293,12 +380,9 @@ def main():
 
             state_file = tmp / "state.warm"
             state_file.write_text(warm_state)
-            warm_out = tmp / "cli_warm.part"
-            subprocess.run(
-                [args.cli, *CLI_ARGS, "--warm-start", str(state_file),
-                 "--out", str(warm_out)],
-                check=True, stdout=subprocess.DEVNULL)
-            assert eco["deterministic"]["partition"] == warm_out.read_text(), (
+            warm_part = cli_partition(args, tmp, "cli_warm",
+                                      ["--warm-start", str(state_file)])
+            assert eco["deterministic"]["partition"] == warm_part, (
                 "daemon warm partition differs from htp_cli --warm-start "
                 "for the same state and seed")
             print("eco: daemon warm resume matches htp_cli --warm-start "
@@ -317,6 +401,7 @@ def main():
             if daemon.poll() is None:
                 daemon.kill()
                 daemon.wait()
+        check_response_tier(args, tmp)
         check_report_parity(args, tmp)
     print("serve smoke passed")
     return 0

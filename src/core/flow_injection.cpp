@@ -69,8 +69,8 @@ FlowInjectionResult ComputeSpreadingMetric(const Hypergraph& hg,
   std::uint64_t flooded_nets = 0, violated_tree_nodes = 0;
 
   FlowInjectionResult result;
-  result.flow.assign(hg.num_nets(), params.epsilon);
-  MaybeSeedWarmFlow(hg, params, result.flow);
+  std::vector<double> flow(hg.num_nets(), params.epsilon);  // f(e) per net
+  MaybeSeedWarmFlow(hg, params, flow);
   result.metric.assign(hg.num_nets(), 0.0);
   // Running sum_e c(e) d(e), maintained incrementally: O(tree_nets) per
   // injection instead of an O(nets) sweep per round just to journal it.
@@ -81,7 +81,7 @@ FlowInjectionResult ComputeSpreadingMetric(const Hypergraph& hg,
   auto update_length = [&](NetId e) {
     const double cap = hg.net_capacity(e);
     metric_mass -= cap * result.metric[e];
-    result.metric[e] = std::exp(params.alpha * result.flow[e] / cap) - 1.0;
+    result.metric[e] = std::exp(params.alpha * flow[e] / cap) - 1.0;
     metric_mass += cap * result.metric[e];
   };
   for (NetId e = 0; e < hg.num_nets(); ++e) update_length(e);
@@ -121,7 +121,7 @@ FlowInjectionResult ComputeSpreadingMetric(const Hypergraph& hg,
       if (!hit) break;  // every source from cursor on is satisfied: drop all
       // Steps 2.1.4 / 2.1.5: flood the violating tree and re-penalize.
       for (NetId e : hit->tree_nets) {
-        result.flow[e] += params.delta;
+        flow[e] += params.delta;
         update_length(e);
       }
       ++result.injections;
@@ -181,12 +181,12 @@ FlowInjectionResult ComputePairPathSpreadingMetric(
   std::uint64_t flooded_nets = 0;
 
   FlowInjectionResult result;
-  result.flow.assign(hg.num_nets(), params.epsilon);
-  MaybeSeedWarmFlow(hg, params, result.flow);
+  std::vector<double> flow(hg.num_nets(), params.epsilon);  // f(e) per net
+  MaybeSeedWarmFlow(hg, params, flow);
   result.metric.assign(hg.num_nets(), 0.0);
   auto update_length = [&](NetId e) {
     result.metric[e] =
-        std::exp(params.alpha * result.flow[e] / hg.net_capacity(e)) - 1.0;
+        std::exp(params.alpha * flow[e] / hg.net_capacity(e)) - 1.0;
   };
   for (NetId e = 0; e < hg.num_nets(); ++e) update_length(e);
 
@@ -220,7 +220,7 @@ FlowInjectionResult ComputePairPathSpreadingMetric(
            x = tree.parent[x].node) {
         const NetId e = tree.parent[x].net;
         if (e == kInvalidNet) break;
-        result.flow[e] += params.delta;
+        flow[e] += params.delta;
         update_length(e);
         ++flooded_nets;
       }

@@ -81,7 +81,6 @@ struct FlowInjectionParams {
 /// Outcome of Algorithm 2.
 struct FlowInjectionResult {
   SpreadingMetric metric;        ///< d(e) per net
-  std::vector<double> flow;      ///< f(e) per net
   std::size_t injections = 0;    ///< number of violating trees flooded
   std::size_t rounds = 0;        ///< worklist passes executed
   bool converged = false;        ///< worklist emptied within max_rounds

@@ -23,26 +23,59 @@ void AppendLine(std::string& out, std::string_view key, Ints... values) {
 
 }  // namespace
 
-std::string WritePartitionText(const TreePartition& tp) {
+PartitionTable TabulatePartition(const TreePartition& tp) {
   HTP_CHECK_MSG(tp.fully_assigned(), "cannot serialize a partial partition");
   const Hypergraph& hg = tp.hypergraph();
+  PartitionTable table;
+  table.nodes = hg.num_nodes();
+  table.nets = hg.num_nets();
+  table.pins = hg.num_pins();
+  table.root_level = tp.root_level();
+  table.block_level.reserve(tp.num_blocks());
+  table.block_parent.reserve(tp.num_blocks());
+  for (BlockId q = 0; q < tp.num_blocks(); ++q) {
+    table.block_level.push_back(tp.level(q));
+    table.block_parent.push_back(tp.parent(q));
+  }
+  while (table.leaf_width < 4 &&
+         tp.num_blocks() > std::size_t{1} << (8 * table.leaf_width))
+    table.leaf_width *= 2;
+  table.leaf_ids.resize(std::size_t{hg.num_nodes()} * table.leaf_width);
+  std::uint8_t* out = table.leaf_ids.data();
+  for (NodeId v = 0; v < hg.num_nodes(); ++v) {
+    BlockId leaf = tp.leaf_of(v);
+    for (std::size_t b = 0; b < table.leaf_width; ++b, leaf >>= 8)
+      *out++ = static_cast<std::uint8_t>(leaf);
+  }
+  return table;
+}
+
+std::string WritePartitionText(const TreePartition& tp) {
+  return WritePartitionText(TabulatePartition(tp));
+}
+
+std::string WritePartitionText(const PartitionTable& table) {
+  const std::size_t num_blocks = table.block_level.size();
+  HTP_CHECK(table.block_parent.size() == num_blocks);
+  HTP_CHECK(table.leaf_ids.size() ==
+            std::size_t{table.nodes} * table.leaf_width);
   // At most: "assign", the node and the leaf id, two spaces and a newline
   // per node; 64 characters per block line and for the header.
   std::string out = "htp-partition v1\n";
-  out.reserve(64 * (tp.num_blocks() + 4) +
-              std::size_t{hg.num_nodes()} *
-                  (9 + text::DecimalDigits(hg.num_nodes()) +
-                   text::DecimalDigits(tp.num_blocks())));
-  AppendLine(out, "netlist", hg.num_nodes(), hg.num_nets(), hg.num_pins());
-  AppendLine(out, "root_level", tp.root_level());
-  AppendLine(out, "blocks", tp.num_blocks());
-  for (BlockId q = 0; q < tp.num_blocks(); ++q) {
-    const BlockId parent = tp.parent(q);
-    AppendLine(out, "block", q, tp.level(q),
+  out.reserve(64 * (num_blocks + 4) +
+              std::size_t{table.nodes} *
+                  (9 + text::DecimalDigits(table.nodes) +
+                   text::DecimalDigits(num_blocks)));
+  AppendLine(out, "netlist", table.nodes, table.nets, table.pins);
+  AppendLine(out, "root_level", table.root_level);
+  AppendLine(out, "blocks", num_blocks);
+  for (BlockId q = 0; q < num_blocks; ++q) {
+    const BlockId parent = table.block_parent[q];
+    AppendLine(out, "block", q, table.block_level[q],
                parent == kInvalidBlock ? -1LL : static_cast<long long>(parent));
   }
-  for (NodeId v = 0; v < hg.num_nodes(); ++v)
-    AppendLine(out, "assign", v, tp.leaf_of(v));
+  for (NodeId v = 0; v < table.nodes; ++v)
+    AppendLine(out, "assign", v, table.leaf_of(v));
   return out;
 }
 

@@ -89,6 +89,34 @@ std::uint64_t HashInjectionParams(const FlowInjectionParams& params) {
   return h;
 }
 
+std::uint64_t HashResponseRequest(const SessionRequest& request) {
+  HTP_CHECK_MSG(request.bench_file.empty() && request.delta_file.empty() &&
+                    request.warm_file.empty() && !request.netlist,
+                "response key: the request must come from the wire");
+  std::uint64_t h = HashBytes(kFnvOffset, "htp-response-key-v1");
+  const auto text = [&h](std::string_view value) {
+    h = HashBytes(FoldU64(h, value.size()), value);
+  };
+  text(request.circuit);
+  text(request.bench_text);
+  text(request.algo);
+  h = FoldU64(h, request.height);
+  h = FoldU64(h, request.branching);
+  h = FoldDouble(h, request.slack);
+  h = FoldU64(h, request.weights.size());
+  for (const double w : request.weights) h = FoldDouble(h, w);
+  h = FoldU64(h, request.iterations);
+  h = FoldU64(h, request.refine);
+  h = FoldU64(h, request.multilevel);
+  h = FoldU64(h, request.coarsen_threshold);
+  h = FoldU64(h, request.budget.max_rounds);
+  h = FoldU64(h, request.seed);
+  text(request.delta_text);
+  text(request.warm_text);
+  h = FoldU64(h, request.emit_warm_state);
+  return h;
+}
+
 std::string HexKey(std::uint64_t key) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string out(16, '0');

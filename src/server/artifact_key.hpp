@@ -21,6 +21,15 @@
 //     thread-invariant by contract), `cancel` (a fired token truncates —
 //     truncated results are never cached), and `csr` (a pure function of
 //     the hypergraph).
+//   * response hash ("htp-response-key-v1") — every SessionRequest member
+//     that reaches a response's deterministic section: the netlist source
+//     (circuit, bench text), algo, height, branching, slack, weights,
+//     iterations, refine, multilevel, coarsen_threshold, max_rounds, seed,
+//     delta_text, warm_text and emit_warm_state. Strings are length-
+//     prefixed, so no two member lists share a byte stream. Excluded: the
+//     wire's `id`, `threads`, `metric_threads` and `deadline_ms` (results
+//     do not depend on them, and the tier stores only runs a deadline left
+//     untouched), and `report` (report requests bypass the tier).
 //
 // Keys render as 16-hex-digit strings in JSON responses so 64-bit values
 // survive consumers that parse numbers as doubles.
@@ -34,6 +43,7 @@
 #include "core/flow_injection.hpp"
 #include "core/hierarchy.hpp"
 #include "netlist/hypergraph.hpp"
+#include "server/session.hpp"
 
 namespace htp::serve {
 
@@ -54,6 +64,10 @@ std::uint64_t HashSpec(const HierarchySpec& spec);
 
 /// Fingerprint of the result-affecting FlowInjectionParams fields.
 std::uint64_t HashInjectionParams(const FlowInjectionParams& params);
+
+/// The response-tier key of a request decoded from the wire (no file
+/// paths, no pre-parsed netlist: the wire cannot carry them).
+std::uint64_t HashResponseRequest(const SessionRequest& request);
 
 /// The 16-lowercase-hex-digit rendering used in serve responses.
 std::string HexKey(std::uint64_t key);

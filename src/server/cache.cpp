@@ -1,5 +1,6 @@
 #include "server/cache.hpp"
 
+#include <atomic>
 #include <condition_variable>
 #include <exception>
 #include <list>
@@ -21,6 +22,9 @@ obs::Counter c_evict_csr("serve.cache_evict_csr");
 obs::Counter c_hit_metric("serve.cache_hit_metric");
 obs::Counter c_miss_metric("serve.cache_miss_metric");
 obs::Counter c_evict_metric("serve.cache_evict_metric");
+obs::Counter c_hit_response("serve.cache_hit_response");
+obs::Counter c_miss_response("serve.cache_miss_response");
+obs::Counter c_evict_response("serve.cache_evict_response");
 
 // One LRU tier: bounded map + in-flight deduplication. The compute
 // callback runs outside the lock; waiters on the same key block on the
@@ -35,26 +39,29 @@ class Tier {
 
   bool enabled() const { return capacity_ > 0; }
 
-  std::size_t entries() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
+  TierStats Stats() const {
+    TierStats stats;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats.entries = map_.size();
+    }
+    stats.capacity = capacity_;
+    stats.hits = hits_.load(std::memory_order_relaxed);
+    stats.misses = misses_.load(std::memory_order_relaxed);
+    stats.evictions = evictions_.load(std::memory_order_relaxed);
+    return stats;
   }
 
   template <typename Fn, typename CacheableFn>
   std::pair<V, bool> GetOrCompute(std::uint64_t key, const Fn& fn,
                                   const CacheableFn& cacheable) {
     if (capacity_ == 0) {
-      miss_.Add();
+      CountMiss();
       return {fn(), false};
     }
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      auto it = map_.find(key);
-      if (it != map_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second.pos);
-        hit_.Add();
-        return {it->second.value, true};
-      }
+      if (const V* cached = FindLocked(key)) return {*cached, true};
       auto inflight = inflight_.find(key);
       if (inflight == inflight_.end()) break;
       // Deduplication: another thread is computing this key right now.
@@ -62,7 +69,7 @@ class Tier {
       std::shared_ptr<InFlight> slot = inflight->second;
       cv_.wait(lock, [&] { return slot->done; });
       if (slot->error) std::rethrow_exception(slot->error);
-      hit_.Add();
+      CountHit();
       return {slot->value, true};
     }
     auto slot = std::make_shared<InFlight>();
@@ -83,18 +90,26 @@ class Tier {
     slot->value = value;
     slot->done = true;
     inflight_.erase(key);
-    if (cacheable(value)) {
-      lru_.push_front(key);
-      map_.emplace(key, Entry{value, lru_.begin()});
-      while (map_.size() > capacity_) {
-        map_.erase(lru_.back());
-        lru_.pop_back();
-        evict_.Add();
-      }
-    }
+    if (cacheable(value)) InsertLocked(key, value);
     cv_.notify_all();
-    miss_.Add();
+    CountMiss();
     return {std::move(value), false};
+  }
+
+  /// A lookup that never computes: the cached value, or V{} on a miss.
+  V Find(std::uint64_t key) {
+    if (capacity_ > 0) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (const V* cached = FindLocked(key)) return *cached;
+    }
+    CountMiss();
+    return V{};
+  }
+
+  void Insert(std::uint64_t key, V value) {
+    if (capacity_ == 0) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    InsertLocked(key, std::move(value));
   }
 
  private:
@@ -108,10 +123,50 @@ class Tier {
     bool done = false;
   };
 
+  // A hit moves its key to the LRU front.
+  const V* FindLocked(std::uint64_t key) {
+    auto it = map_.find(key);
+    if (it == map_.end()) return nullptr;
+    lru_.splice(lru_.begin(), lru_, it->second.pos);
+    CountHit();
+    return &it->second.value;
+  }
+
+  // Inserts at the LRU front and evicts from the back. A key already
+  // present keeps its entry (GetOrCompute's dedup rules that out; two
+  // identical requests that both missed the response tier store the same
+  // answer twice).
+  void InsertLocked(std::uint64_t key, V value) {
+    if (auto it = map_.find(key); it != map_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second.pos);
+      return;
+    }
+    lru_.push_front(key);
+    map_.emplace(key, Entry{std::move(value), lru_.begin()});
+    while (map_.size() > capacity_) {
+      map_.erase(lru_.back());
+      lru_.pop_back();
+      evict_.Add();
+      evictions_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  void CountHit() {
+    hit_.Add();
+    hits_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void CountMiss() {
+    miss_.Add();
+    misses_.fetch_add(1, std::memory_order_relaxed);
+  }
+
   const std::size_t capacity_;
   obs::Counter& hit_;
   obs::Counter& miss_;
   obs::Counter& evict_;
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> evictions_{0};
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::list<std::uint64_t> lru_;  // front = most recently used
@@ -129,11 +184,14 @@ struct ArtifactCache::Impl {
                 c_evict_netlist),
         csr(config.csr_capacity, c_hit_csr, c_miss_csr, c_evict_csr),
         metric(config.metric_capacity, c_hit_metric, c_miss_metric,
-               c_evict_metric) {}
+               c_evict_metric),
+        response(config.response_capacity, c_hit_response, c_miss_response,
+                 c_evict_response) {}
 
   Tier<NetlistArtifact> netlist;
   Tier<std::shared_ptr<const CsrView>> csr;
   Tier<FlowInjectionResult> metric;
+  Tier<std::shared_ptr<const ResponseSection>> response;
 };
 
 ArtifactCache::ArtifactCache(const CacheConfig& config)
@@ -144,6 +202,9 @@ ArtifactCache::~ArtifactCache() = default;
 bool ArtifactCache::netlist_enabled() const { return impl_->netlist.enabled(); }
 bool ArtifactCache::csr_enabled() const { return impl_->csr.enabled(); }
 bool ArtifactCache::metric_enabled() const { return impl_->metric.enabled(); }
+bool ArtifactCache::response_enabled() const {
+  return impl_->response.enabled();
+}
 
 std::pair<NetlistArtifact, bool> ArtifactCache::GetOrComputeNetlist(
     std::uint64_t source_key, const std::function<NetlistArtifact()>& fn) {
@@ -165,12 +226,19 @@ std::pair<FlowInjectionResult, bool> ArtifactCache::GetOrComputeMetric(
       key, fn, [](const FlowInjectionResult& r) { return !r.cancelled; });
 }
 
-std::size_t ArtifactCache::netlist_entries() const {
-  return impl_->netlist.entries();
+std::shared_ptr<const ResponseSection> ArtifactCache::FindResponse(
+    std::uint64_t key) {
+  return impl_->response.Find(key);
 }
-std::size_t ArtifactCache::csr_entries() const { return impl_->csr.entries(); }
-std::size_t ArtifactCache::metric_entries() const {
-  return impl_->metric.entries();
+
+void ArtifactCache::StoreResponse(
+    std::uint64_t key, std::shared_ptr<const ResponseSection> section) {
+  impl_->response.Insert(key, std::move(section));
+}
+
+CacheStats ArtifactCache::Stats() const {
+  return {impl_->netlist.Stats(), impl_->csr.Stats(), impl_->metric.Stats(),
+          impl_->response.Stats()};
 }
 
 }  // namespace htp::serve

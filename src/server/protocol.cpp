@@ -5,6 +5,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "core/partition_io.hpp"
 #include "obs/json.hpp"
@@ -124,7 +125,7 @@ ServeRequest ParseServeRequest(const JsonValue& doc) {
   request.id_json = RenderIdFragment(doc.Find("id"));
   request.op = GetString(doc, "op", "partition");
   if (request.op != "partition" && request.op != "ping" &&
-      request.op != "shutdown")
+      request.op != "stats" && request.op != "shutdown")
     throw Error("request: unknown op '" + request.op + "'");
 
   SessionRequest& s = request.session;
@@ -173,48 +174,42 @@ ServeRequest ParseServeRequest(const JsonValue& doc) {
   return request;
 }
 
-std::string RenderServeResponse(const ServeRequest& request,
-                                const SessionResult& result,
-                                double queue_wait_ms) {
+ResponseSection MakeResponseSection(const ServeRequest& request,
+                                    const SessionResult& result) {
   const Hypergraph& hg = *result.netlist;
+  ResponseSection section;
+  section.cost = result.refined ? result.fm.final_cost : result.cost;
+
+  obs::JsonWriter meta;
+  meta.BeginObject();
+  meta.Key("algorithm");
+  meta.String(request.session.algo);
+  meta.Key("source");
+  meta.String(request.session.circuit.empty() ? "bench"
+                                              : request.session.circuit);
+  meta.Key("netlist_hash");
+  meta.String(HexKey(result.netlist_hash));
+  meta.Key("nodes");
+  meta.Number(static_cast<std::uint64_t>(hg.num_nodes()));
+  meta.Key("nets");
+  meta.Number(static_cast<std::uint64_t>(hg.num_nets()));
+  meta.Key("pins");
+  meta.Number(static_cast<std::uint64_t>(hg.num_pins()));
+  meta.Key("hierarchy");
+  meta.String(result.spec.ToString());
+  meta.Key("seed");
+  meta.Number(static_cast<std::uint64_t>(request.session.seed));
+  meta.Key("iterations_requested");
+  meta.Number(static_cast<std::uint64_t>(request.session.iterations));
+  meta.Key("multilevel");
+  meta.Bool(result.used_multilevel);
+  meta.EndObject();
+  section.meta = std::move(meta).Take();
+
   obs::JsonWriter w;
-  BeginResponse(w, request.id_json);
-  w.Key("status");
-  w.String("ok");
-
-  // The deterministic section leads, holds no wall-clock or cache-state
-  // fields, and is the exact slice obs::DeterministicSection() extracts.
-  w.Key("deterministic");
-  w.BeginObject();
-  w.Key("meta");
-  w.BeginObject();
-  w.Key("algorithm");
-  w.String(request.session.algo);
-  w.Key("source");
-  w.String(request.session.circuit.empty() ? "bench"
-                                           : request.session.circuit);
-  w.Key("netlist_hash");
-  w.String(HexKey(result.netlist_hash));
-  w.Key("nodes");
-  w.Number(static_cast<std::uint64_t>(hg.num_nodes()));
-  w.Key("nets");
-  w.Number(static_cast<std::uint64_t>(hg.num_nets()));
-  w.Key("pins");
-  w.Number(static_cast<std::uint64_t>(hg.num_pins()));
-  w.Key("hierarchy");
-  w.String(result.spec.ToString());
-  w.Key("seed");
-  w.Number(static_cast<std::uint64_t>(request.session.seed));
-  w.Key("iterations_requested");
-  w.Number(static_cast<std::uint64_t>(request.session.iterations));
-  w.Key("multilevel");
-  w.Bool(result.used_multilevel);
-  w.EndObject();  // meta
-
-  w.Key("result");
   w.BeginObject();
   w.Key("cost");
-  w.Number(result.refined ? result.fm.final_cost : result.cost);
+  w.Number(section.cost);
   w.Key("algo_cost");
   w.Number(result.cost);
   w.Key("completed");
@@ -280,52 +275,97 @@ std::string RenderServeResponse(const ServeRequest& request,
     w.EndObject();
   }
   w.EndArray();
-  w.EndObject();  // result
+  w.EndObject();
+  section.result = std::move(w).Take();
 
+  section.partition = TabulatePartition(*result.partition);
+  if (result.warm_state) {
+    const WarmStartState& state = *result.warm_state;
+    section.warm_state =
+        WarmStartState{state.nodes, state.nets, state.pins, state.seed,
+                       state.metric, /*partition_text=*/{}};
+  }
+  return section;
+}
+
+std::string RenderServeResponse(const std::string& id_json,
+                                const ResponseSection& section,
+                                const ResponseEnvelope& envelope) {
+  obs::JsonWriter w;
+  BeginResponse(w, id_json);
+  w.Key("status");
+  w.String("ok");
+
+  // The deterministic section leads, holds no wall-clock or cache-state
+  // fields, and is the exact slice obs::DeterministicSection() extracts.
+  w.Key("deterministic");
+  w.BeginObject();
+  w.Key("meta");
+  w.Raw(section.meta);
+  w.Key("result");
+  w.Raw(section.result);
+  const std::string partition_text = WritePartitionText(section.partition);
   w.Key("partition");
-  w.String(WritePartitionText(*result.partition));
-  if (!result.warm_state.empty()) {
+  w.String(partition_text);
+  if (section.warm_state) {
     // Present iff emit_warm_state: the next run's warm-start input.
-    // Deterministic (hexfloat metric + partition text).
+    // Deterministic (hexfloat metric + the partition text above).
+    WarmStartState state = *section.warm_state;
+    state.partition_text = partition_text;
     w.Key("warm_state");
-    w.String(result.warm_state);
+    w.String(WriteWarmStartText(state));
   }
   w.EndObject();  // deterministic
 
+  const SessionCacheOutcome& artifacts = envelope.artifacts;
   w.Key("cache");
   w.BeginObject();
+  w.Key("response");
+  w.String(envelope.response_cache);
   w.Key("netlist");
-  w.String(result.cache.netlist);
+  w.String(artifacts.netlist);
   w.Key("csr");
   w.BeginObject();
   w.Key("hits");
-  w.Number(static_cast<std::uint64_t>(result.cache.csr_hits));
+  w.Number(static_cast<std::uint64_t>(artifacts.csr_hits));
   w.Key("misses");
-  w.Number(static_cast<std::uint64_t>(result.cache.csr_misses));
+  w.Number(static_cast<std::uint64_t>(artifacts.csr_misses));
   w.EndObject();
   w.Key("metric");
   w.BeginObject();
   w.Key("hits");
-  w.Number(static_cast<std::uint64_t>(result.cache.metric_hits));
+  w.Number(static_cast<std::uint64_t>(artifacts.metric_hits));
   w.Key("misses");
-  w.Number(static_cast<std::uint64_t>(result.cache.metric_misses));
+  w.Number(static_cast<std::uint64_t>(artifacts.metric_misses));
   w.EndObject();
   w.EndObject();  // cache
 
   w.Key("wall");
   w.BeginObject();
   w.Key("run_seconds");
-  w.Number(result.run_seconds);
+  w.Number(envelope.run_seconds);
   w.Key("queue_wait_ms");
-  w.Number(queue_wait_ms);
+  w.Number(envelope.queue_wait_ms);
   w.EndObject();  // wall
 
-  if (request.want_report && !result.report.empty()) {
+  if (!envelope.report.empty()) {
     w.Key("report");
-    w.Raw(result.report);
+    w.Raw(envelope.report);
   }
   w.EndObject();
   return std::move(w).Take();
+}
+
+std::string RenderServeResponse(const ServeRequest& request,
+                                const SessionResult& result,
+                                double queue_wait_ms) {
+  ResponseEnvelope envelope;
+  envelope.artifacts = result.cache;
+  envelope.run_seconds = result.run_seconds;
+  envelope.queue_wait_ms = queue_wait_ms;
+  if (request.want_report) envelope.report = result.report;
+  return RenderServeResponse(request.id_json,
+                             MakeResponseSection(request, result), envelope);
 }
 
 std::string RenderServeAck(const std::string& id_json, std::string_view op) {
@@ -335,6 +375,47 @@ std::string RenderServeAck(const std::string& id_json, std::string_view op) {
   w.String("ok");
   w.Key("op");
   w.String(op);
+  w.EndObject();
+  return std::move(w).Take();
+}
+
+std::string RenderServeStats(const std::string& id_json,
+                             const CacheStats& cache, std::size_t queued,
+                             std::size_t in_flight) {
+  obs::JsonWriter w;
+  BeginResponse(w, id_json);
+  w.Key("status");
+  w.String("ok");
+  w.Key("op");
+  w.String("stats");
+  w.Key("cache");
+  w.BeginObject();
+  for (const auto& [name, tier] :
+       {std::pair{"netlist", &cache.netlist}, std::pair{"csr", &cache.csr},
+        std::pair{"metric", &cache.metric},
+        std::pair{"response", &cache.response}}) {
+    w.Key(name);
+    w.BeginObject();
+    w.Key("entries");
+    w.Number(static_cast<std::uint64_t>(tier->entries));
+    w.Key("capacity");
+    w.Number(static_cast<std::uint64_t>(tier->capacity));
+    w.Key("hits");
+    w.Number(tier->hits);
+    w.Key("misses");
+    w.Number(tier->misses);
+    w.Key("evictions");
+    w.Number(tier->evictions);
+    w.EndObject();
+  }
+  w.EndObject();  // cache
+  w.Key("pool");
+  w.BeginObject();
+  w.Key("queued");
+  w.Number(static_cast<std::uint64_t>(queued));
+  w.Key("in_flight");
+  w.Number(static_cast<std::uint64_t>(in_flight));
+  w.EndObject();  // pool
   w.EndObject();
   return std::move(w).Take();
 }

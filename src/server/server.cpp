@@ -17,6 +17,7 @@
 
 #include "obs/obs.hpp"
 #include "runtime/thread_pool.hpp"
+#include "server/artifact_key.hpp"
 #include "server/protocol.hpp"
 
 namespace htp::serve {
@@ -181,6 +182,11 @@ class Daemon {
       conn->WriteLine(RenderServeAck(request.id_json, "ping"));
       return false;
     }
+    if (request.op == "stats") {
+      conn->WriteLine(RenderServeStats(request.id_json, cache_.Stats(),
+                                       queued_.load(), in_flight_.load()));
+      return false;
+    }
     if (request.op == "shutdown") {
       conn->WriteLine(RenderServeAck(request.id_json, "shutdown"));
       shutdown_.store(true, std::memory_order_release);
@@ -196,37 +202,78 @@ class Daemon {
                 ServeRequest request) {
     dispatched_.fetch_add(1, std::memory_order_acq_rel);
     c_requests.Add();
+    // The response tier: a report request always runs, since its report
+    // times and counts its own run.
+    const bool tiered = cache_.response_enabled() && !request.want_report;
+    const std::uint64_t key =
+        tiered ? HashResponseRequest(request.session) : 0;
+    if (tiered && AnswerFromTier(*conn, request, key)) return;
     {
       std::lock_guard<std::mutex> lock(conn->state_mu);
       ++conn->outstanding;
     }
+    queued_.fetch_add(1);
     const std::uint64_t enqueue_ns = NowNs();
-    auto shared_request = std::make_shared<ServeRequest>(std::move(request));
-    pool_.Submit([this, conn, shared_request, enqueue_ns] {
+    auto shared_request =
+        std::make_shared<const ServeRequest>(std::move(request));
+    pool_.Submit([this, conn, shared_request, enqueue_ns, tiered, key] {
+      queued_.fetch_sub(1);
+      in_flight_.fetch_add(1);
       const std::uint64_t wait_ns = NowNs() - enqueue_ns;
       h_queue_wait.Record(wait_ns);
+      const ServeRequest& req = *shared_request;
       std::string response;
       try {
-        const SessionResult result =
-            RunSession(shared_request->session, &cache_);
-        response = RenderServeResponse(*shared_request, result,
-                                       static_cast<double>(wait_ns) / 1e6);
+        const SessionResult result = RunSession(req.session, &cache_);
+        auto section = std::make_shared<const ResponseSection>(
+            MakeResponseSection(req, result));
+        ResponseEnvelope envelope;
+        envelope.response_cache = tiered ? "miss" : "off";
+        envelope.artifacts = result.cache;
+        envelope.run_seconds = result.run_seconds;
+        envelope.queue_wait_ms = static_cast<double>(wait_ns) / 1e6;
+        if (req.want_report) envelope.report = result.report;
+        response = RenderServeResponse(req.id_json, *section, envelope);
+        // A run its deadline cut short is not the request's answer.
+        if (tiered && result.completed) cache_.StoreResponse(key, section);
         served_.fetch_add(1);
-        e_request.Record(
-            {{"cost", result.refined ? result.fm.final_cost : result.cost},
-             {"completed", result.completed ? 1.0 : 0.0},
-             {"metric_hits",
-              static_cast<double>(result.cache.metric_hits)},
-             {"metric_misses",
-              static_cast<double>(result.cache.metric_misses)}});
+        RecordServed(section->cost, result.completed, result.cache);
       } catch (const std::exception& e) {
         errors_.fetch_add(1);
         c_errors.Add();
-        response = RenderServeError(shared_request->id_json, e.what());
+        response = RenderServeError(req.id_json, e.what());
       }
+      // The run is over before its answer leaves: a client that has read
+      // it never sees this request in flight.
+      in_flight_.fetch_sub(1);
       conn->WriteLine(response);
       conn->TaskDone();
     });
+  }
+
+  // Answers a request from the response tier on the reader thread, without
+  // the pool: no run, so run_seconds and queue_wait_ms read 0, and the
+  // artifact tiers read "off" with no lookups. Returns false on a miss.
+  bool AnswerFromTier(Connection& conn, const ServeRequest& request,
+                      std::uint64_t key) {
+    const std::shared_ptr<const ResponseSection> section =
+        cache_.FindResponse(key);
+    if (!section) return false;
+    ResponseEnvelope envelope;
+    envelope.response_cache = "hit";
+    conn.WriteLine(RenderServeResponse(request.id_json, *section, envelope));
+    served_.fetch_add(1);
+    RecordServed(section->cost, true, envelope.artifacts);
+    return true;
+  }
+
+  static void RecordServed(double cost, bool completed,
+                           const SessionCacheOutcome& artifacts) {
+    e_request.Record(
+        {{"cost", cost},
+         {"completed", completed ? 1.0 : 0.0},
+         {"metric_hits", static_cast<double>(artifacts.metric_hits)},
+         {"metric_misses", static_cast<double>(artifacts.metric_misses)}});
   }
 
   const ServeOptions options_;
@@ -236,6 +283,9 @@ class Daemon {
   std::atomic<std::size_t> dispatched_{0};
   std::atomic<std::size_t> served_{0};
   std::atomic<std::size_t> errors_{0};
+  // Partition requests waiting for a pool worker, and running on one.
+  std::atomic<std::size_t> queued_{0};
+  std::atomic<std::size_t> in_flight_{0};
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<Connection>> conns_;
 };

@@ -8,15 +8,21 @@
 // oversubscribes the machine with pools-within-pools. Responses are
 // written back on the request's connection in *completion* order, tagged
 // with the request's echoed id (docs/server.md documents the matching
-// rule). "ping" and "shutdown" are answered inline on the reader thread;
-// shutdown drains outstanding requests, then returns from RunServer.
+// rule). "ping", "stats" and "shutdown" are answered inline on the reader
+// thread; shutdown drains outstanding requests, then returns from
+// RunServer.
 //
-// One ArtifactCache (cache.hpp) spans the daemon's lifetime: identical
-// repeat requests skip parsing, CSR lowering, and metric convergence.
+// One ArtifactCache (cache.hpp) spans the daemon's lifetime. Before a
+// partition request is queued, the reader thread looks it up in the
+// response tier and answers a hit itself, never touching the pool; a miss
+// runs on the pool, and its section is stored if no deadline cut it
+// short. Repeats of a request that was evicted from that tier still skip
+// parsing, CSR lowering, and metric convergence through the other tiers.
 //
 // Observability: serve.requests / serve.errors counters, the
-// serve.queue_wait time histogram (enqueue -> start of execution), and a
-// serve.request journal event per completed request.
+// serve.queue_wait time histogram (enqueue -> start of execution, for
+// requests that ran), and a serve.request journal event per completed
+// request, hits included.
 #pragma once
 
 #include <cstddef>

@@ -366,14 +366,22 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     result.fm = RefineHtpFm(tp, spec, fm_params);
     result.refined = true;
   }
+  // A token that fired before the last stage returned cut the run short,
+  // even where that stage cannot say so: rfm and gfm degrade their carves
+  // instead of stopping, FM stops between passes, and a FLOW or ECO
+  // construction drops its remaining carve attempts or replicas.
+  if (result.completed && run_token.Cancelled()) {
+    result.completed = false;
+    result.stop_reason = run_token.FiredReason();
+  }
   RequireValidPartition(tp, spec);
   result.partition = std::move(tp);
 
   if (request.emit_warm_state) {
     HTP_CHECK_MSG(emit_metric.has_value(),
                   "emit_warm_state: no converged metric on this path");
-    result.warm_state = WriteWarmStartText(MakeWarmStartState(
-        hg, *emit_metric, *result.partition, request.seed));
+    result.warm_state =
+        MakeWarmStartState(hg, *emit_metric, *result.partition, request.seed);
   }
 
   if (request.collect_report)

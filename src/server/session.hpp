@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/htp_flow.hpp"
+#include "incremental/warm_start.hpp"
 #include "multilevel/multilevel_flow.hpp"
 #include "partition/htp_fm.hpp"
 #include "server/cache.hpp"
@@ -75,8 +76,8 @@ struct SessionRequest {
   /// edited netlist.
   std::string warm_text;
   std::string warm_file;
-  /// Serialize the run's winning converged metric plus the FINAL
-  /// (post-refine) partition into SessionResult::warm_state — the next
+  /// Capture the run's winning converged metric plus the FINAL
+  /// (post-refine) partition as SessionResult::warm_state — the next
   /// run's warm-start input. Requires algo flow/flow-mst, no multilevel.
   bool emit_warm_state = false;
   std::uint64_t seed = 1;
@@ -146,8 +147,9 @@ struct SessionResult {
   std::size_t eco_warm_injections = 0;
   bool eco_converged = false;
 
-  /// "htp-warm-start v1" document, populated iff request.emit_warm_state.
-  std::string warm_state;
+  /// The run's warm-start state, engaged iff request.emit_warm_state;
+  /// WriteWarmStartText renders its "htp-warm-start v1" document.
+  std::optional<WarmStartState> warm_state;
 
   std::string report;  ///< RunReport JSON, iff collect_report
   SessionCacheOutcome cache;

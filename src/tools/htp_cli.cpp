@@ -302,7 +302,7 @@ int main(int argc, char** argv) {
     if (!warm_out_file.empty()) {
       std::ofstream warm(warm_out_file, std::ios::binary);
       if (!warm) throw Error("cannot open for writing: " + warm_out_file);
-      warm << run.warm_state;
+      warm << WriteWarmStartText(*run.warm_state);
       std::printf("warm-start state written to %s\n", warm_out_file.c_str());
     }
     if (!dot_file.empty()) {

@@ -3,7 +3,9 @@
 //   1. 200+ seeded (netlist, delta) pairs: the warm-started ECO run always
 //      returns a valid partition whose cost is within 5% of the cold run
 //      on the same edited netlist (cost <= cold x 1.05).
-//   2. Empty-delta warm starts are bit-identical — partition bytes, cost,
+//   2. RemapWarmMetric keeps every untouched net's converged value bit for
+//      bit on the same pairs, and restarts every touched net at 0.
+//   3. Empty-delta warm starts are bit-identical — partition bytes, cost,
 //      and the deterministic report section — to the converged run that
 //      produced the state, across the full threads x metric_threads matrix
 //      (driven through serve::RunSession, the same pipeline htp_cli and
@@ -11,7 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/cost.hpp"
 #include "core/hierarchy.hpp"
@@ -108,6 +113,58 @@ TEST(WarmStartProperty, WarmCostWithinFivePercentOfCold) {
   EXPECT_GT(reused_any, kPairs / 8);
 }
 
+// RemapWarmMetric over the battery's (netlist, delta) pairs: a net the
+// delta left alone (its pins, mapped to edited ids, are the same and no
+// directive named it) keeps its prior d(e) bit for bit; every touched or
+// added net restarts at 0. The prior metric is a distinct random value per
+// net, so a value landing on the wrong net shows.
+TEST(WarmStartProperty, RemapKeepsUntouchedNetsBitEqual) {
+  constexpr int kPairs = 200;
+  std::size_t untouched_total = 0;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(pair);
+    SCOPED_TRACE(testing::Message() << "pair seed " << seed);
+    const NodeId n = static_cast<NodeId>(32 + (pair % 5) * 8);
+    const Hypergraph base_hg =
+        testutil::RandomConnectedHypergraph(n, n + n / 2, 4, seed);
+    const NetlistDelta delta = RandomDelta(base_hg, seed * 7 + 1);
+    const DeltaApplication app = ApplyDelta(base_hg, delta);
+
+    WarmStartState state;
+    Rng rng(seed);
+    for (NetId e = 0; e < base_hg.num_nets(); ++e)
+      state.metric.push_back(static_cast<double>(rng.next_u64() >> 11) *
+                             0x1p-40);
+    const SpreadingMetric warm = RemapWarmMetric(state, app);
+    ASSERT_EQ(warm.size(), app.hg->num_nets());
+
+    std::vector<char> kept(app.hg->num_nets(), 0);
+    for (NetId e = 0; e < base_hg.num_nets(); ++e) {
+      const NetId mapped = app.net_to_new[e];
+      if (mapped == kInvalidNet) continue;
+      std::vector<NodeId> pins;  // kInvalidNode for a removed pin
+      for (const NodeId v : base_hg.pins(e)) pins.push_back(app.node_to_new[v]);
+      std::sort(pins.begin(), pins.end());  // a net keeps its pins sorted
+      const auto edited = app.hg->pins(mapped);
+      const bool recapped = std::any_of(
+          delta.net_capacity_changes.begin(), delta.net_capacity_changes.end(),
+          [e](const auto& change) { return change.first == e; });
+      if (recapped || pins != std::vector<NodeId>(edited.begin(), edited.end()))
+        continue;
+      kept[mapped] = 1;
+      ++untouched_total;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(warm[mapped]),
+                std::bit_cast<std::uint64_t>(state.metric[e]))
+          << "net " << e << " -> " << mapped;
+    }
+    for (NetId e = 0; e < app.hg->num_nets(); ++e)
+      if (!kept[e]) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(warm[e]), 0u) << "net " << e;
+      }
+  }
+  EXPECT_GT(untouched_total, std::size_t{kPairs} * 32);
+}
+
 // The empty-delta resume through the shared session pipeline: partitions,
 // costs, and deterministic report sections must be bit-identical to the
 // converged run for every knob combination.
@@ -128,7 +185,7 @@ TEST(WarmStartProperty, EmptyDeltaSessionResumeBitIdentical) {
     cold_request.seed = seed * 13 + 3;
     cold_request.emit_warm_state = true;
     const serve::SessionResult cold = serve::RunSession(cold_request, nullptr);
-    ASSERT_FALSE(cold.warm_state.empty());
+    ASSERT_TRUE(cold.warm_state.has_value());
     const std::string cold_partition = WritePartitionText(*cold.partition);
 
     std::string reference_section;
@@ -140,7 +197,7 @@ TEST(WarmStartProperty, EmptyDeltaSessionResumeBitIdentical) {
                      << " metric_threads=" << metric_threads);
         serve::SessionRequest warm_request = cold_request;
         warm_request.emit_warm_state = false;
-        warm_request.warm_text = cold.warm_state;
+        warm_request.warm_text = WriteWarmStartText(*cold.warm_state);
         warm_request.threads = threads;
         warm_request.metric_threads = metric_threads;
         warm_request.collect_report = true;
@@ -184,14 +241,14 @@ TEST(WarmStartProperty, WarmStateChains) {
   const serve::SessionResult first = serve::RunSession(request, nullptr);
 
   serve::SessionRequest second = request;
-  second.warm_text = first.warm_state;
+  second.warm_text = WriteWarmStartText(*first.warm_state);
   const serve::SessionResult resumed = serve::RunSession(second, nullptr);
-  ASSERT_FALSE(resumed.warm_state.empty());
-  EXPECT_EQ(resumed.warm_state, first.warm_state)
+  ASSERT_TRUE(resumed.warm_state.has_value());
+  EXPECT_EQ(WriteWarmStartText(*resumed.warm_state), second.warm_text)
       << "an empty-delta resume must re-emit the identical state";
 
   serve::SessionRequest third = second;
-  third.warm_text = resumed.warm_state;
+  third.warm_text = WriteWarmStartText(*resumed.warm_state);
   third.delta_text = "htp-delta v1\nremove-net 2\n";
   const serve::SessionResult edited = serve::RunSession(third, nullptr);
   EXPECT_TRUE(edited.eco);

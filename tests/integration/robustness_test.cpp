@@ -101,7 +101,7 @@ void RunAndValidate(const serve::SessionRequest& request) {
 std::string C17WarmState() {
   serve::SessionRequest emit = C17Session();
   emit.emit_warm_state = true;
-  return serve::RunSession(emit, nullptr).warm_state;
+  return WriteWarmStartText(*serve::RunSession(emit, nullptr).warm_state);
 }
 
 // c17 fills its height-2 root exactly, so the delta edits nets only.

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/paper_examples.hpp"
@@ -307,6 +308,25 @@ TEST(TextIoDiff, PartitionWriterAndReaderOnRandomPartitions) {
     CheckPartition(hg, text);
     for (const std::string& doc : Corpus(text, seed, 100))
       CheckPartition(hg, doc);
+  }
+}
+
+// The table stores leaf ids in 1, 2 or 4 bytes; each width, at its block
+// count boundaries, writes the reference writer's bytes.
+TEST(TextIoDiff, PartitionTableWidthsMatchTheReferenceWriter) {
+  const Hypergraph hg = testutil::RandomConnectedHypergraph(20, 10, 4, 1);
+  constexpr std::pair<std::size_t, std::size_t> kCases[] = {
+      {3, 1}, {256, 1}, {257, 2}, {65536, 2}, {65537, 4}};
+  for (const auto& [num_blocks, width] : kCases) {
+    SCOPED_TRACE(num_blocks);
+    TreePartition tp(hg, 1);
+    while (tp.num_blocks() < num_blocks) tp.AddChild(TreePartition::kRoot);
+    // Every node in one of the highest-numbered leaves.
+    for (NodeId v = 0; v < hg.num_nodes(); ++v)
+      tp.AssignNode(v, static_cast<BlockId>(num_blocks - 1 - v % 2));
+    const PartitionTable table = TabulatePartition(tp);
+    EXPECT_EQ(table.leaf_width, width);
+    EXPECT_EQ(WritePartitionText(table), reference::WritePartitionText(tp));
   }
 }
 

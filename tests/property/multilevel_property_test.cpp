@@ -1,12 +1,14 @@
 // Property suite for the multilevel pipeline: 50 deterministic seeds sweep
 // instance size, hierarchy shape, and threshold; every
 // partition is checked against a from-scratch Equation-(1) recomputation
-// (independent of PartitionCost) plus the library's validator.
+// (independent of PartitionCost) plus the library's validator, and every
+// projection down the coarsening stack must keep the cost exactly.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "core/cost.hpp"
+#include "multilevel/coarsen.hpp"
 #include "multilevel/multilevel_flow.hpp"
 #include "test_util.hpp"
 
@@ -68,6 +70,40 @@ TEST_P(MultilevelPropertyTest, MultilevelPartitionSatisfiesInvariants) {
       ASSERT_EQ(result.partition.leaf_of(v), again.partition.leaf_of(v))
           << "node " << v;
   }
+}
+
+// Projection is cost-exact: partition the coarsest graph, project it down
+// the whole stack, and every level's Equation-(1) cost equals the coarse
+// cost. Merging parallel nets adds their capacities, and nets inside one
+// cluster span one block at every level. The inputs' capacities are
+// integers, so every sum is exact in any order and the check is EXPECT_EQ.
+TEST_P(MultilevelPropertyTest, ProjectionIsCostExact) {
+  const std::uint64_t seed = GetParam();
+  const Hypergraph hg = MultilevelPropertyCircuit(seed);
+  const Level height = 2 + static_cast<Level>(seed % 2);
+  const HierarchySpec spec =
+      FullBinaryHierarchy(hg.total_size(), height, 0.4 + 0.2 * (seed % 2));
+  CoarsenParams coarsen;
+  coarsen.max_cluster_size = FeasibleClusterCap(hg, spec);
+  const std::vector<CoarsenLevel> stack = CoarsenToThreshold(
+      hg, static_cast<NodeId>(40 + seed % 40), coarsen);
+  ASSERT_FALSE(stack.empty());
+
+  HtpFlowParams flow;
+  flow.iterations = 1;
+  flow.seed = seed * 31 + 1;
+  const HtpFlowResult coarse = RunHtpFlow(stack.back().coarse, spec, flow);
+  std::vector<TreePartition> projected;
+  projected.reserve(stack.size());
+  const TreePartition* tp = &coarse.partition;
+  for (std::size_t i = stack.size(); i-- > 0;) {
+    const Hypergraph& fine = i == 0 ? hg : stack[i - 1].coarse;
+    projected.push_back(ProjectPartition(*tp, fine, stack[i].cluster_of));
+    tp = &projected.back();
+    EXPECT_EQ(PartitionCost(*tp, spec), coarse.cost) << "level " << i;
+    EXPECT_EQ(RecomputeCost(*tp, spec), coarse.cost) << "level " << i;
+  }
+  RequireValidPartition(*tp, spec);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultilevelPropertyTest,

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "server/artifact_key.hpp"
+#include "server/protocol.hpp"
 #include "test_util.hpp"
 
 namespace htp::serve {
@@ -42,12 +43,12 @@ TEST(ArtifactCache, NetlistHitMissAndLruEviction) {
   EXPECT_FALSE(fetch(1).second);  // miss
   EXPECT_TRUE(fetch(1).second);   // hit
   EXPECT_FALSE(fetch(2).second);
-  EXPECT_EQ(cache.netlist_entries(), 2u);
+  EXPECT_EQ(cache.Stats().netlist.entries, 2u);
 
   // Key 1 is MRU after its hit above; inserting key 3 evicts key 2.
   EXPECT_TRUE(fetch(1).second);
   EXPECT_FALSE(fetch(3).second);
-  EXPECT_EQ(cache.netlist_entries(), 2u);
+  EXPECT_EQ(cache.Stats().netlist.entries, 2u);
   EXPECT_TRUE(fetch(1).second);
   EXPECT_FALSE(fetch(2).second);  // evicted: recomputes
   EXPECT_EQ(computes, 4u);
@@ -70,7 +71,7 @@ TEST(ArtifactCache, DisabledTierAlwaysComputes) {
     EXPECT_EQ(value.metric_cost, 42.0);
   }
   EXPECT_EQ(computes, 3u);
-  EXPECT_EQ(cache.metric_entries(), 0u);
+  EXPECT_EQ(cache.Stats().metric.entries, 0u);
 }
 
 TEST(ArtifactCache, CsrTierCachesByStructuralHash) {
@@ -85,7 +86,7 @@ TEST(ArtifactCache, CsrTierCachesByStructuralHash) {
   EXPECT_FALSE(hit1);
   EXPECT_TRUE(hit2);
   EXPECT_EQ(first.get(), second.get());  // the very same immutable view
-  EXPECT_EQ(cache.csr_entries(), 1u);
+  EXPECT_EQ(cache.Stats().csr.entries, 1u);
 }
 
 TEST(ArtifactCache, CancelledMetricsAreServedButNeverCached) {
@@ -100,14 +101,14 @@ TEST(ArtifactCache, CancelledMetricsAreServedButNeverCached) {
     EXPECT_TRUE(value.cancelled);
   }
   EXPECT_EQ(computes, 2u);
-  EXPECT_EQ(cache.metric_entries(), 0u);
+  EXPECT_EQ(cache.Stats().metric.entries, 0u);
 
   // A later clean result under the same key does get cached.
   auto [clean_value, clean_hit] =
       cache.GetOrComputeMetric(11, [&] { return MakeMetric(5.0); });
   EXPECT_FALSE(clean_hit);
   EXPECT_FALSE(clean_value.cancelled);
-  EXPECT_EQ(cache.metric_entries(), 1u);
+  EXPECT_EQ(cache.Stats().metric.entries, 1u);
   EXPECT_TRUE(cache.GetOrComputeMetric(11, [&] {
                      return MakeMetric(-1.0);
                    }).second);
@@ -136,7 +137,7 @@ TEST(ArtifactCache, ConcurrentIdenticalRequestsComputeOnce) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(computes.load(), 1);
   EXPECT_EQ(hits.load(), kThreads - 1);  // dedup waiters count as hits
-  EXPECT_EQ(cache.metric_entries(), 1u);
+  EXPECT_EQ(cache.Stats().metric.entries, 1u);
 }
 
 TEST(ArtifactCache, ComputeExceptionPropagatesAndLeavesNoEntry) {
@@ -146,12 +147,50 @@ TEST(ArtifactCache, ComputeExceptionPropagatesAndLeavesNoEntry) {
                      throw std::runtime_error("boom");
                    }),
                std::runtime_error);
-  EXPECT_EQ(cache.metric_entries(), 0u);
+  EXPECT_EQ(cache.Stats().metric.entries, 0u);
   // The key is usable again after the failure.
   auto [value, hit] =
       cache.GetOrComputeMetric(5, [] { return MakeMetric(1.0); });
   EXPECT_FALSE(hit);
   EXPECT_EQ(value.metric_cost, 1.0);
+}
+
+TEST(ArtifactCache, ResponseTierFindsStoresAndEvicts) {
+  CacheConfig config;
+  config.response_capacity = 2;
+  ArtifactCache cache(config);
+  const auto section = [](double cost) {
+    auto s = std::make_shared<ResponseSection>();
+    s->cost = cost;
+    return std::shared_ptr<const ResponseSection>(std::move(s));
+  };
+  EXPECT_EQ(cache.FindResponse(1), nullptr);  // miss: nothing computed
+  cache.StoreResponse(1, section(1.0));
+  cache.StoreResponse(2, section(2.0));
+  ASSERT_NE(cache.FindResponse(1), nullptr);  // key 1 is now MRU
+  // A second store of a present key keeps the first entry.
+  cache.StoreResponse(1, section(-1.0));
+  EXPECT_EQ(cache.FindResponse(1)->cost, 1.0);
+  cache.StoreResponse(3, section(3.0));  // evicts key 2, the LRU
+  EXPECT_EQ(cache.FindResponse(2), nullptr);
+  EXPECT_EQ(cache.FindResponse(3)->cost, 3.0);
+
+  const TierStats stats = cache.Stats().response;
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.capacity, 2u);
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.evictions, 1u);
+}
+
+TEST(ArtifactCache, DisabledResponseTierStoresNothing) {
+  CacheConfig config;
+  config.response_capacity = 0;
+  ArtifactCache cache(config);
+  EXPECT_FALSE(cache.response_enabled());
+  cache.StoreResponse(1, std::make_shared<const ResponseSection>());
+  EXPECT_EQ(cache.FindResponse(1), nullptr);
+  EXPECT_EQ(cache.Stats().response.entries, 0u);
 }
 
 TEST(ArtifactKey, StructuralHashDistinguishesGraphs) {

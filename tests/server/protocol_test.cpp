@@ -170,6 +170,15 @@ TEST(Protocol, RejectsUnknownOp) {
   EXPECT_THROW(ParseServeRequest(ParseJson(R"({"op":"restart"})")), Error);
 }
 
+TEST(Protocol, StatsOpDecodesStrictly) {
+  EXPECT_EQ(ParseServeRequest(ParseJson(R"({"op":"stats","id":3})")).op,
+            "stats");
+  EXPECT_THROW(
+      ParseServeRequest(ParseJson(R"({"op":"stats","tier":"metric"})")),
+      Error);
+  EXPECT_THROW(ParseServeRequest(ParseJson(R"({"op":"Stats"})")), Error);
+}
+
 // --- Response rendering ---
 
 TEST(Protocol, AckAndErrorResponsesAreWellFormed) {
@@ -186,6 +195,42 @@ TEST(Protocol, AckAndErrorResponsesAreWellFormed) {
   EXPECT_TRUE(err_doc.Find("id")->is_null());
   EXPECT_EQ(err_doc.Find("status")->string_value, "error");
   EXPECT_EQ(err_doc.Find("error")->string_value, "request: bad \"thing\"");
+}
+
+TEST(Protocol, StatsReplyCarriesEveryTierAndThePool) {
+  CacheStats cache;
+  cache.netlist = {1, 8, 2, 3, 0};
+  cache.csr = {4, 16, 5, 6, 1};
+  cache.metric = {7, 256, 8, 9, 2};
+  cache.response = {10, 256, 11, 12, 3};
+  const JsonValue doc =
+      ParseJson(RenderServeStats("\"s\"", cache, /*queued=*/13,
+                                 /*in_flight=*/2));
+  EXPECT_EQ(doc.Find("schema")->string_value, "htp-serve-response");
+  EXPECT_EQ(doc.Find("id")->string_value, "s");
+  EXPECT_EQ(doc.Find("status")->string_value, "ok");
+  EXPECT_EQ(doc.Find("op")->string_value, "stats");
+  const JsonValue* tiers = doc.Find("cache");
+  ASSERT_NE(tiers, nullptr);
+  ASSERT_EQ(tiers->object_value.size(), 4u);
+  double expect = 1;
+  for (const char* name : {"netlist", "csr", "metric", "response"}) {
+    SCOPED_TRACE(name);
+    const JsonValue* tier = tiers->Find(name);
+    ASSERT_NE(tier, nullptr);
+    EXPECT_EQ(tier->object_value.size(), 5u);
+    EXPECT_EQ(tier->Find("entries")->number_value, expect);
+    EXPECT_EQ(tier->Find("hits")->number_value, expect + 1);
+    EXPECT_EQ(tier->Find("misses")->number_value, expect + 2);
+    expect += 3;
+  }
+  EXPECT_EQ(tiers->Find("metric")->Find("capacity")->number_value, 256.0);
+  EXPECT_EQ(tiers->Find("response")->Find("evictions")->number_value, 3.0);
+  const JsonValue* pool = doc.Find("pool");
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->object_value.size(), 2u);
+  EXPECT_EQ(pool->Find("queued")->number_value, 13.0);
+  EXPECT_EQ(pool->Find("in_flight")->number_value, 2.0);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "core/cost.hpp"
 #include "core/partition_io.hpp"
 #include "obs/report.hpp"
+#include "server/json_parse.hpp"
 #include "server/protocol.hpp"
 #include "test_util.hpp"
 
@@ -116,6 +117,28 @@ TEST(Session, ExpiredDeadlineStillReturnsValidPartition) {
   ASSERT_TRUE(run.partition.has_value());
   EXPECT_FALSE(run.completed);
   EXPECT_EQ(run.stop_reason, StopReason::kDeadline);
+}
+
+// RFM and GFM degrade their carves rather than stop, and FM stops between
+// passes; a run the deadline cut still reports it, and its report agrees.
+TEST(Session, ExpiredDeadlineMarksEveryAlgorithmIncomplete) {
+  for (const char* algo : {"rfm", "gfm"}) {
+    SCOPED_TRACE(algo);
+    SessionRequest request = SmallRequest();
+    request.algo = algo;
+    request.refine = true;
+    request.collect_report = true;
+    request.budget.time_budget_seconds = 0.0000001;
+    const SessionResult run = RunSession(request, nullptr);
+    ASSERT_TRUE(run.partition.has_value());
+    EXPECT_FALSE(run.completed);
+    EXPECT_EQ(run.stop_reason, StopReason::kDeadline);
+    EXPECT_FALSE(run.fm.completed);
+    const JsonValue report = ParseJson(run.report);
+    const JsonValue& result = *report.Find("deterministic")->Find("result");
+    EXPECT_FALSE(result.Find("completed")->bool_value);
+    EXPECT_EQ(result.Find("stop_reason")->string_value, "deadline");
+  }
 }
 
 TEST(Session, RejectsUnknownAlgoAndBadWeights) {
