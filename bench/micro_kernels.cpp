@@ -12,12 +12,15 @@
 // with no sink attached — the configuration every production run pays for.
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "core/find_cut.hpp"
 #include "core/flow_injection.hpp"
 #include "core/htp_flow.hpp"
+#include "core/spreading_metric.hpp"
 #include "graph/csr_view.hpp"
 #include "graph/dijkstra.hpp"
 #include "netlist/generators.hpp"
@@ -146,6 +149,69 @@ void BM_ViolationScanFullWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_ViolationScanFullWindow)->RangeMultiplier(4)->Range(256, 4096)
     ->Complexity(benchmark::oNSquared)->Unit(benchmark::kMillisecond);
+
+// The traffic Algorithm 2 serves: one batch scan, in a fixed random order,
+// over every node of a circuit's converged global metric (Table 3's height-4
+// binary hierarchy, seed 1). Each growth stops at the concave stop
+// certificate or extends to its ball, and certified sources are skipped,
+// exactly as in the scanner's final, passing round. BM_Dijkstra (full
+// growths, uniform lengths) does not see this traffic's frontiers. The
+// `pops` counter is the dijkstra.pops of one scan.
+struct ConvergedScan {
+  Hypergraph hg;
+  HierarchySpec spec;
+  SpreadingMetric metric;
+  std::vector<NodeId> order;
+  std::shared_ptr<const CsrView> csr;
+};
+
+const ConvergedScan& ConvergedScanOf(const std::string& circuit) {
+  static std::map<std::string, std::unique_ptr<ConvergedScan>> cache;
+  std::unique_ptr<ConvergedScan>& entry = cache[circuit];
+  if (!entry) {
+    Hypergraph hg = MakeIscas85Like(circuit, 1);
+    HierarchySpec spec = FullBinaryHierarchy(hg.total_size(), 4);
+    FlowInjectionParams params;
+    SpreadingMetric metric = ComputeSpreadingMetric(hg, spec, params).metric;
+    std::vector<NodeId> order(hg.num_nodes());
+    for (NodeId v = 0; v < hg.num_nodes(); ++v) order[v] = v;
+    Rng(1).shuffle(order);
+    auto csr = std::make_shared<const CsrView>(hg);
+    entry = std::make_unique<ConvergedScan>(ConvergedScan{
+        std::move(hg), std::move(spec), std::move(metric), std::move(order),
+        std::move(csr)});
+  }
+  return *entry;
+}
+
+std::uint64_t DijkstraPops() {
+  for (const obs::CounterValue& counter : obs::TakeSnapshot().counters)
+    if (counter.name == "dijkstra.pops") return counter.value;
+  return 0;
+}
+
+void BM_ScanConvergedMetric(benchmark::State& state,
+                            const std::string& circuit) {
+  const ConvergedScan& scan = ConvergedScanOf(circuit);
+  std::optional<ViolationScanner> scanner;
+  const std::uint64_t pops_before = DijkstraPops();
+  for (auto _ : state) {
+    state.PauseTiming();
+    scanner.reset();
+    scanner.emplace(scan.hg, scan.spec, 1, scan.csr);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        scanner->FindFirstViolation(scan.order, 0, scan.metric, 1e-7));
+  }
+  state.counters["pops"] = static_cast<double>(DijkstraPops() - pops_before) /
+                           static_cast<double>(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_ScanConvergedMetric, c1355, std::string("c1355"))
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ScanConvergedMetric, c6288, std::string("c6288"))
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ScanConvergedMetric, c7552, std::string("c7552"))
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_HtpFmPass(benchmark::State& state) {
   Hypergraph hg = Circuit(state.range(0));

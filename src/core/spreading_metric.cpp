@@ -155,12 +155,27 @@ class ViolationScanner::BallBound {
   }
 
   // The extension's stop rule, checked after Settle once the concave stop
-  // certificate has fired: (b) the ball can never hold another node, or
-  // (a) the tail no longer lowers ρ, so ρ already equals its value at
-  // exhaustion.
-  bool Done(std::size_t tree_nodes) const {
-    if (tree_nodes >= 2 && settled_min_ < nearest_other_) return true;
-    return TailMin() >= settled_min_;
+  // certificate has fired on the growth's `tree`: (b) the ball can never
+  // hold another node; (a) the tail no longer lowers ρ, so ρ already equals
+  // its value at exhaustion; or (c) the ball can no longer change: ρ only
+  // rises during the extension and never exceeds the settled part's
+  // minimum S, so once the first settled node outside the current ball
+  // lies farther than S, no later node can join it.
+  bool Done(const ShortestPathTree& tree) {
+    const std::size_t settled = tree.order.size();
+    if (settled >= 2 && settled_min_ < nearest_other_) return true;
+    if (TailMin() >= settled_min_) return true;
+    // No settled node lies past radius_, the distance just settled, so (c)
+    // needs radius_ > S. Then the node just settled is outside the ball
+    // (Radius() <= S), which bounds the forward scan.
+    if (radius_ <= settled_min_) return false;
+    const double ball = Radius();
+    const auto dist_at = [&](std::size_t i) {
+      return tree.dist[tree.order[i]];
+    };
+    while (dist_at(outside_) <= ball) ++outside_;
+    while (outside_ > 0 && dist_at(outside_ - 1) > ball) --outside_;
+    return dist_at(outside_) > settled_min_;
   }
 
   // The growth ended with an empty frontier: v's component is settled.
@@ -201,6 +216,9 @@ class ViolationScanner::BallBound {
   double weighted_ = 0.0;  // W_k
   double radius_ = 0.0;    // r = d_k
   std::size_t next_cap_ = 0;
+  // Settling-order index of the first settled node outside the ball, as of
+  // the last check of rule (c).
+  std::size_t outside_ = 0;
   bool exhausted_ = false;
 };
 
@@ -329,7 +347,7 @@ double ViolationScanner::GrowCandidate(
         }
         ball.Settle(state, rhs);
         if (!passed) return GrowAction::kContinue;
-        stopped = ball.Done(state.tree_nodes);
+        stopped = ball.Done(worker.tree);
         return stopped ? GrowAction::kStop : GrowAction::kContinue;
       },
       worker.tree, &slot.stats);

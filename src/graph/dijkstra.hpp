@@ -5,7 +5,12 @@
 // length d(e) >= 0: a path may enter a net at any pin and leave at any other
 // pin, paying d(e) once. Settling proceeds in nondecreasing distance, and
 // each net needs to be relaxed only from its first settled pin (any later
-// settled pin offers a distance at least as large), giving O((n+p) log n).
+// settled pin offers a distance at least as large). Because lengths are
+// nonnegative, every frontier push is at least the last pop, so the
+// frontier is a monotone radix heap over the distances' bit patterns: each
+// entry moves through at most 63 buckets, O(p + 63n) per growth, with the
+// entries at the current minimum popped in node order (docs/algorithms.md,
+// "The CSR hot-path engine").
 //
 // DijkstraWorkspace::Grow additionally exposes the incremental S(v,k) trees
 // of constraint family (5): after the k-th node is settled the visitor sees
@@ -28,6 +33,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -101,7 +108,8 @@ struct DijkstraStats {
 class DijkstraWorkspace {
  public:
   /// Runs Dijkstra from `source` over `view` with lengths `net_length`
-  /// (size = num_nets, entries >= 0), writing the (possibly truncated) tree
+  /// (size = num_nets, entries >= 0; a negative or NaN entry throws
+  /// htp::Error), writing the (possibly truncated) tree
   /// into `out` — the caller owns and may reuse it; its previous contents
   /// are discarded. The visitor is called after every settled node
   /// (including the source) and may stop the growth; the tree then holds
@@ -110,16 +118,14 @@ class DijkstraWorkspace {
   /// nothing is recorded into the obs counters (that is the caller's
   /// decision — see RecordDijkstraCounters).
   ///
-  /// The frontier has three levels instead of one binary heap: a one-entry
-  /// hot register, an ascending sorted run popped from a drifting head, and
-  /// a 4-ary heap that absorbs deep inserts (see the loop comments). All
-  /// frontier keys (dist, node) are distinct (a node is re-pushed only with
-  /// a strictly smaller distance), so ANY exact min-priority structure pops
-  /// them in the one sorted order; each pop takes the minimum of the three
-  /// levels' minima, which is the global frontier minimum. Distances,
-  /// parents, settling order, and work counts therefore equal those of the
-  /// binary-heap reference walk, as tests/graph/csr_dijkstra_diff_test.cpp
-  /// asserts.
+  /// The frontier is a monotone radix heap over the bit patterns of the
+  /// distances (see the loop comments): a pop takes the least key, and among
+  /// the entries at that key the least node. All frontier keys (dist, node)
+  /// are distinct (a node is re-pushed only with a strictly smaller
+  /// distance), so any exact min-priority structure pops them in the one
+  /// sorted order. Distances, parents, settling order, and work counts
+  /// therefore equal those of the binary-heap reference walk, as
+  /// tests/graph/csr_dijkstra_diff_test.cpp asserts.
   template <typename Visitor>
   void Grow(const CsrView& view, NodeId source,
             std::span<const double> net_length, Visitor&& visitor,
@@ -144,11 +150,17 @@ class DijkstraWorkspace {
     // first-relaxation step then touches one record instead of two random
     // arrays. Lengths are caller-owned and may change between calls, so
     // this fill is per growth — a sequential stream over m entries, cheaper
-    // than the ~m random reads it replaces.
+    // than the ~m random reads it replaces. The same pass enforces the
+    // precondition the frontier relies on: a negative (or NaN) length would
+    // push a key below the last pop.
     {
       const double* len = net_length.data();
-      for (std::size_t e = 0; e < num_nets; ++e)
+      bool nonnegative = true;
+      for (std::size_t e = 0; e < num_nets; ++e) {
         net_scratch_[e].length = len[e];
+        nonnegative &= len[e] >= 0.0;
+      }
+      HTP_CHECK_MSG(nonnegative, "net lengths must be >= 0");
     }
 
     out.source = source;
@@ -156,12 +168,10 @@ class DijkstraWorkspace {
     out.parent.assign(num_nodes, TreeParent{});
     out.order.clear();
 
-    // The sorted run's tail only ever advances (the head drifts after it),
-    // and every frontier insert advances it by at most one. Inserts happen
-    // only on improving relaxations, of which there is at most one per pin
-    // entry scanned, so pin_entries() + 1 slots can never overflow.
-    if (run_.size() < view.pin_entries() + 1)
-      run_.resize(view.pin_entries() + 1);
+    // The ties never hold more entries than the growth pushes: at most one
+    // per pin entry (each net is relaxed once) plus the source.
+    if (ties_.size() < view.pin_entries() + 1)
+      ties_.resize(view.pin_entries() + 1);
 
     const std::uint32_t* arc_offset = view.arc_offsets();
     const CsrArc* arcs = view.arcs();
@@ -173,7 +183,9 @@ class DijkstraWorkspace {
     // must assume the arrays alias).
     NodeScratch* scratch = node_scratch_.data();
     NetScratch* nets = net_scratch_.data();
-    HeapEntry* run = run_.data();
+    std::vector<RadixEntry>* buckets = buckets_.data();
+    std::uint64_t* bucket_min = bucket_min_.data();
+    RadixEntry* ties = ties_.data();
     const std::uint32_t epoch = epoch_;
 
     scratch[source].tentative = 0.0;
@@ -181,79 +193,82 @@ class DijkstraWorkspace {
     scratch[source].parent_net = kInvalidNet;
     scratch[source].parent_node = kInvalidNode;
 
-    // Three-level frontier, cheapest level first:
+    // Monotone radix heap (Ahuja, Mehlhorn, Orlin and Tarjan). A
+    // nonnegative double's bit pattern, read as an unsigned integer, orders
+    // like the double itself (+0.0 is 0), and lengths are >= 0, so every
+    // push is at least `last`, the key of the latest pop. The frontier is
     //
-    //  * `hot` — a one-entry register holding the smallest entry inserted
-    //    since the last pop that found it smallest. Dijkstra often settles
-    //    the best child of the node it just settled ("chain following"),
-    //    and those entries never touch memory at all.
-    //  * run_[run_head, run_tail) — ascending (dist, node) sorted run.
-    //    Pops read the head and advance it; inserts sift linearly from the
-    //    tail, where almost all of them land within a few slots (the new
-    //    candidate's key exceeds the settled radius by one net length).
-    //    The shift loop's compare predicts perfectly until the final
-    //    iteration, unlike heap sift-downs that mispredict at every level.
-    //  * heap_ — a 4-ary min-heap absorbing the rare deep inserts. One
-    //    probe at depth kRunSiftDepth decides run-vs-heap BEFORE any
-    //    shifting, bounding the linear sift and keeping the worst-case
-    //    insert at O(kRunSiftDepth + log frontier) instead of the pure
-    //    sorted run's O(frontier).
+    //  * ties[head, tie_end), bucket 0: the entries whose key equals `last`,
+    //    exactly the frontier's minimum distance, sorted by node and popped
+    //    from the head. Entries pushed at `last` itself (a zero-length net,
+    //    or a length lost to rounding: d + len == d) are sifted in among
+    //    them, so a smaller node id still pops first. FLOW's lengths
+    //    exp(α·f/c) − 1 with f >= ε make no such push.
+    //  * buckets[b], 0 <= b < 63: the entries whose highest bit differing
+    //    from `last` is bit b, unordered, with their least key cached in
+    //    bucket_min[b]. Bit b of `occupied` marks buckets[b] nonempty.
     //
-    // Every pop takes the minimum of the three levels' minima (the run is
-    // ascending, so its head is its minimum) — the global frontier minimum.
-    // All keys are distinct, so the pop sequence is the one sorted order
-    // any exact priority queue would produce: results and work counts are
-    // bit-identical to a binary heap's.
-    HeapEntry hot{0.0, source};
-    bool has_hot = true;
-    std::size_t run_head = 0, run_tail = 0;
+    // When the ties run dry, the lowest nonempty bucket holds the least
+    // keys. Its cached minimum becomes `last` and its entries are
+    // redistributed: each agrees with the new `last` on bit b and above, so
+    // it joins the ties or a strictly lower bucket, and moves at most 63
+    // times over its life. Pops thus follow the one sorted (dist, node)
+    // order. The pins relaxed through one net share one key, so ties are
+    // common on hypergraphs.
+    std::uint64_t last = 0;  // the source's key, +0.0
+    std::uint64_t occupied = 0;
+    ties[0] = {last, source};
+    std::size_t head = 0, tie_end = 1;
 
     double tree_size = 0.0;
     double weighted_dist = 0.0;
     std::uint64_t pops = 0, relaxations = 0;
 
-    while (has_hot || run_head != run_tail || !heap_.empty()) {
-      HeapEntry top;
-      int source_level = -1;
-      if (has_hot) {
-        top = hot;
-        source_level = 0;
-      }
-      if (run_head != run_tail &&
-          (source_level < 0 || HeapBefore(run[run_head], top))) {
-        top = run[run_head];
-        source_level = 1;
-      }
-      if (!heap_.empty() &&
-          (source_level < 0 || HeapBefore(heap_.front(), top))) {
-        top = heap_.front();
-        source_level = 2;
-      }
-      if (source_level == 0) {
-        has_hot = false;
-      } else if (source_level == 1) {
-        // Reset the drift whenever the run empties so the tail stays far
-        // from the buffer's end.
-        if (++run_head == run_tail) run_head = run_tail = 0;
+    for (;;) {
+      NodeId u;
+      if (head != tie_end) {
+        u = ties[head++].node;
+      } else if (occupied != 0) {
+        const int b = std::countr_zero(occupied);
+        occupied &= occupied - 1;
+        std::vector<RadixEntry>& bucket = buckets[b];
+        last = bucket_min[b];
+        head = tie_end = 0;
+        if (bucket.size() == 1) {  // a lone minimum pops straight away
+          u = bucket.front().node;
+        } else {
+          for (const RadixEntry& entry : bucket) {
+            if (entry.key == last) {
+              ties[tie_end++] = entry;
+            } else {
+              PushBucket(buckets, bucket_min, occupied,
+                         std::bit_width(entry.key ^ last) - 1, entry);
+            }
+          }
+          SortTies(ties, tie_end);
+          u = ties[head++].node;
+        }
+        bucket.clear();
+        bucket_min[b] = kNoKey;
       } else {
-        HeapPop4();
+        break;
       }
+      const double top_dist = std::bit_cast<double>(last);
       ++pops;
-      const NodeId u = top.node;
       const NodeScratch su = scratch[u];
       // Stale test against the best-known distance alone: lengths are
       // nonnegative, so once u settles every remaining frontier entry for
       // it is strictly larger (a node is re-pushed only with a strictly
       // smaller tentative) — no separate settled check needed here.
-      if (top.dist > su.tentative) continue;
+      if (top_dist > su.tentative) continue;
 
-      dist[u] = top.dist;
+      dist[u] = top_dist;
       parent[u] = {su.parent_net, su.parent_node};
       out.order.push_back(u);
       tree_size += su.size;
-      weighted_dist += su.size * top.dist;
+      weighted_dist += su.size * top_dist;
 
-      const GrowState state{u, top.dist, tree_size, weighted_dist,
+      const GrowState state{u, top_dist, tree_size, weighted_dist,
                             out.order.size()};
       if (visitor(state) == GrowAction::kStop) break;
 
@@ -263,7 +278,12 @@ class DijkstraWorkspace {
         const NetScratch net = nets[arc.net];
         if (net.epoch == epoch) continue;  // already relaxed
         nets[arc.net].epoch = epoch;
-        const double cand = top.dist + net.length;
+        const double cand = top_dist + net.length;
+        // An infinite candidate improves nothing: every tentative distance,
+        // stale ones included, reads as at most +inf.
+        if (cand == kInfDist) continue;
+        const std::uint64_t key = std::bit_cast<std::uint64_t>(cand);
+        const int b = std::bit_width(key ^ last) - 1;  // -1: a tie
         for (std::uint32_t p = arc.pin_begin; p != arc.pin_end; ++p) {
           const NodeId x = pins[p];
           // One comparison folds the settled and the no-improvement tests:
@@ -277,31 +297,21 @@ class DijkstraWorkspace {
           scratch[x].parent_net = arc.net;
           scratch[x].parent_node = u;
           ++relaxations;
-          HeapEntry entry{cand, x};
-          if (!has_hot) {
-            hot = entry;
-            has_hot = true;
-            continue;
-          }
-          if (HeapBefore(entry, hot)) std::swap(entry, hot);
-          if (run_tail == run_head || !HeapBefore(entry, run[run_tail - 1])) {
-            run[run_tail++] = entry;  // at or above the run max: append
-          } else if (run_tail - run_head > kRunSiftDepth &&
-                     HeapBefore(entry, run[run_tail - 1 - kRunSiftDepth])) {
-            HeapPush4(entry);  // deep insert: spill to the heap unshifted
+          if (b < 0) {
+            SiftTie(ties, head, tie_end, {key, x});
           } else {
-            std::size_t i = run_tail;
-            while (i > run_head && HeapBefore(entry, run[i - 1])) {
-              run[i] = run[i - 1];
-              --i;
-            }
-            run[i] = entry;
-            ++run_tail;
+            PushBucket(buckets, bucket_min, occupied, b, {key, x});
           }
         }
       }
     }
-    heap_.clear();
+    // A truncated growth leaves entries behind: empty just those buckets.
+    for (; occupied != 0; occupied &= occupied - 1) {
+      const int b = std::countr_zero(occupied);
+      buckets[b].clear();
+      bucket_min[b] = kNoKey;
+    }
+    frontier_dirty_ = false;
     if (stats) {
       stats->pops += pops;
       stats->relaxations += relaxations;
@@ -310,67 +320,50 @@ class DijkstraWorkspace {
   }
 
  private:
-  struct HeapEntry {
-    double dist;
+  /// A frontier entry: the distance's bit pattern and the node.
+  struct RadixEntry {
+    std::uint64_t key;
     NodeId node;
   };
-  /// Strict (dist, node) min order of frontier entries, shared by the sorted
-  /// run and the 4-ary heap below. The node tie-break pins the settling
-  /// order of equidistant nodes, part of the library-wide determinism
-  /// contract. Written with non-short-circuit operators on purpose: both sides compile to setcc and
-  /// the result feeds conditional moves in the sift-down, where a
-  /// short-circuit branch on effectively random doubles would mispredict
-  /// half the time.
-  static bool HeapBefore(const HeapEntry& a, const HeapEntry& b) {
-    return (a.dist < b.dist) |
-           ((a.dist == b.dist) & (a.node < b.node));
+
+  /// bucket_min of an empty bucket: above every key of a nonnegative double.
+  static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+  static constexpr std::array<std::uint64_t, 63> MakeEmptyMins() {
+    std::array<std::uint64_t, 63> mins{};
+    mins.fill(kNoKey);
+    return mins;
   }
 
-  // 4-ary implicit heap over heap_ (children of i at 4i+1 .. 4i+4): half
-  // the tree height of a binary heap, and the four siblings compared on the
-  // way down share a cache line (HeapEntry is 16 bytes). Both sifts move
-  // the hole instead of swapping.
-  void HeapPush4(HeapEntry entry) {
-    std::size_t i = heap_.size();
-    heap_.push_back(entry);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) >> 2;
-      if (!HeapBefore(entry, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = entry;
+  /// Files `entry` in bucket `b`, keeping its cached minimum and the
+  /// occupancy word current.
+  static void PushBucket(std::vector<RadixEntry>* buckets,
+                         std::uint64_t* bucket_min, std::uint64_t& occupied,
+                         int b, RadixEntry entry) {
+    buckets[b].push_back(entry);
+    bucket_min[b] = std::min(bucket_min[b], entry.key);
+    occupied |= std::uint64_t{1} << b;
   }
-  HeapEntry HeapPop4() {
-    const HeapEntry top = heap_.front();
-    const HeapEntry tail = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n > 0) {
-      std::size_t i = 0;
-      for (;;) {
-        const std::size_t first = (i << 2) + 1;
-        if (first >= n) break;
-        const std::size_t limit = std::min(first + 4, n);
-        // Branchless min-of-siblings: the keys are effectively random, so a
-        // compare-and-branch scan would mispredict ~half the time; tracking
-        // (best index, best entry) through ternaries compiles to cmovs.
-        std::size_t best = first;
-        HeapEntry best_entry = heap_[first];
-        for (std::size_t c = first + 1; c < limit; ++c) {
-          const HeapEntry entry = heap_[c];
-          const bool before = HeapBefore(entry, best_entry);
-          best = before ? c : best;
-          best_entry.dist = before ? entry.dist : best_entry.dist;
-          best_entry.node = before ? entry.node : best_entry.node;
-        }
-        if (!HeapBefore(best_entry, tail)) break;
-        heap_[i] = best_entry;
-        i = best;
-      }
-      heap_[i] = tail;
+
+  /// Inserts `entry` into the node-sorted ties[head, end) and grows `end`.
+  static void SiftTie(RadixEntry* ties, std::size_t head, std::size_t& end,
+                      RadixEntry entry) {
+    std::size_t i = end++;
+    for (; i > head && ties[i - 1].node > entry.node; --i) ties[i] = ties[i - 1];
+    ties[i] = entry;
+  }
+
+  /// Puts the `count` ties a redistribution gathered into node order. They
+  /// mostly come as a few short sorted runs (the pins of a net), where
+  /// insertion is cheapest; a whole BFS layer of equal lengths is sorted.
+  static void SortTies(RadixEntry* ties, std::size_t count) {
+    if (count > 64) {
+      std::sort(ties, ties + count, [](const RadixEntry& a,
+                                       const RadixEntry& b) {
+        return a.node < b.node;
+      });
+      return;
     }
-    return top;
+    for (std::size_t end = 1; end < count;) SiftTie(ties, 0, end, ties[end]);
   }
 
   /// Tentative distance + validity stamp + staged parent pointers of one
@@ -411,19 +404,23 @@ class DijkstraWorkspace {
       for (NetScratch& s : net_scratch_) s.epoch = 0;
       epoch_ = 1;
     }
-    heap_.clear();
+    // A growth ends with every bucket empty and keeps its capacity, so
+    // steady-state growths allocate nothing. Only a visitor that threw
+    // mid-growth leaves entries behind.
+    if (frontier_dirty_) {
+      for (std::vector<RadixEntry>& bucket : buckets_) bucket.clear();
+      bucket_min_.fill(kNoKey);
+    }
+    frontier_dirty_ = true;
   }
-
-  /// Bound on the sorted run's linear insert sift. Deeper inserts go to the
-  /// 4-ary heap instead: one probe at this depth decides before anything is
-  /// shifted. Tuned on the micro-benchmarks — past ~32, longer shifts cost
-  /// more than a push into the (small) spill heap.
-  static constexpr std::size_t kRunSiftDepth = 32;
 
   std::vector<NodeScratch> node_scratch_;
   std::vector<NetScratch> net_scratch_;
-  std::vector<HeapEntry> heap_;
-  std::vector<HeapEntry> run_;  ///< sorted-run storage of the CSR frontier
+  /// Radix-heap storage of the frontier (see Grow).
+  std::array<std::vector<RadixEntry>, 63> buckets_;
+  std::array<std::uint64_t, 63> bucket_min_ = MakeEmptyMins();
+  std::vector<RadixEntry> ties_;
+  bool frontier_dirty_ = false;
   std::uint32_t epoch_ = 0;
   /// CsrView::id() whose node sizes are currently staged in node_scratch_
   /// (0 = none; view ids are never 0).

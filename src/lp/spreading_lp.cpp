@@ -1,5 +1,7 @@
 #include "lp/spreading_lp.hpp"
 
+#include <algorithm>
+
 namespace htp {
 
 SpreadingLpResult SolveSpreadingLp(const Hypergraph& hg,
@@ -53,7 +55,9 @@ SpreadingLpResult SolveSpreadingLp(const Hypergraph& hg,
       result.status = sol.status;
       return result;
     }
-    metric = sol.x;
+    // d >= 0 in (P1); the simplex may leave round-off just below zero,
+    // which the oracle's growths must not see.
+    for (std::size_t e = 0; e < m; ++e) metric[e] = std::max(sol.x[e], 0.0);
     result.lower_bound = sol.objective;
   }
 

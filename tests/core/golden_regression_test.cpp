@@ -50,12 +50,14 @@ TEST(GoldenRegression, SpreadingLpOnFigure2IsPinned) {
   options.max_rounds = 300;
   const std::uint64_t pops_before = DijkstraPops();
   const SpreadingLpResult lp = SolveSpreadingLp(hg, spec, options);
-  EXPECT_EQ(DijkstraPops() - pops_before, 3188u);
+  // The oracle sees the simplex solution clamped at 0 (its round-off below
+  // zero is no valid length), which converges in fewer rounds.
+  EXPECT_EQ(DijkstraPops() - pops_before, 1901u);
   EXPECT_EQ(lp.status, LpStatus::kOptimal);
   EXPECT_TRUE(lp.converged);
-  EXPECT_EQ(lp.lower_bound, 0x1.400000000001ep+4);
-  EXPECT_EQ(lp.cuts, 288u);
-  EXPECT_EQ(lp.rounds, 19u);
+  EXPECT_EQ(lp.lower_bound, 0x1.4000000000007p+4);
+  EXPECT_EQ(lp.cuts, 176u);
+  EXPECT_EQ(lp.rounds, 12u);
 }
 
 TEST(GoldenRegression, PairPathMetricOnC1355IsPinned) {

@@ -14,11 +14,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/flow_injection.hpp"
 #include "core/spreading_metric.hpp"
 #include "obs/obs.hpp"
 #include "test_util.hpp"
@@ -426,6 +428,158 @@ TEST(BallCertificate, CommitReplayIsThreadCountInvariant) {
   }
 }
 
+// The ball that a passing growth from `source` certifies when its
+// extension stops only at rules (a) or (b) or at exhaustion, as it did
+// before rule (c) ended it early: BallBound's arithmetic, operation for
+// operation, on the reference walk. Empty when the source is violated.
+// `settled` receives the nodes that extension settles.
+std::vector<NodeId> FullExtensionBall(const Hypergraph& hg,
+                                      const HierarchySpec& spec,
+                                      NodeId source,
+                                      const SpreadingMetric& metric,
+                                      double tol, std::size_t& settled) {
+  const double total = hg.total_size();
+  const double g_cap = spec.g(total);
+  std::vector<std::pair<double, double>> caps;  // (C_l, g(C_l)) below s(V)
+  double g_slope = 0.0;
+  for (Level l = 0; l < spec.root_level(); ++l) {
+    if (spec.capacity(l) < total)
+      caps.emplace_back(spec.capacity(l), spec.g(spec.capacity(l)));
+    g_slope += 2.0 * spec.weight(l);
+  }
+  const double margin =
+      8.0 * static_cast<double>(hg.num_nodes() + spec.num_levels() + 4) *
+      (std::numeric_limits<double>::epsilon() / 2);
+  const auto ratio = [&](double fill, double size, double g) {
+    return (fill + tol - g) / size;
+  };
+  double settled_min = kInfDist, nearest_other = kInfDist;
+  double size = 0.0, weighted = 0.0, radius = 0.0;
+  std::size_t next_cap = 0;
+  bool passed = false, violated = false, stopped = false, exhausted = false;
+  const auto tail_min = [&] {
+    if (exhausted || size >= total) return kInfDist;
+    double best = ratio(weighted + radius * (total - size), total, g_cap);
+    for (std::size_t l = next_cap; l < caps.size(); ++l)
+      best = std::min(best, ratio(weighted + radius * (caps[l].first - size),
+                                  caps[l].first, caps[l].second));
+    return best;
+  };
+  const ShortestPathTree tree = testutil::ReferenceGrow(
+      hg, source, metric, [&](const GrowState& s) {
+        const double rhs = spec.g(s.tree_size);
+        if (!passed) {
+          if (s.weighted_dist + tol < rhs) {
+            violated = true;
+            return GrowAction::kStop;
+          }
+          const double reach =
+              s.distance * (total - s.tree_size) * (1.0 - 1e-9);
+          passed = s.weighted_dist + reach + tol >= g_cap;
+        }
+        const double r = s.distance;
+        for (; next_cap < caps.size() && caps[next_cap].first <= s.tree_size;
+             ++next_cap)
+          settled_min = std::min(
+              settled_min,
+              ratio(weighted + r * (caps[next_cap].first - size),
+                    caps[next_cap].first, caps[next_cap].second));
+        if (!caps.empty() && s.tree_size > caps.front().first)
+          settled_min = std::min(settled_min,
+                                 ratio(s.weighted_dist, s.tree_size, rhs));
+        if (s.tree_nodes == 2) nearest_other = r;
+        size = s.tree_size;
+        weighted = s.weighted_dist;
+        radius = r;
+        if (!passed) return GrowAction::kContinue;
+        stopped = (s.tree_nodes >= 2 && settled_min < nearest_other) ||
+                  tail_min() >= settled_min;  // rules (b) and (a)
+        return stopped ? GrowAction::kStop : GrowAction::kContinue;
+      });
+  settled = tree.order.size();
+  std::vector<NodeId> ball;
+  if (violated) return ball;
+  exhausted = !stopped;
+  const double rho = std::min(settled_min, tail_min());
+  const double cut =
+      rho - margin * (radius + g_slope + tol / spec.capacity(0));
+  for (NodeId x : tree.order) {
+    if (tree.dist[x] > cut) break;
+    ball.push_back(x);
+  }
+  std::sort(ball.begin(), ball.end());
+  return ball;
+}
+
+// For every source of `hg`, the ball a scan certifies (a fresh serial
+// scanner, one candidate) must equal FullExtensionBall's. Returns how many
+// passing growths rule (c) ended before the full extension did.
+std::size_t ExpectBallsMatchFullExtension(const Hypergraph& hg,
+                                          const HierarchySpec& spec,
+                                          const SpreadingMetric& metric,
+                                          double tol) {
+  std::size_t early = 0;
+  for (NodeId v = 0; v < hg.num_nodes(); ++v) {
+    SCOPED_TRACE(testing::Message() << "source " << v);
+    std::size_t full_settled = 0;
+    const std::vector<NodeId> expect =
+        FullExtensionBall(hg, spec, v, metric, tol, full_settled);
+    ViolationScanner scanner(hg, spec, 1);
+    const std::uint64_t settled_before = Counter("dijkstra.settled");
+    const NodeId candidate[] = {v};
+    const auto hit = scanner.FindFirstViolation(candidate, 0, metric, tol);
+    const std::uint64_t settled = Counter("dijkstra.settled") - settled_before;
+    std::vector<NodeId> ball;
+    for (NodeId x = 0; x < hg.num_nodes(); ++x)
+      if (scanner.certified(x)) ball.push_back(x);
+    EXPECT_EQ(ball, expect);
+    if (hit) continue;
+    EXPECT_LE(settled, full_settled);
+    early += settled < full_settled;
+  }
+  return early;
+}
+
+class BallExtensionProperty : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+// Rule (c) may only end the extension once the ball is final. Random
+// instances from CertificateCircuit under the converged metric of
+// Algorithm 2 and under random long metrics (a quarter of the nets at
+// length zero), so that most sources pass and extend.
+TEST_P(BallExtensionProperty, EarlyBallEqualsFullExtensionBall) {
+  const std::uint64_t seed = GetParam();
+  const Hypergraph hg = CertificateCircuit(seed);
+  const HierarchySpec spec = CertificateSpec(hg, seed);
+  FlowInjectionParams params;
+  params.seed = seed;
+  std::size_t early = ExpectBallsMatchFullExtension(
+      hg, spec, ComputeSpreadingMetric(hg, spec, params).metric, 1e-7);
+  Rng rng(seed * 17 + 3);
+  SpreadingMetric metric(hg.num_nets());
+  for (double& d : metric)
+    d = rng.next_bool(0.25) ? 0.0 : 0.2 + rng.next_double();
+  early += ExpectBallsMatchFullExtension(hg, spec, metric, 1e-7);
+  RecordProperty("early", static_cast<int>(early));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BallExtensionProperty,
+                         ::testing::Range<std::uint64_t>(1, 21));
+
+// Rule (c) fires on the instances above; without it the property is void.
+TEST(BallExtension, EarlyStopFiresOnConvergedMetrics) {
+  std::size_t early = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Hypergraph hg = CertificateCircuit(seed);
+    const HierarchySpec spec = CertificateSpec(hg, seed);
+    FlowInjectionParams params;
+    params.seed = seed;
+    early += ExpectBallsMatchFullExtension(
+        hg, spec, ComputeSpreadingMetric(hg, spec, params).metric, 1e-7);
+  }
+  EXPECT_GT(early, 0u);
+}
+
 // A star (MakeStar) whose centre u sits exactly on the tolerance edge, plus
 // a pendant node p of negligible size (1e-20) hanging off the centre by a
 // net of length delta. From p every other node lies exactly delta farther
@@ -481,6 +635,9 @@ TEST(BallCertificate, ToleranceEdgeMatchesReferenceToTheUlp) {
         const auto expect = ReferenceVerdicts(hg, spec, metric, tolerance);
         ASSERT_EQ(expect[0].violated, target < g);
         ASSERT_FALSE(expect[pendant].violated);
+        // The pendant's ball sits on the edge too: rule (c) must end its
+        // extension with the full extension's ball, to the ulp.
+        ExpectBallsMatchFullExtension(hg, spec, metric, tolerance);
         for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
           ViolationScanner scanner(hg, spec, workers);
           const auto hit =

@@ -1,10 +1,16 @@
 // Differential tests for the CSR Dijkstra engine (graph/csr_view.hpp):
-// the CsrView + 4-ary-heap growth must be bit-identical to the reference
+// the CsrView + radix-heap growth must be bit-identical to the reference
 // binary-heap walk over the Hypergraph (testutil::ReferenceGrow) —
 // distances, parents, settling (pop) order, and work counts — for every
 // layout, including tie-heavy length functions that exercise the
-// (dist, node) heap tie-break.
+// (dist, node) tie-break, and the radix heap's edge cases: pushes at the
+// last popped key, keys spanning the whole double range, -0.0 and +inf
+// lengths, truncated growths, and one workspace across many views.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "graph/csr_view.hpp"
 #include "graph/dijkstra.hpp"
@@ -174,6 +180,190 @@ TEST_P(CsrDijkstraDiffTest, VisitorSeesIdenticalGrowStates) {
     EXPECT_EQ(reference_states[i].tree_size, csr_states[i].tree_size);
     EXPECT_EQ(reference_states[i].weighted_dist, csr_states[i].weighted_dist);
     EXPECT_EQ(reference_states[i].tree_nodes, csr_states[i].tree_nodes);
+  }
+}
+
+// Grows from every `step`-th source over `hg` with lengths `len` on both
+// layouts, full and truncated after 1, 2, 7 and 40 settled nodes, on one
+// workspace per layout, checking trees and work counts against the
+// reference.
+void ExpectEveryGrowthMatches(const Hypergraph& hg,
+                              const std::vector<double>& len,
+                              NodeId step = 1) {
+  const CsrView dup(hg, CsrLayout::kDuplicated);
+  const CsrView shared(hg, CsrLayout::kShared);
+  DijkstraWorkspace dup_ws, shared_ws;
+  ShortestPathTree tree;
+  for (NodeId source = 0; source < hg.num_nodes(); source += step) {
+    for (std::size_t stop_k : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                               std::size_t{40}, std::size_t{0}}) {
+      SCOPED_TRACE(testing::Message() << "source " << source << " stop at "
+                                      << stop_k);
+      auto stop_at = [stop_k](const GrowState& s) {
+        return s.tree_nodes == stop_k ? GrowAction::kStop
+                                      : GrowAction::kContinue;
+      };
+      DijkstraStats want;
+      const ShortestPathTree expect =
+          ReferenceGrow(hg, source, len, stop_at, &want);
+      for (auto [view, ws] : {std::pair{&dup, &dup_ws},
+                              std::pair{&shared, &shared_ws}}) {
+        DijkstraStats got;
+        ws->Grow(*view, source, len, stop_at, tree, &got);
+        ExpectSameTree(expect, tree);
+        EXPECT_EQ(want.pops, got.pops);
+        EXPECT_EQ(want.relaxations, got.relaxations);
+        EXPECT_EQ(want.settled, got.settled);
+      }
+    }
+  }
+}
+
+TEST_P(CsrDijkstraDiffTest, AllEqualLengthsSettleLayersOfExactTies) {
+  // Every distance is an exact multiple of the length, so each BFS layer
+  // is one key: its ties pop in node order, dozens at a time on the larger
+  // graph (beyond the tie sort's insertion cutoff).
+  const std::uint64_t seed = GetParam();
+  for (NodeId n : {NodeId{30}, NodeId{400}}) {
+    const Hypergraph hg =
+        testutil::RandomConnectedHypergraph(n, n, 5, seed * 31 + n);
+    for (double c : {1.0, 0.1, 3e-7})
+      ExpectEveryGrowthMatches(hg, std::vector<double>(hg.num_nets(), c),
+                               n / 30);
+  }
+}
+
+TEST_P(CsrDijkstraDiffTest, PushesAtTheLastPoppedDistance) {
+  // Zero-length nets, and lengths below half an ulp of the distances they
+  // are added to (d + len == d), push nodes at exactly the last popped key,
+  // often with a smaller node id than the node just popped.
+  const std::uint64_t seed = GetParam();
+  const Hypergraph hg =
+      testutil::RandomConnectedHypergraph(60, 70, 4, seed ^ 0x5eed);
+  Rng rng(seed);
+  std::vector<double> len(hg.num_nets());
+  for (double& d : len) {
+    const std::uint64_t kind = rng.next_below(3);
+    d = kind == 0 ? 0.0 : kind == 1 ? 1e-17 : 1.0 + rng.next_below(3);
+  }
+  ExpectEveryGrowthMatches(hg, len);
+}
+
+TEST(CsrDijkstraDiff, PushesAtTheLastKeyPopInNodeOrder) {
+  // From 5, nodes 3 and 9 wait at distance 1. Popping 3 pushes 1 at that
+  // same distance through a zero-length net, ahead of the waiting 9;
+  // popping 9 then pushes 2, a smaller id than the node just popped.
+  HypergraphBuilder builder;
+  for (NodeId v = 0; v < 10; ++v) builder.add_node();
+  builder.add_net({5, 3});
+  builder.add_net({5, 9});
+  builder.add_net({3, 1});
+  builder.add_net({9, 2});
+  builder.add_net({2, 0});
+  const Hypergraph hg = builder.build();
+  const std::vector<double> len = {1.0, 1.0, 0.0, 0.0, 1.0};
+  const ShortestPathTree tree = CsrDijkstra(CsrView(hg), 5, len);
+  EXPECT_EQ(tree.order, (std::vector<NodeId>{5, 3, 1, 9, 2, 0}));
+  ExpectSameTree(ReferenceDijkstra(hg, 5, len), tree);
+  ExpectEveryGrowthMatches(hg, len);
+}
+
+TEST_P(CsrDijkstraDiffTest, LengthsAcrossTheWholeDoubleRange) {
+  // Keys that differ in the exponent, in the top and in the lowest
+  // mantissa bits, subnormal distances included.
+  const std::uint64_t seed = GetParam();
+  const Hypergraph hg =
+      testutil::RandomConnectedHypergraph(50, 40, 4, seed + 99);
+  Rng rng(seed * 3 + 1);
+  std::vector<double> len(hg.num_nets());
+  for (double& d : len) {
+    switch (rng.next_below(4)) {
+      case 0:
+        d = std::pow(10.0, -300.0 + 600.0 * rng.next_double());
+        break;
+      case 1:  // subnormal
+        d = std::numeric_limits<double>::denorm_min() *
+            static_cast<double>(1 + rng.next_below(1000));
+        break;
+      case 2:
+        d = std::nextafter(1.0, 2.0) * (1 + rng.next_below(2));
+        break;
+      default:
+        d = 1e300 * rng.next_double();
+    }
+  }
+  ExpectEveryGrowthMatches(hg, len);
+}
+
+TEST_P(CsrDijkstraDiffTest, NegativeZeroAndInfiniteLengths) {
+  // -0.0 adds like +0.0; an infinite net is never crossed (its candidate
+  // improves no tentative distance), so nodes behind it stay unsettled.
+  const std::uint64_t seed = GetParam();
+  const Hypergraph hg =
+      testutil::RandomConnectedHypergraph(40, 30, 4, seed * 11);
+  Rng rng(seed + 5);
+  std::vector<double> len(hg.num_nets());
+  for (double& d : len) {
+    const std::uint64_t kind = rng.next_below(4);
+    d = kind == 0   ? -0.0
+        : kind == 1 ? std::numeric_limits<double>::infinity()
+                    : rng.next_double();
+  }
+  ExpectEveryGrowthMatches(hg, len);
+}
+
+TEST(CsrDijkstraDiff, OneWorkspaceAcrossViewsOfDifferentSizes) {
+  // Truncated growths leave frontier entries behind, and views come and go
+  // with other sizes; every growth must still start from a clean frontier.
+  std::vector<Hypergraph> graphs;
+  for (NodeId n : {NodeId{12}, NodeId{300}, NodeId{5}, NodeId{80}})
+    graphs.push_back(testutil::RandomConnectedHypergraph(n, n, 4, n));
+  DijkstraWorkspace workspace;
+  ShortestPathTree tree;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::size_t g = 0; g < graphs.size(); ++g) {
+      const Hypergraph& hg = graphs[g];
+      const CsrView view(hg);
+      const std::vector<double> len = RandomLengths(hg, pass * 7 + g, 2.0);
+      for (NodeId source = 0; source < hg.num_nodes(); source += 3) {
+        const std::size_t stop_k = (source + pass) % 4 == 0 ? 0 : 3;
+        SCOPED_TRACE(testing::Message() << "pass " << pass << " graph " << g
+                                        << " source " << source);
+        auto stop_at = [stop_k](const GrowState& s) {
+          return s.tree_nodes == stop_k ? GrowAction::kStop
+                                        : GrowAction::kContinue;
+        };
+        DijkstraStats want, got;
+        const ShortestPathTree expect =
+            ReferenceGrow(hg, source, len, stop_at, &want);
+        workspace.Grow(view, source, len, stop_at, tree, &got);
+        ExpectSameTree(expect, tree);
+        EXPECT_EQ(want.pops, got.pops);
+        EXPECT_EQ(want.relaxations, got.relaxations);
+      }
+    }
+  }
+}
+
+TEST(CsrDijkstraDiff, GrowthAfterAThrowingVisitorStartsClean) {
+  const Hypergraph hg = testutil::RandomConnectedHypergraph(70, 60, 4, 8);
+  const CsrView view(hg);
+  const std::vector<double> len = RandomLengths(hg, 4, 1.0);
+  DijkstraWorkspace workspace;
+  ShortestPathTree tree;
+  EXPECT_THROW(workspace.Grow(view, 0, len,
+                              [](const GrowState& s) {
+                                if (s.tree_nodes == 20)
+                                  throw std::runtime_error("stop");
+                                return GrowAction::kContinue;
+                              },
+                              tree),
+               std::runtime_error);
+  for (NodeId source : {NodeId{0}, NodeId{33}}) {
+    workspace.Grow(view, source, len,
+                   [](const GrowState&) { return GrowAction::kContinue; },
+                   tree);
+    ExpectSameTree(ReferenceDijkstra(hg, source, len), tree);
   }
 }
 

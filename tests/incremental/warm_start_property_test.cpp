@@ -24,6 +24,7 @@
 #include "incremental/eco_repartition.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
+#include "runtime/thread_pool.hpp"
 #include "server/session.hpp"
 #include "test_util.hpp"
 
@@ -66,12 +67,25 @@ NetlistDelta RandomDelta(const Hypergraph& base, std::uint64_t seed) {
   return delta;
 }
 
+// One pair's outcome, filled by a worker and checked afterwards in pair
+// order on the test thread.
+struct WarmColdPair {
+  std::vector<std::string> invalid;  // ValidatePartition of the warm result
+  double warm_cost = 0.0;
+  double warm_recosted = 0.0;  // PartitionCost of the warm partition
+  double cold_cost = 0.0;
+  std::size_t blocks_reused = 0;
+  std::size_t blocks_recarved = 0;
+  bool full_rebuild = false;
+};
+
 TEST(WarmStartProperty, WarmCostWithinFivePercentOfCold) {
   constexpr int kPairs = 200;
-  int reused_any = 0;
-  for (int pair = 0; pair < kPairs; ++pair) {
+  // The pairs are independent, so they run side by side (every run's
+  // result is thread-count invariant), each into its own slot.
+  std::vector<WarmColdPair> pairs(kPairs);
+  ParallelFor(0, kPairs, [&](std::size_t pair) {
     const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(pair);
-    SCOPED_TRACE(testing::Message() << "pair seed " << seed);
     const NodeId n = static_cast<NodeId>(32 + (pair % 5) * 8);
     const Hypergraph base_hg =
         testutil::RandomConnectedHypergraph(n, n + n / 2, 4, seed);
@@ -96,15 +110,27 @@ TEST(WarmStartProperty, WarmCostWithinFivePercentOfCold) {
     eco.flow = params;
     const EcoResult warm = RunEcoRepartition(
         app, spec, converged.partition, RemapWarmMetric(state, app), eco);
-    RequireValidPartition(warm.partition, spec);
-    ASSERT_DOUBLE_EQ(warm.cost, PartitionCost(warm.partition, spec));
-    if (warm.blocks_reused > 0) ++reused_any;
+    WarmColdPair& out = pairs[pair];
+    out.invalid = ValidatePartition(warm.partition, spec);
+    out.warm_cost = warm.cost;
+    out.warm_recosted = PartitionCost(warm.partition, spec);
+    out.blocks_reused = warm.blocks_reused;
+    out.blocks_recarved = warm.blocks_recarved;
+    out.full_rebuild = warm.full_rebuild;
+    out.cold_cost = RunHtpFlow(*app.hg, spec, params).cost;
+  });
 
-    const HtpFlowResult cold = RunHtpFlow(*app.hg, spec, params);
-    EXPECT_LE(warm.cost, cold.cost * 1.05)
-        << "warm " << warm.cost << " vs cold " << cold.cost
-        << " (reused " << warm.blocks_reused << ", recarved "
-        << warm.blocks_recarved << ", rebuild " << warm.full_rebuild << ")";
+  int reused_any = 0;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    SCOPED_TRACE(testing::Message() << "pair seed " << 1000 + pair);
+    const WarmColdPair& out = pairs[pair];
+    ASSERT_TRUE(out.invalid.empty()) << out.invalid.front();
+    ASSERT_DOUBLE_EQ(out.warm_cost, out.warm_recosted);
+    if (out.blocks_reused > 0) ++reused_any;
+    EXPECT_LE(out.warm_cost, out.cold_cost * 1.05)
+        << "warm " << out.warm_cost << " vs cold " << out.cold_cost
+        << " (reused " << out.blocks_reused << ", recarved "
+        << out.blocks_recarved << ", rebuild " << out.full_rebuild << ")";
   }
   // The battery must actually exercise the stitcher. At this scale (random
   // nets with no locality, 32-64 nodes) the rebuild race legitimately wins
