@@ -24,10 +24,6 @@
 //                      count, unlike --time-budget)
 //   --bench-dir <dir>  load real ISCAS85 .bench files named <circuit>.bench
 //                      from <dir> instead of the calibrated generators
-//   --obs-jsonl <file> append the telemetry snapshot of each measured
-//                      section as JSONL rows (obs/sinks.hpp), one line per
-//                      counter/timer, tagged with bench name and scope —
-//                      the machine-readable per-phase breakdown
 //   --report-dir <dir> write one RunReport JSON (obs/report.hpp) per
 //                      measured section into <dir>, named
 //                      <bench>.<scope>.report.json — the schema-versioned
@@ -41,17 +37,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "graph/csr_view.hpp"
-#include "graph/dijkstra.hpp"
 #include "netlist/bench_parser.hpp"
 #include "netlist/generators.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
-#include "obs/sinks.hpp"
 #include "runtime/budget.hpp"
 #include "tools/numeric_flags.hpp"
 
@@ -67,7 +59,6 @@ struct Options {
   /// default unlimited = the exact unbudgeted tables).
   Budget budget;
   std::string bench_dir;
-  std::string obs_jsonl;  ///< JSONL telemetry stream path ("" = off)
   std::string report_dir;  ///< RunReport output directory ("" = off)
 
   /// True when --time-budget was given: results depend on wall clock, so
@@ -104,8 +95,6 @@ inline Options ParseArgs(int argc, char** argv) {
         options.budget.max_rounds = tools::ParseUnsigned(argv[++i]);
       } else if (arg("--bench-dir")) {
         options.bench_dir = argv[++i];
-      } else if (arg("--obs-jsonl")) {
-        options.obs_jsonl = argv[++i];
       } else if (arg("--report-dir")) {
         options.report_dir = argv[++i];
       } else {
@@ -113,7 +102,7 @@ inline Options ParseArgs(int argc, char** argv) {
                      "unknown argument '%s' (supported: --quick, --seed N, "
                      "--trials N, --threads N, --metric-threads N, "
                      "--time-budget S, --max-rounds N, --bench-dir DIR, "
-                     "--obs-jsonl FILE, --report-dir DIR)\n",
+                     "--report-dir DIR)\n",
                      argv[i]);
         std::exit(2);
       }
@@ -157,47 +146,6 @@ double TimeSeconds(Fn&& fn) {
       .count();
 }
 
-/// Repetitions behind every minimum-of-k wall time of the regression gate:
-/// the minimum is the robust statistic on a shared host, where other load
-/// only ever adds time.
-inline constexpr int kGateRepetitions = 5;
-
-/// One timing of a fixed deterministic workload: full CSR Dijkstra sweeps
-/// over a mid-size generated circuit. Scales with the host's single-core
-/// speed the same way the metric phase does, which is what makes wall
-/// ratios normalized by it comparable across machines. It runs
-/// DijkstraWorkspace::Grow itself, so a change inside Grow moves the kernel
-/// too. Shared by every bench that feeds the regression gate
-/// (regression_suite, multilevel_scale, serve_throughput, eco_repartition)
-/// so their "normalized_wall" columns share one unit.
-inline double CalibrationSample() {
-  static const Hypergraph hg = MakeIscas85Like("c1355", 7);
-  static const CsrView view(hg);
-  static const std::vector<double> len(hg.num_nets(), 1.0);
-  DijkstraWorkspace workspace;
-  ShortestPathTree tree;
-  double sink = 0.0;
-  const double seconds = TimeSeconds([&] {
-    for (int rep = 0; rep < 6; ++rep)
-      for (NodeId source = 0; source < hg.num_nodes(); source += 7) {
-        workspace.Grow(
-            view, source, len,
-            [](const GrowState&) { return GrowAction::kContinue; }, tree);
-        sink += tree.dist[tree.order.back()];
-      }
-  });
-  if (sink < 0.0) std::printf("impossible\n");  // keep the work observable
-  return seconds;
-}
-
-/// The calibration kernel's fastest of kGateRepetitions timings.
-inline double CalibrationSeconds() {
-  double best = std::numeric_limits<double>::infinity();
-  for (int repetition = 0; repetition < kGateRepetitions; ++repetition)
-    best = std::min(best, CalibrationSample());
-  return best;
-}
-
 /// Value of a counter in a snapshot (0 when absent, e.g. obs off).
 inline std::uint64_t CounterTotal(const obs::Snapshot& snap,
                                   std::string_view name) {
@@ -208,8 +156,8 @@ inline std::uint64_t CounterTotal(const obs::Snapshot& snap,
 
 /// Scopes telemetry totals to one measured section (a circuit, a parameter
 /// setting): resets the caller's obs scope on construction; on destruction
-/// emits the section's snapshot as JSONL (when --obs-jsonl is set) and
-/// optionally a one-line per-phase breakdown under the section's table row.
+/// writes the section's RunReport (when --report-dir is set) and optionally
+/// a one-line per-phase breakdown under the section's table row.
 class ObsSection {
  public:
   ObsSection(const Options& options, const char* bench, std::string scope,
@@ -220,10 +168,6 @@ class ObsSection {
   }
   ~ObsSection() {
     const obs::Snapshot snap = obs::TakeSnapshot();
-    if (!options_.obs_jsonl.empty()) {
-      std::ofstream out(options_.obs_jsonl, std::ios::app);
-      if (out) obs::WriteJsonlSnapshot(out, snap, bench_, scope_);
-    }
     if (!options_.report_dir.empty()) {
       obs::RunReportBuilder rb(bench_);
       rb.MetaString("scope", scope_);

@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
   double flow_wins = 0, cases = 0;
   for (const auto& [name, hg] : bench::LoadSuite(options)) {
     // Per-circuit telemetry scope: prints the per-phase breakdown under the
-    // row and streams it to --obs-jsonl. With --threads != 1 the totals
-    // include the serial reference re-runs.
+    // row and writes its RunReport under --report-dir. With --threads != 1
+    // the totals include the serial reference re-runs.
     bench::ObsSection obs_section(options, "table2_constructive", name);
     const HierarchySpec spec = FullBinaryHierarchy(hg.total_size());
 

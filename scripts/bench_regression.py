@@ -1,57 +1,116 @@
 #!/usr/bin/env python3
-"""Run bench/regression_suite and compare against the committed baseline.
+"""Run bench/regression_suite once and compare it against the committed baseline.
 
-The baseline (BENCH_htp.json at the repo root) records, per circuit, the
-deterministic work fields of a quick-mode FLOW run — cost, injections,
-dijkstra_pops — plus wall-clock seconds normalized by a fixed calibration
-kernel timed inside the same process. Comparison rules:
+One run of the suite writes every gated section (circuits, multilevel,
+serve, eco; docs/benchmarks.md). The baseline (BENCH_htp.json at the repo
+root) holds the same sections. Comparison rules, for every row of every
+section:
 
-* deterministic fields must match the baseline EXACTLY: these are covered
-  by the library's determinism contract (bit-identical for every
-  threads x metric-threads combination), so any drift is a real behavior
-  change, not noise. ``fm_moves`` (FM moves applied, emitted by
-  bench/multilevel_scale) is compared exactly wherever the baseline row
-  records it, which gates FM work by count rather than by wall time, and so
-  is ``partition_hash`` (multilevel_scale's FNV-1a hash of the partition
-  text after a whole-graph FM), which pins the partition itself;
-* ``normalized_wall`` may regress by at most ``--tolerance`` (default 15%).
-  Normalization by the calibration kernel makes the ratio transfer across
-  hosts of different speeds; improvements never fail the check.
+* exact fields (``cost``, ``injections``, ``dijkstra_pops``, and
+  ``fm_moves`` / ``partition_hash`` where a row records them) must match
+  the baseline EXACTLY: the library's determinism contract makes them
+  bit-identical for every threads x metric-threads combination, so any
+  drift is a real behavior change, not noise;
+* ``normalized_wall`` (the row's minimum-of-k wall seconds over the
+  calibration kernel's, both timed in the same process) may regress by at
+  most ``--tolerance`` (default 35%). Improvements never fail;
+* the run must have the baseline's sections and rows, no more and no fewer,
+  and its ``quick`` and ``seed`` knobs.
 
 Usage (CI runs exactly this — see .github/workflows/ci.yml):
 
-    python3 scripts/bench_regression.py --binary build-release/bench/regression_suite \\
-        -- --quick --threads 2 --metric-threads 2
+    python3 scripts/bench_regression.py -- --quick --threads 2 --metric-threads 2
 
-Pass ``--update`` to regenerate the baseline instead of checking (commit
-the resulting BENCH_htp.json together with the change that moved the
-numbers, e.g. after retuning the quick suite or intentionally changing
-results). Stdlib only.
-
-The baseline holds one row list per gated bench: ``circuits`` for
-bench/regression_suite (the default) and ``multilevel`` for
-bench/multilevel_scale. ``--section NAME`` selects which baseline list the
-current run's rows are compared against (the suite binary always emits its
-rows under ``circuits`` in its own output); ``--update --section NAME``
-rewrites only that list, leaving the others untouched:
-
-    python3 scripts/bench_regression.py \\
-        --binary build-release/bench/multilevel_scale --section multilevel \\
-        -- --quick --threads 2 --metric-threads 2
+Pass ``--update`` to re-bless the baseline instead of checking: the suite
+runs 10 times, the exact fields must agree across the runs, and each row is
+written from the run at its lower-median ``normalized_wall``. Commit the
+resulting BENCH_htp.json together with the change that moved the numbers.
+Stdlib only.
 """
 
 import argparse
 import json
 import pathlib
+import statistics
 import subprocess
 import sys
 import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_BASELINE = REPO / "BENCH_htp.json"
-EXACT_FIELDS = ("cost", "injections", "dijkstra_pops")
-# Exact as well, but only for baseline rows that record them.
-OPTIONAL_EXACT_FIELDS = ("fm_moves", "partition_hash")
+EXACT_FIELDS = ("cost", "injections", "dijkstra_pops", "fm_moves",
+                "partition_hash")
+KNOBS = ("quick", "seed")
+TOLERANCE = 0.35
+BLESS_RUNS = 10
+
+
+def sections(doc):
+    """The gated row lists of a suite document, by section name."""
+    return {key: rows for key, rows in doc.items() if isinstance(rows, list)}
+
+
+def compare(baseline, current, tolerance=TOLERANCE):
+    """Returns the failures of `current` against `baseline`, printing one
+    status line per row."""
+    failures = [
+        f"baseline was recorded with {knob}={baseline.get(knob)} but this "
+        f"run used {current.get(knob)}"
+        for knob in KNOBS if baseline.get(knob) != current.get(knob)
+    ]
+    base_sections, cur_sections = sections(baseline), sections(current)
+    if sorted(base_sections) != sorted(cur_sections):
+        failures.append(f"sections differ: baseline {sorted(base_sections)} "
+                        f"vs current {sorted(cur_sections)}")
+    for section, base_rows in base_sections.items():
+        if section not in cur_sections:
+            continue
+        base_by_name = {row["name"]: row for row in base_rows}
+        cur_by_name = {row["name"]: row for row in cur_sections[section]}
+        if sorted(base_by_name) != sorted(cur_by_name):
+            failures.append(f"{section}: rows differ: baseline "
+                            f"{sorted(base_by_name)} vs current "
+                            f"{sorted(cur_by_name)}")
+            continue
+        for name, base in base_by_name.items():
+            cur = cur_by_name[name]
+            for field in EXACT_FIELDS:
+                if base.get(field) != cur.get(field):
+                    failures.append(
+                        f"{section}/{name}: exact field '{field}' changed: "
+                        f"baseline {base.get(field)} vs current "
+                        f"{cur.get(field)} (if intended, re-bless with "
+                        f"--update and commit BENCH_htp.json)")
+            ratio = cur["normalized_wall"] / base["normalized_wall"]
+            regressed = ratio > 1.0 + tolerance
+            print(f"{section}/{name}: normalized wall "
+                  f"{base['normalized_wall']:.3f} -> "
+                  f"{cur['normalized_wall']:.3f} ({ratio:.2f}x, "
+                  f"{'REGRESSION' if regressed else 'ok'})")
+            if regressed:
+                failures.append(
+                    f"{section}/{name}: normalized wall regressed "
+                    f"{ratio:.2f}x (> {1.0 + tolerance:.2f}x allowed)")
+    return failures
+
+
+def bless(runs):
+    """The baseline from repeated runs of one build: the last run's document
+    with each row taken from the run at its lower-median normalized_wall.
+    Raises ValueError when the runs disagree on anything but wall time."""
+    for run in runs[:-1]:
+        failures = compare(runs[-1], run, tolerance=float("inf"))
+        if failures:
+            raise ValueError("runs disagree: " + "; ".join(failures))
+    blessed = runs[-1]
+    for section, rows in sections(blessed).items():
+        for i, row in enumerate(rows):
+            samples = [next(r for r in sections(run)[section]
+                            if r["name"] == row["name"]) for run in runs]
+            median = statistics.median_low(r["normalized_wall"]
+                                           for r in samples)
+            rows[i] = next(r for r in samples if r["normalized_wall"] == median)
+    return blessed
 
 
 def run_suite(binary, extra_args):
@@ -64,42 +123,6 @@ def run_suite(binary, extra_args):
         result = json.load(f)
     out_path.unlink()
     return result
-
-
-def compare(baseline_rows, current_rows, tolerance):
-    failures = []
-    base_by_name = {c["name"]: c for c in baseline_rows}
-    cur_by_name = {c["name"]: c for c in current_rows}
-    if sorted(base_by_name) != sorted(cur_by_name):
-        failures.append(
-            f"circuit sets differ: baseline {sorted(base_by_name)} vs "
-            f"current {sorted(cur_by_name)}"
-        )
-        return failures
-    for name, base in base_by_name.items():
-        cur = cur_by_name[name]
-        fields = EXACT_FIELDS + tuple(
-            f for f in OPTIONAL_EXACT_FIELDS if f in base)
-        for field in fields:
-            if base[field] != cur.get(field):
-                failures.append(
-                    f"{name}: deterministic field '{field}' changed: "
-                    f"baseline {base[field]} vs current {cur.get(field)} "
-                    f"(exact match required; if intended, rerun with "
-                    f"--update and commit BENCH_htp.json)"
-                )
-        ratio = cur["normalized_wall"] / base["normalized_wall"]
-        status = "ok" if ratio <= 1.0 + tolerance else "REGRESSION"
-        print(
-            f"{name}: normalized wall {base['normalized_wall']:.3f} -> "
-            f"{cur['normalized_wall']:.3f} ({ratio:.2f}x, {status})"
-        )
-        if ratio > 1.0 + tolerance:
-            failures.append(
-                f"{name}: normalized wall regressed {ratio:.2f}x "
-                f"(> {1.0 + tolerance:.2f}x allowed)"
-            )
-    return failures
 
 
 def main():
@@ -117,19 +140,15 @@ def main():
     parser.add_argument(
         "--tolerance",
         type=float,
-        default=0.15,
-        help="allowed fractional normalized-wall regression (default 0.15)",
+        default=TOLERANCE,
+        help=f"allowed fractional normalized-wall regression (default "
+        f"{TOLERANCE})",
     )
     parser.add_argument(
         "--update",
         action="store_true",
-        help="write the baseline from this run instead of checking",
-    )
-    parser.add_argument(
-        "--section",
-        default="circuits",
-        help="baseline row list to compare/update (default 'circuits'; "
-        "multilevel_scale rows live under 'multilevel')",
+        help=f"re-bless the baseline from {BLESS_RUNS} runs instead of "
+        f"checking",
     )
     parser.add_argument(
         "suite_args",
@@ -139,44 +158,19 @@ def main():
     )
     args = parser.parse_args()
 
-    current = run_suite(args.binary, args.suite_args)
     if args.update:
-        # Replace only the selected section; other gated benches' baselines
-        # (and the shared knob fields, when untouched) survive the rewrite.
-        baseline_path = pathlib.Path(args.baseline)
-        baseline = {}
-        if baseline_path.exists():
-            with open(baseline_path) as f:
-                baseline = json.load(f)
-        for key, value in current.items():
-            if key != "circuits":
-                baseline[key] = value
-        baseline[args.section] = current["circuits"]
-        with open(baseline_path, "w") as f:
-            json.dump(baseline, f, indent=2)
+        runs = [run_suite(args.binary, args.suite_args)
+                for _ in range(BLESS_RUNS)]
+        with open(args.baseline, "w") as f:
+            json.dump(bless(runs), f, indent=2)
             f.write("\n")
-        print(f"baseline section '{args.section}' written to {args.baseline}")
+        print(f"baseline written to {args.baseline}")
         return 0
 
+    current = run_suite(args.binary, args.suite_args)
     with open(args.baseline) as f:
         baseline = json.load(f)
-    for knob in ("quick", "seed"):
-        if baseline.get(knob) != current.get(knob):
-            print(
-                f"error: baseline was recorded with {knob}="
-                f"{baseline.get(knob)} but this run used {current.get(knob)}",
-                file=sys.stderr,
-            )
-            return 1
-    if args.section not in baseline:
-        print(
-            f"error: baseline has no '{args.section}' section; regenerate "
-            f"with --update --section {args.section}",
-            file=sys.stderr,
-        )
-        return 1
-    failures = compare(baseline[args.section], current["circuits"],
-                       args.tolerance)
+    failures = compare(baseline, current, args.tolerance)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:

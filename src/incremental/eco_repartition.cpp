@@ -29,6 +29,15 @@ obs::Timer t_stitch("eco.stitch");
 // partition; `block` is the subtree's root id in the PRIOR partition.
 obs::Event e_reused("eco.block_reused");
 
+// Construction replicas per stitch or rebuild. A warm metric re-converges
+// to a feasible point anchored at the pre-delta solution, which can trail a
+// cold metric by a few percent of construction quality; ECO reinvests a
+// sliver of the injection rounds it saved into best-of-R constructions
+// (cost-compared, lowest replica wins ties). Replica 0 draws the exact cold
+// iteration-0 construct stream. The warm-vs-cold battery pins this value:
+// warm cost <= cold x 1.05 across 200 seeded (netlist, delta) pairs.
+constexpr std::size_t kConstructionReplicas = 6;
+
 // Mirrors the old subtree rooted at `q_old` into the new partition under
 // `q_new`: children are recreated in stored (id) order — the depth-first
 // order the original construction issued them in — so a whole-tree clone
@@ -53,7 +62,7 @@ EcoResult RunEcoRepartition(const DeltaApplication& app,
                             const HierarchySpec& spec,
                             const TreePartition& old_tp,
                             const SpreadingMetric& warm,
-                            const EcoParams& params) {
+                            const HtpFlowParams& flow) {
   HTP_CHECK(app.hg != nullptr);
   const Hypergraph& hg = *app.hg;
   const Hypergraph& old_hg = old_tp.hypergraph();
@@ -70,29 +79,25 @@ EcoResult RunEcoRepartition(const DeltaApplication& app,
   c_touched_nets.Add(static_cast<std::uint64_t>(
       std::count(app.net_touched.begin(), app.net_touched.end(), 1)));
 
-  const CancellationToken cancel =
-      StartBudget(params.flow.budget, params.flow.cancel);
+  const CancellationToken cancel = StartBudget(flow.budget, flow.cancel);
 
   // RNG streams mirror RunHtpFlow's iteration 0 draw for draw, so an
   // empty-delta ECO run resumes exactly where the converged run left off.
   // Construction replica r draws fork(1000 + r): replica 0 is the exact
   // cold iteration-0 construct stream.
-  Rng master(params.flow.seed);
+  Rng master(flow.seed);
   const std::uint64_t injection_seed = master.fork(0).next_u64();
   Rng metric_rng = master.fork(2000);
-  const std::size_t replicas =
-      std::max<std::size_t>(1, params.construction_replicas);
 
   // --- 1. Warm metric re-convergence (the only budget-scoped stage). ---
-  FlowInjectionParams inj = FlowMetricInjection(params.flow, cancel);
+  FlowInjectionParams inj = FlowMetricInjection(flow, cancel);
   inj.seed = injection_seed;
   inj.warm_metric = std::make_shared<const SpreadingMetric>(warm);
-  const FlowInjectionResult converged =
-      ComputeFlowMetric(params.flow, hg, spec, inj);
+  const FlowInjectionResult converged = ComputeFlowMetric(flow, hg, spec, inj);
 
   // FLOW's own carver: per-subproblem local metrics inject cold (a warm
   // seed never fits a subgraph's net set).
-  const CarveFn carve = FlowCarver(hg, spec, params.flow, cancel, metric_rng);
+  const CarveFn carve = FlowCarver(hg, spec, flow, cancel, metric_rng);
 
   // Boundary-seeded FM polish for anything the carver touched; each
   // replica is polished before the cost comparison, so the best-of pick
@@ -100,7 +105,7 @@ EcoResult RunEcoRepartition(const DeltaApplication& app,
   const auto polish = [&](TreePartition& candidate) {
     HtpFmParams fm;
     fm.boundary_only = true;
-    fm.seed = params.flow.seed;
+    fm.seed = flow.seed;
     fm.cancel = cancel;
     RefineHtpFm(candidate, spec, fm);
   };
@@ -209,7 +214,8 @@ EcoResult RunEcoRepartition(const DeltaApplication& app,
         if (touched[s] && !regions[s].empty()) ++planned_recarves;
       // A pure clone run has nothing the carve RNG can vary: one replica,
       // bit-identical to the prior partition.
-      const std::size_t stitch_replicas = planned_recarves == 0 ? 1 : replicas;
+      const std::size_t stitch_replicas =
+          planned_recarves == 0 ? 1 : kConstructionReplicas;
       double best_cost = 0.0;
       for (std::size_t r = 0; r < stitch_replicas; ++r) {
         Rng construct_rng = master.fork(1000 + r);
@@ -290,7 +296,7 @@ EcoResult RunEcoRepartition(const DeltaApplication& app,
       best_cost = PartitionCost(*kept, spec);
       best = std::move(kept);
     }
-    for (std::size_t r = 0; r < replicas; ++r) {
+    for (std::size_t r = 0; r < kConstructionReplicas; ++r) {
       Rng construct_rng = master.fork(1000 + r);
       TreePartition cand = BuildPartitionTopDown(
           hg, spec, converged.metric, carve, construct_rng,
@@ -308,11 +314,13 @@ EcoResult RunEcoRepartition(const DeltaApplication& app,
 
   TreePartition tp = [&]() -> TreePartition {
     if (stitched && !rebuild) {
-      // The stitch is pinned to the prior root split; race it against full
-      // warm-metric rebuilds and keep the cheaper result (stitch wins
-      // ties). Pure clone runs (recarved == 0) never reach here with a
-      // race: bit-identity first.
-      if (params.race_rebuild && recarved > 0 && !cancel.Cancelled()) {
+      // The stitch is pinned to the prior root split; when the delta shifts
+      // where the congestion lives, that split can bind in a way no
+      // in-subtree re-carve escapes. So race it against full warm-metric
+      // rebuilds and keep the cheaper result (stitch wins ties; a rebuild
+      // win reuses no blocks). Pure clone runs (recarved == 0) never race:
+      // bit-identity first.
+      if (recarved > 0 && !cancel.Cancelled()) {
         TreePartition contender = rebuild_best();
         if (PartitionCost(contender, spec) < PartitionCost(*stitched, spec)) {
           rebuild = true;

@@ -111,32 +111,4 @@ void WriteChromeTrace(std::ostream& os, const std::vector<TraceEvent>& events,
   os << "\n]}\n";
 }
 
-void WriteJsonlSnapshot(std::ostream& os, const Snapshot& snapshot,
-                        std::string_view bench, std::string_view scope) {
-  const std::string prefix = "{\"bench\":\"" + EscapeJson(bench) +
-                             "\",\"scope\":\"" + EscapeJson(scope) + "\"";
-  for (const CounterValue& c : snapshot.counters) {
-    os << prefix << ",\"type\":\"counter\",\"name\":\"" << EscapeJson(c.name)
-       << "\",\"kind\":\""
-       << (c.kind == CounterKind::kSum ? "sum" : "max")
-       << "\",\"value\":" << c.value << "}\n";
-  }
-  for (const TimerValue& t : snapshot.timers) {
-    if (t.count == 0) continue;  // unrecorded timers carry no information
-    os << prefix << ",\"type\":\"timer\",\"name\":\"" << EscapeJson(t.name)
-       << "\",\"count\":" << t.count << ",\"total_ns\":" << t.total_ns
-       << ",\"min_ns\":" << t.min_ns << ",\"max_ns\":" << t.max_ns << "}\n";
-  }
-  for (const HistogramValue& h : snapshot.histograms) {
-    if (h.count == 0) continue;  // same rule as timers
-    os << prefix << ",\"type\":\"histogram\",\"name\":\""
-       << EscapeJson(h.name) << "\",\"kind\":\"" << HistogramKindName(h.kind)
-       << "\",\"count\":" << h.count << ",\"sum\":" << h.sum
-       << ",\"min\":" << h.min << ",\"max\":" << h.max << ",\"buckets\":[";
-    for (std::size_t i = 0; i < h.buckets.size(); ++i)
-      os << (i ? "," : "") << h.buckets[i];
-    os << "]}\n";
-  }
-}
-
 }  // namespace htp::obs

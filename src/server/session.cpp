@@ -309,9 +309,7 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
       const TreePartition old_tp =
           ReadPartitionText(*base, warm_state->partition_text);
       const SpreadingMetric warm = RemapWarmMetric(*warm_state, *app);
-      EcoParams eco;
-      eco.flow = params;
-      EcoResult er = RunEcoRepartition(*app, spec, old_tp, warm, eco);
+      EcoResult er = RunEcoRepartition(*app, spec, old_tp, warm, params);
       result.warm_source = "state";
       result.eco_blocks_reused = er.blocks_reused;
       result.eco_blocks_recarved = er.blocks_recarved;

@@ -1,19 +1,18 @@
 # End-to-end artifact validity: run htp_cli with every observability sink
-# enabled (multilevel pipeline, parallel inner scan) and check that all
-# three artifacts parse — the trace and JSONL via json.load, the RunReport
-# via scripts/obs_report.py validate (schema check) and render.
+# enabled (multilevel pipeline, parallel inner scan) and check that both
+# artifacts parse — the trace via json.load, the RunReport via json.load and
+# scripts/obs_report.py validate (schema check) and render.
 #
 # Driven by ctest as
 #   cmake -DCLI=... -DPYTHON=... -DSCRIPT=... -DWORK_DIR=... -P this_file
 file(MAKE_DIRECTORY ${WORK_DIR})
 set(TRACE ${WORK_DIR}/run.trace.json)
-set(JSONL ${WORK_DIR}/run.obs.jsonl)
 set(REPORT ${WORK_DIR}/run.report.json)
 
 execute_process(
   COMMAND ${CLI} --circuit c2670 --height 3 --iterations 2 --multilevel
           --coarsen-threshold 300 --metric-threads 8
-          --trace ${TRACE} --obs-jsonl ${JSONL} --report ${REPORT}
+          --trace ${TRACE} --report ${REPORT}
   RESULT_VARIABLE cli_status)
 if(NOT cli_status EQUAL 0)
   message(FATAL_ERROR "htp_cli failed with status ${cli_status}")
@@ -22,15 +21,15 @@ endif()
 execute_process(
   COMMAND ${PYTHON} -c
 "import json, sys
-trace, jsonl, report = sys.argv[1:4]
+trace, report = sys.argv[1:3]
 t = json.load(open(trace))
 assert isinstance(t['traceEvents'], list), 'trace must carry traceEvents'
-rows = [json.loads(line) for line in open(jsonl)]
-assert all('type' in row and 'name' in row for row in rows)
-assert rows, 'jsonl snapshot must not be empty'
-json.load(open(report))
-print(f'trace {len(t[\"traceEvents\"])} events, jsonl {len(rows)} rows')"
-          ${TRACE} ${JSONL} ${REPORT}
+r = json.load(open(report))
+counters = r['deterministic']['counters']
+assert counters, 'the report must carry the run counters'
+assert r['wall']['timers'], 'the report must carry the run timers'
+print(f'trace {len(t[\"traceEvents\"])} events, report {len(counters)} counters')"
+          ${TRACE} ${REPORT}
   RESULT_VARIABLE parse_status)
 if(NOT parse_status EQUAL 0)
   message(FATAL_ERROR "artifact JSON parse failed")

@@ -111,11 +111,7 @@ void Usage(const char* argv0) {
                "                     (deterministic journal + wall stats; "
                "validate,\n"
                "                     render, or diff with "
-               "scripts/obs_report.py)\n"
-               "  --obs-jsonl FILE   write the telemetry snapshot as JSONL "
-               "rows\n"
-               "                     (one object per counter/timer/"
-               "histogram)\n",
+               "scripts/obs_report.py)\n",
                argv0);
 }
 
@@ -145,7 +141,7 @@ int main(int argc, char** argv) {
   request.circuit = "c1355";
   std::string out_file;
   std::string warm_out_file;
-  std::string dot_file, trace_file, stats_file, report_file, jsonl_file;
+  std::string dot_file, trace_file, stats_file, report_file;
   std::string weights_csv;
   bool stats = false;
 
@@ -190,7 +186,6 @@ int main(int argc, char** argv) {
       else if (arg("--dot")) dot_file = argv[++i];
       else if (arg("--trace")) trace_file = argv[++i];
       else if (arg("--report")) report_file = argv[++i];
-      else if (arg("--obs-jsonl")) jsonl_file = argv[++i];
       else if (std::strcmp(argv[i], "--stats") == 0) stats = true;
       else if (std::strncmp(argv[i], "--stats=", 8) == 0) {
         stats = true;
@@ -322,14 +317,6 @@ int main(int argc, char** argv) {
       if (!report) throw Error("cannot open for writing: " + report_file);
       report << run.report << '\n';
       std::printf("run report written to %s\n", report_file.c_str());
-    }
-    if (!jsonl_file.empty()) {
-      std::ofstream jsonl(jsonl_file);
-      if (!jsonl) throw Error("cannot open for writing: " + jsonl_file);
-      obs::WriteJsonlSnapshot(
-          jsonl, obs::TakeSnapshot(), "htp_cli",
-          request.bench_file.empty() ? request.circuit : request.bench_file);
-      std::printf("obs jsonl written to %s\n", jsonl_file.c_str());
     }
     if (stats) {
       const std::string report = obs::RenderStatsReport(obs::TakeSnapshot());

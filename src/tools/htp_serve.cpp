@@ -7,8 +7,8 @@
 // cache spans the daemon's lifetime: a word-for-word repeat is answered
 // from its stored response without running, and other requests skip
 // parsing, CSR lowering, and metric convergence they share with earlier
-// ones (bench/serve_throughput fails unless a warm repeat hits the metric
-// tier once per cold miss and computes nothing).
+// ones (the serve section of bench/regression_suite fails unless a warm
+// repeat hits the metric tier once per cold miss and computes nothing).
 //
 //   htp_serve --socket /tmp/htp.sock --threads 2 &
 //   printf '%s\n' '{"circuit":"c1355","height":3,"iterations":2,"id":1}'

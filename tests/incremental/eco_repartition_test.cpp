@@ -55,10 +55,9 @@ TEST(EcoRepartition, EmptyDeltaResumeIsBitIdentical) {
   const DeltaApplication app = ApplyDelta(*run.hg, NetlistDelta{});
   const SpreadingMetric warm = RemapWarmMetric(run.state, app);
 
-  EcoParams eco;
-  eco.flow = run.params;
   const EcoResult result = RunEcoRepartition(app, run.spec,
-                                             run.flow.partition, warm, eco);
+                                             run.flow.partition, warm,
+                                             run.params);
   // The warm metric is already feasible: zero injections, one round.
   EXPECT_TRUE(result.metric_converged);
   EXPECT_EQ(result.warm_injections, 0u);
@@ -88,13 +87,12 @@ TEST(EcoRepartition, EmptyDeltaResumeSurvivesFileRoundTrip) {
   EXPECT_EQ(reread.partition_text, run.state.partition_text);
 
   const DeltaApplication app = ApplyDelta(*run.hg, NetlistDelta{});
-  EcoParams eco;
-  eco.flow = run.params;
   const TreePartition old_tp = ReadPartitionText(*run.hg, reread.partition_text);
   const EcoResult from_file = RunEcoRepartition(
-      app, run.spec, old_tp, RemapWarmMetric(reread, app), eco);
-  const EcoResult from_memory = RunEcoRepartition(
-      app, run.spec, run.flow.partition, RemapWarmMetric(run.state, app), eco);
+      app, run.spec, old_tp, RemapWarmMetric(reread, app), run.params);
+  const EcoResult from_memory =
+      RunEcoRepartition(app, run.spec, run.flow.partition,
+                        RemapWarmMetric(run.state, app), run.params);
   EXPECT_EQ(WritePartitionText(from_file.partition),
             WritePartitionText(from_memory.partition));
   EXPECT_DOUBLE_EQ(from_file.cost, from_memory.cost);
@@ -123,13 +121,11 @@ TEST(EcoRepartition, SingleNetDeltaRecarvesOnlyTouchedSubtrees) {
   const DeltaApplication app = ApplyDelta(*run.hg, delta);
   const SpreadingMetric warm = RemapWarmMetric(run.state, app);
 
-  EcoParams eco;
-  eco.flow = run.params;
-  // Pin the pure delta-scoped path: with the race on, a rebuild can
-  // legitimately win and report zero reuse.
-  eco.race_rebuild = false;
+  // The stitch races full rebuilds and wins ties; on this input it wins, so
+  // the delta-scoped path is what the assertions below see.
   const std::uint64_t attempts_before = CounterTotal("carve.attempts");
-  const EcoResult result = RunEcoRepartition(app, run.spec, old_tp, warm, eco);
+  const EcoResult result =
+      RunEcoRepartition(app, run.spec, old_tp, warm, run.params);
   RequireValidPartition(result.partition, run.spec);
   const std::size_t root_children =
       old_tp.children(TreePartition::kRoot).size();
@@ -149,10 +145,8 @@ TEST(EcoRepartition, BitIdenticalAcrossFullKnobMatrix) {
   const DeltaApplication app = ApplyDelta(*run.hg, delta);
   const SpreadingMetric warm = RemapWarmMetric(run.state, app);
 
-  EcoParams eco;
-  eco.flow = run.params;
-  const EcoResult reference = RunEcoRepartition(app, run.spec,
-                                                run.flow.partition, warm, eco);
+  const EcoResult reference = RunEcoRepartition(
+      app, run.spec, run.flow.partition, warm, run.params);
   const std::string reference_text = WritePartitionText(reference.partition);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -160,12 +154,11 @@ TEST(EcoRepartition, BitIdenticalAcrossFullKnobMatrix) {
          {std::size_t{1}, std::size_t{3}, std::size_t{0}}) {
       SCOPED_TRACE(testing::Message() << "threads=" << threads
                                       << " metric_threads=" << metric_threads);
-      EcoParams knobs;
-      knobs.flow = run.params;
-      knobs.flow.threads = threads;
-      knobs.flow.metric_threads = metric_threads;
-      const EcoResult other = RunEcoRepartition(app, run.spec,
-                                                run.flow.partition, warm, knobs);
+      HtpFlowParams knobs = run.params;
+      knobs.threads = threads;
+      knobs.metric_threads = metric_threads;
+      const EcoResult other =
+          RunEcoRepartition(app, run.spec, run.flow.partition, warm, knobs);
       ASSERT_EQ(WritePartitionText(other.partition), reference_text);
       ASSERT_EQ(other.cost, reference.cost);
       ASSERT_EQ(other.warm_rounds, reference.warm_rounds);
@@ -188,17 +181,17 @@ TEST(EcoRepartition, AddedNodesAnchorToNeighborSubtrees) {
   const DeltaApplication app = ApplyDelta(*run.hg, delta);
   const SpreadingMetric warm = RemapWarmMetric(run.state, app);
 
-  EcoParams eco;
-  eco.flow = run.params;
   const EcoResult result = RunEcoRepartition(app, run.spec,
-                                             run.flow.partition, warm, eco);
+                                             run.flow.partition, warm,
+                                             run.params);
   RequireValidPartition(result.partition, run.spec);
   EXPECT_TRUE(result.partition.fully_assigned());
 }
 
 TEST(EcoRepartition, WarmTakesNoMoreInjectionsThanColdOnSmallDeltas) {
-  // The bench gates <= 0.5x on the 10k Rent circuit; at unit-test scale
-  // just assert the warm resume never does MORE work than the cold start.
+  // The regression gate holds <= 0.5x on the 10k Rent circuit; at unit-test
+  // scale just assert the warm resume never does MORE work than the cold
+  // start.
   for (std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{19}}) {
     SCOPED_TRACE(seed);
     const ConvergedRun run = MakeConvergedRun(48, 70, 3, seed);
@@ -211,11 +204,9 @@ TEST(EcoRepartition, WarmTakesNoMoreInjectionsThanColdOnSmallDeltas) {
     const FlowInjectionResult cold_metric =
         ComputeSpreadingMetric(*app.hg, run.spec, cold);
 
-    EcoParams eco;
-    eco.flow = run.params;
     const EcoResult warm = RunEcoRepartition(
         app, run.spec, run.flow.partition, RemapWarmMetric(run.state, app),
-        eco);
+        run.params);
     EXPECT_TRUE(warm.metric_converged);
     EXPECT_LE(warm.warm_injections, cold_metric.injections);
   }

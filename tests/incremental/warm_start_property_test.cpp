@@ -106,10 +106,8 @@ TEST(WarmStartProperty, WarmCostWithinFivePercentOfCold) {
     const WarmStartState state = MakeWarmStartState(
         base_hg, converged.best_metric, converged.partition, params.seed);
 
-    EcoParams eco;
-    eco.flow = params;
     const EcoResult warm = RunEcoRepartition(
-        app, spec, converged.partition, RemapWarmMetric(state, app), eco);
+        app, spec, converged.partition, RemapWarmMetric(state, app), params);
     WarmColdPair& out = pairs[pair];
     out.invalid = ValidatePartition(warm.partition, spec);
     out.warm_cost = warm.cost;

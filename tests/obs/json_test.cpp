@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "obs/json.hpp"
+#include "obs/report.hpp"
 #include "obs/sinks.hpp"
 
 namespace htp {
@@ -96,37 +97,33 @@ TEST(JsonWriter, EscapesKeysAndStringValues) {
   EXPECT_EQ(std::move(w).Take(), "{\"bad\\\"key\":\"bad\\nvalue\"}");
 }
 
-// The satellite regression: hostile names injected through every sink must
-// come out escaped, never as raw structural characters.
-TEST(ObsSinksEscaping, JsonlEscapesHostileBenchScopeAndNames) {
+// Hostile names injected through every sink must come out escaped, never
+// as raw structural characters: the RunReport carries every counter, timer
+// and histogram name a run records.
+TEST(ObsSinksEscaping, RunReportEscapesHostileToolScopeAndNames) {
   obs::Snapshot snap;
   snap.counters.push_back(
       {"evil\"name\\with\njunk", obs::CounterKind::kSum, 7});
   snap.timers.push_back({"timer\"quoted", 1, 10, 10, 10});
   obs::HistogramValue h;
   h.name = "hist\twith\ttabs";
+  h.kind = obs::HistogramKind::kValue;
   h.count = 1;
   h.sum = 2;
   h.min = 2;
   h.max = 2;
   h.buckets = {0, 0, 1};
   snap.histograms.push_back(h);
-  std::ostringstream out;
-  obs::WriteJsonlSnapshot(out, snap, "bench\"A", "scope\\B");
-  const std::string jsonl = out.str();
-  EXPECT_NE(jsonl.find("\"bench\\\"A\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"scope\\\\B\""), std::string::npos);
-  EXPECT_NE(jsonl.find("evil\\\"name\\\\with\\njunk"), std::string::npos);
-  EXPECT_NE(jsonl.find("timer\\\"quoted"), std::string::npos);
-  EXPECT_NE(jsonl.find("hist\\twith\\ttabs"), std::string::npos);
-  // Raw newlines must never appear inside a row: every line is one object.
-  std::istringstream lines(jsonl);
-  std::string line;
-  while (std::getline(lines, line)) {
-    ASSERT_FALSE(line.empty());
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-  }
+  obs::RunReportBuilder rb("bench\"A");
+  rb.MetaString("scope", "scope\\B");
+  const std::string json = rb.Render(snap, {});
+  EXPECT_NE(json.find("\"bench\\\"A\""), std::string::npos);
+  EXPECT_NE(json.find("\"scope\\\\B\""), std::string::npos);
+  EXPECT_NE(json.find("evil\\\"name\\\\with\\njunk"), std::string::npos);
+  EXPECT_NE(json.find("timer\\\"quoted"), std::string::npos);
+  EXPECT_NE(json.find("hist\\twith\\ttabs"), std::string::npos);
+  // No raw control character survives into the document.
+  EXPECT_EQ(json.find_first_of("\n\t"), std::string::npos);
 }
 
 TEST(ObsSinksEscaping, ChromeTraceEscapesSpanNamesArgKeysAndLaneNames) {

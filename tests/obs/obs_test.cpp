@@ -435,28 +435,5 @@ TEST(ObsSinks, ChromeTraceOfNothingIsStillValidJson) {
   EXPECT_EQ(json.back(), '\n');
 }
 
-TEST(ObsSinks, JsonlRowsAreTaggedAndSkipIdleTimers) {
-  obs::Snapshot snap;
-  snap.counters.push_back({"dijkstra.pops", obs::CounterKind::kSum, 99});
-  snap.timers.push_back({"carve.find_cut", 2, 300, 100, 200});
-  snap.timers.push_back({"fm.refine", 0, 0, 0, 0});
-  std::ostringstream out;
-  obs::WriteJsonlSnapshot(out, snap, "table2", "c1355");
-  const std::string jsonl = out.str();
-  EXPECT_NE(jsonl.find("\"bench\":\"table2\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"scope\":\"c1355\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"dijkstra.pops\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"carve.find_cut\""), std::string::npos);
-  EXPECT_EQ(jsonl.find("\"fm.refine\""), std::string::npos)
-      << "timers that never fired are noise in a per-section stream";
-  // Every line is one object: as many '{' openers as '\n' terminators.
-  std::size_t lines = 0, objects = 0;
-  for (char ch : jsonl) {
-    if (ch == '\n') ++lines;
-    if (ch == '{') ++objects;
-  }
-  EXPECT_EQ(lines, objects);
-}
-
 }  // namespace
 }  // namespace htp
