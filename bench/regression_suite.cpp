@@ -1,14 +1,11 @@
 // Performance-regression runner: one run times every gated row and writes
 // the machine-readable document that scripts/bench_regression.py compares
-// against the committed baseline (repo root BENCH_htp.json). It has four
+// against the committed baseline (repo root BENCH_htp.json). It has three
 // sections (docs/benchmarks.md):
 //
 //   circuits    flat FLOW on the ISCAS85-like suite;
 //   multilevel  coarsen -> FLOW -> uncoarsen on 10k and 50k-gate Rent
 //               circuits (100k added without --quick; docs/scaling.md);
-//   serve       one 10k-gate request through serve::RunSession against a
-//               cold artifact cache, then repeated against the warm one
-//               (docs/server.md);
 //   eco         a cold request with emit_warm_state, then the ECO request
 //               that removes one local net and resumes from its warm_text
 //               (docs/incremental.md), at the session's default ECO
@@ -29,9 +26,7 @@
 //    reruns its row until kMinSampleSeconds have passed, so a short row is
 //    not a few milliseconds at the mercy of one preemption.
 //
-// The serve and eco sections also enforce their contracts in-binary: a
-// warm serve run computes no metric, hits the metric tier once per cold
-// miss and returns the cold partition byte for byte; the ECO request's
+// The eco section also enforces its contract in-binary: the ECO request's
 // warm root metric takes at most half the cold request's root-metric
 // injections. A broken contract exits 1.
 //
@@ -297,8 +292,8 @@ void AddMultilevel(const Options& options, std::vector<Workload>& out) {
   }
 }
 
-/// The request the serve and eco sections send: flat FLOW on the 10k-gate
-/// Rent circuit, where the metric phase dominates.
+/// The request the eco section sends: flat FLOW on the 10k-gate Rent
+/// circuit, where the metric phase dominates.
 serve::SessionRequest RentRequest(const Options& options) {
   serve::SessionRequest request;
   request.netlist =
@@ -309,46 +304,6 @@ serve::SessionRequest RentRequest(const Options& options) {
   request.metric_threads = options.metric_threads;
   request.seed = options.seed;
   return request;
-}
-
-/// The same request against a fresh artifact cache, then repeated against
-/// the cache the cold run left warm.
-void AddServe(const serve::SessionRequest& request,
-              std::vector<Workload>& out) {
-  auto cache = std::make_shared<std::unique_ptr<serve::ArtifactCache>>();
-  auto cold = std::make_shared<std::optional<serve::SessionResult>>();
-  auto warm = std::make_shared<std::optional<serve::SessionResult>>();
-  out.push_back({"serve", "rent10k_cold",
-                 [=] {
-                   *cache = std::make_unique<serve::ArtifactCache>();
-                   cold->emplace(RunSession(request, cache->get()));
-                 },
-                 [=](const obs::Snapshot&, GateRow& row) {
-                   row.cost = (*cold)->cost;
-                 }});
-  out.push_back(
-      {"serve", "rent10k_warm",
-       [=] { warm->emplace(RunSession(request, cache->get())); },
-       [=](const obs::Snapshot& snap, GateRow& row) {
-         const serve::SessionResult& c = **cold;
-         const serve::SessionResult& w = **warm;
-         row.cost = w.cost;
-         if (WritePartitionText(*w.partition) !=
-             WritePartitionText(*c.partition))
-           throw std::runtime_error(
-               "serve: warm partition differs from the cold one (the cache "
-               "broke bit-identity)");
-         if (c.cache.metric_misses == 0 ||
-             CounterTotal(snap, "flow.metrics") != 0 ||
-             row.dijkstra_pops != 0 || w.cache.metric_misses != 0 ||
-             w.cache.metric_hits != c.cache.metric_misses)
-           throw std::runtime_error(
-               "serve: warm run computed metrics instead of hitting the "
-               "cache (metric misses " +
-               std::to_string(w.cache.metric_misses) + ", metric hits " +
-               std::to_string(w.cache.metric_hits) + " vs " +
-               std::to_string(c.cache.metric_misses) + " cold misses)");
-       }});
 }
 
 /// The ECO edit: remove the lowest-id net whose pins all lie in one root
@@ -500,9 +455,7 @@ int main(int argc, char** argv) {
     std::vector<bench::Workload> workloads;
     bench::AddCircuits(options, workloads);
     bench::AddMultilevel(options, workloads);
-    const serve::SessionRequest request = bench::RentRequest(options);
-    bench::AddServe(request, workloads);
-    bench::AddEco(request, workloads);
+    bench::AddEco(bench::RentRequest(options), workloads);
     rows = bench::TimeRows(workloads);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "FAIL: %s\n", e.what());

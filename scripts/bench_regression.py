@@ -2,8 +2,8 @@
 """Run bench/regression_suite once and compare it against the committed baseline.
 
 One run of the suite writes every gated section (circuits, multilevel,
-serve, eco; docs/benchmarks.md). The baseline (BENCH_htp.json at the repo
-root) holds the same sections. Comparison rules, for every row of every
+eco; docs/benchmarks.md). The baseline (BENCH_htp.json at the repo root)
+holds the same sections. Comparison rules, for every row of every
 section:
 
 * exact fields (``cost``, ``injections``, ``dijkstra_pops``, and

@@ -28,7 +28,6 @@ BASELINE = {
     "circuits": [row("c1355", 2.0), row("c2670", 4.0)],
     "multilevel": [row("rent10k", 1.5, fm_moves=610,
                        partition_hash="7e0550fd3d1c2798")],
-    "serve": [row("rent10k_cold", 6.0), row("rent10k_warm", 2.5)],
     "eco": [row("eco10k_cold", 6.0), row("eco10k_warm", 40.0)],
 }
 
@@ -60,8 +59,7 @@ class CompareTest(unittest.TestCase):
         self.assertEqual(failures_of(current), [])
 
     def test_row_over_tolerance_fails(self):
-        for section, index in (("circuits", 0), ("multilevel", 0),
-                               ("serve", 1), ("eco", 1)):
+        for section, index in (("circuits", 0), ("multilevel", 0), ("eco", 1)):
             with self.subTest(section=section):
                 current = copy.deepcopy(BASELINE)
                 r = current[section][index]
@@ -95,7 +93,7 @@ class CompareTest(unittest.TestCase):
         self.assertTrue(failures_of(current))
 
     def test_missing_row_fails(self):
-        self.assertTrue(failures_of(edited(lambda d: d["serve"].pop())))
+        self.assertTrue(failures_of(edited(lambda d: d["eco"].pop())))
 
     def test_extra_row_fails(self):
         current = edited(lambda d: d["circuits"].append(row("c6288", 35.0)))
@@ -130,7 +128,7 @@ class BlessTest(unittest.TestCase):
 
     def test_runs_that_disagree_on_an_exact_field_fail(self):
         runs = self.runs_with_walls([1.0, 2.0])
-        runs[0]["serve"][0]["dijkstra_pops"] += 1
+        runs[0]["eco"][0]["dijkstra_pops"] += 1
         with contextlib.redirect_stdout(io.StringIO()):
             with self.assertRaises(ValueError):
                 bench_regression.bless(runs)

@@ -54,10 +54,11 @@ struct FlowInjectionParams {
   CancellationToken cancel;
   /// Optional pre-lowered CSR adjacency of the input hypergraph (the
   /// metric-independent star expansion ViolationScanner otherwise builds
-  /// per computation). A caching layer (src/server) passes the shared view
-  /// here so repeat requests skip the lowering; null (the default) keeps
-  /// the private per-computation build. Never affects results — the view
-  /// is a pure function of the hypergraph. Both ComputeSpreadingMetric and
+  /// per computation). An instrumenting caller lowers the view itself and
+  /// passes it here — perfbench's traced run does, to time the lowering
+  /// apart from the metric; null (the default) keeps the private
+  /// per-computation build. Never affects results — the view is a pure
+  /// function of the hypergraph. Both ComputeSpreadingMetric and
   /// ComputePairPathSpreadingMetric scan on it.
   std::shared_ptr<const CsrView> csr;
   /// Warm-start seed for incremental (ECO) repartitioning
@@ -72,9 +73,9 @@ struct FlowInjectionParams {
   /// instead of starting from the uniform-epsilon cold start; the monotone
   /// length-growth convergence argument is unchanged because a warm start
   /// only raises initial lengths. Null (the default) is the cold start,
-  /// bit-identical to every prior release. A warm seed changes results, so
-  /// it participates in the artifact-cache key (server/artifact_key.hpp) —
-  /// warm-seeded metrics never alias cold cache entries.
+  /// bit-identical to every prior release. A warm seed changes results:
+  /// the request that carries it (`warm_text`) is part of htp_serve's
+  /// response-tier key (server/artifact_key.hpp).
   std::shared_ptr<const SpreadingMetric> warm_metric;
 };
 

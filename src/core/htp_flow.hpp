@@ -91,13 +91,14 @@ struct HtpFlowParams {
   /// Optional metric provider. When set, every spreading-metric
   /// computation FLOW performs — the global per-iteration metric *and* the
   /// per-subproblem metrics of MetricScope::kPerSubproblem — goes through
-  /// this function instead of calling ComputeSpreadingMetric directly. The
-  /// artifact cache (src/server/cache.hpp) hooks in here to serve
-  /// converged metrics from memory on repeat requests. The provider must
-  /// be thread-safe (called concurrently from pool workers when threads
-  /// exceeds 1) and must return exactly what
-  /// ComputeSpreadingMetric(hg, spec, params) would — the determinism
-  /// contract extends through it. Null (the default) is the direct call.
+  /// this function instead of calling ComputeSpreadingMetric directly. An
+  /// instrumenting caller hooks in here: perfbench's traced run lowers
+  /// each CsrView into FlowInjectionParams::csr and times the lowering and
+  /// the metric apart. The provider must be thread-safe (called
+  /// concurrently from pool workers when threads exceeds 1) and must
+  /// return exactly what ComputeSpreadingMetric(hg, spec, params) would —
+  /// the determinism contract extends through it. Null (the default) is
+  /// the direct call.
   std::function<FlowInjectionResult(
       const Hypergraph&, const HierarchySpec&, const FlowInjectionParams&)>
       metric_compute;
@@ -149,7 +150,7 @@ FlowInjectionParams FlowMetricInjection(const HtpFlowParams& params,
                                         const CancellationToken& cancel);
 
 /// One spreading-metric computation, routed through `params.metric_compute`
-/// when it is set (the artifact cache's hook) and ComputeSpreadingMetric
+/// when it is set (an instrumenting caller's hook) and ComputeSpreadingMetric
 /// otherwise.
 FlowInjectionResult ComputeFlowMetric(const HtpFlowParams& params,
                                       const Hypergraph& hg,

@@ -247,7 +247,7 @@ ViolationScanner::ViolationScanner(const Hypergraph& hg,
     csr_ = std::make_shared<const CsrView>(hg);
   } else {
     // A mismatched view would silently scan the wrong topology; the check
-    // is cheap and catches stale cache entries at the boundary.
+    // is cheap and catches a view lowered from another hypergraph.
     HTP_CHECK(csr_->num_nodes() == hg.num_nodes());
     HTP_CHECK(csr_->num_nets() == hg.num_nets());
   }

@@ -197,7 +197,7 @@ class ViolationScanner {
   const Hypergraph& hg_;
   const HierarchySpec& spec_;
   /// Shared read-only adjacency for all workers; owned here when built
-  /// privately, co-owned with an artifact cache when passed in.
+  /// privately, co-owned with the caller when passed in.
   std::shared_ptr<const CsrView> csr_;
   double total_size_ = 0.0;  ///< s(V): the stop certificate's far endpoint
   double g_cap_ = 0.0;  ///< g(s(V)): upper bound on every rhs of family (5)

@@ -60,35 +60,6 @@ std::uint64_t HashNetlist(const Hypergraph& hg) {
   return h;
 }
 
-std::uint64_t HashSpec(const HierarchySpec& spec) {
-  std::uint64_t h = HashBytes(kFnvOffset, "htp-spec-hash-v1");
-  h = FoldU64(h, spec.num_levels());
-  for (const LevelSpec& level : spec.levels()) {
-    h = FoldDouble(h, level.capacity);
-    h = FoldU64(h, level.max_branches);
-    h = FoldDouble(h, level.weight);
-  }
-  return h;
-}
-
-std::uint64_t HashInjectionParams(const FlowInjectionParams& params) {
-  std::uint64_t h = HashBytes(kFnvOffset, "htp-injection-hash-v3");
-  h = FoldDouble(h, params.epsilon);
-  h = FoldDouble(h, params.alpha);
-  h = FoldDouble(h, params.delta);
-  h = FoldDouble(h, params.tolerance);
-  h = FoldU64(h, params.max_rounds);
-  h = FoldU64(h, params.seed);
-  // The full warm-start seed (ECO, docs/incremental.md): every value
-  // shifts the computation it seeds, so a warm-seeded metric must never
-  // alias the cold artifact for the same (netlist, spec, seed) — folding
-  // the element count first also separates "no seed" from "all-zero seed".
-  h = FoldU64(h, params.warm_metric ? params.warm_metric->size() : 0);
-  if (params.warm_metric)
-    for (const double d : *params.warm_metric) h = FoldDouble(h, d);
-  return h;
-}
-
 std::uint64_t HashResponseRequest(const SessionRequest& request) {
   HTP_CHECK_MSG(request.bench_file.empty() && request.delta_file.empty() &&
                     request.warm_file.empty() && !request.netlist,

@@ -16,12 +16,6 @@ namespace {
 obs::Counter c_hit_netlist("serve.cache_hit_netlist");
 obs::Counter c_miss_netlist("serve.cache_miss_netlist");
 obs::Counter c_evict_netlist("serve.cache_evict_netlist");
-obs::Counter c_hit_csr("serve.cache_hit_csr");
-obs::Counter c_miss_csr("serve.cache_miss_csr");
-obs::Counter c_evict_csr("serve.cache_evict_csr");
-obs::Counter c_hit_metric("serve.cache_hit_metric");
-obs::Counter c_miss_metric("serve.cache_miss_metric");
-obs::Counter c_evict_metric("serve.cache_evict_metric");
 obs::Counter c_hit_response("serve.cache_hit_response");
 obs::Counter c_miss_response("serve.cache_miss_response");
 obs::Counter c_evict_response("serve.cache_evict_response");
@@ -52,9 +46,8 @@ class Tier {
     return stats;
   }
 
-  template <typename Fn, typename CacheableFn>
-  std::pair<V, bool> GetOrCompute(std::uint64_t key, const Fn& fn,
-                                  const CacheableFn& cacheable) {
+  template <typename Fn>
+  std::pair<V, bool> GetOrCompute(std::uint64_t key, const Fn& fn) {
     if (capacity_ == 0) {
       CountMiss();
       return {fn(), false};
@@ -90,7 +83,7 @@ class Tier {
     slot->value = value;
     slot->done = true;
     inflight_.erase(key);
-    if (cacheable(value)) InsertLocked(key, value);
+    InsertLocked(key, value);
     cv_.notify_all();
     CountMiss();
     return {std::move(value), false};
@@ -174,23 +167,16 @@ class Tier {
   std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> inflight_;
 };
 
-constexpr auto kAlwaysCacheable = [](const auto&) { return true; };
-
 }  // namespace
 
 struct ArtifactCache::Impl {
   explicit Impl(const CacheConfig& config)
       : netlist(config.netlist_capacity, c_hit_netlist, c_miss_netlist,
                 c_evict_netlist),
-        csr(config.csr_capacity, c_hit_csr, c_miss_csr, c_evict_csr),
-        metric(config.metric_capacity, c_hit_metric, c_miss_metric,
-               c_evict_metric),
         response(config.response_capacity, c_hit_response, c_miss_response,
                  c_evict_response) {}
 
   Tier<NetlistArtifact> netlist;
-  Tier<std::shared_ptr<const CsrView>> csr;
-  Tier<FlowInjectionResult> metric;
   Tier<std::shared_ptr<const ResponseSection>> response;
 };
 
@@ -200,30 +186,13 @@ ArtifactCache::ArtifactCache(const CacheConfig& config)
 ArtifactCache::~ArtifactCache() = default;
 
 bool ArtifactCache::netlist_enabled() const { return impl_->netlist.enabled(); }
-bool ArtifactCache::csr_enabled() const { return impl_->csr.enabled(); }
-bool ArtifactCache::metric_enabled() const { return impl_->metric.enabled(); }
 bool ArtifactCache::response_enabled() const {
   return impl_->response.enabled();
 }
 
 std::pair<NetlistArtifact, bool> ArtifactCache::GetOrComputeNetlist(
     std::uint64_t source_key, const std::function<NetlistArtifact()>& fn) {
-  return impl_->netlist.GetOrCompute(source_key, fn, kAlwaysCacheable);
-}
-
-std::pair<std::shared_ptr<const CsrView>, bool> ArtifactCache::GetOrComputeCsr(
-    std::uint64_t netlist_hash,
-    const std::function<std::shared_ptr<const CsrView>()>& fn) {
-  return impl_->csr.GetOrCompute(netlist_hash, fn, kAlwaysCacheable);
-}
-
-std::pair<FlowInjectionResult, bool> ArtifactCache::GetOrComputeMetric(
-    std::uint64_t key, const std::function<FlowInjectionResult()>& fn) {
-  // A cancellation-truncated metric reflects one request's deadline, not
-  // the artifact: hand it to its requester (and any deduplicated waiters)
-  // but keep it out of the cache.
-  return impl_->metric.GetOrCompute(
-      key, fn, [](const FlowInjectionResult& r) { return !r.cancelled; });
+  return impl_->netlist.GetOrCompute(source_key, fn);
 }
 
 std::shared_ptr<const ResponseSection> ArtifactCache::FindResponse(
@@ -237,8 +206,7 @@ void ArtifactCache::StoreResponse(
 }
 
 CacheStats ArtifactCache::Stats() const {
-  return {impl_->netlist.Stats(), impl_->csr.Stats(), impl_->metric.Stats(),
-          impl_->response.Stats()};
+  return {impl_->netlist.Stats(), impl_->response.Stats()};
 }
 
 }  // namespace htp::serve

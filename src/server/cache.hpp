@@ -1,26 +1,13 @@
-// ArtifactCache: the bounded, four-tier LRU cache behind htp_serve.
+// ArtifactCache: the bounded, two-tier LRU cache behind htp_serve.
 //
-// A partition request repeats three expensive, perfectly-reusable
-// computations: parsing/generating the netlist, lowering its CSR star
-// expansion, and converging a spreading metric (Algorithm 2 — measured at
-// ~90% of request CPU on the ISCAS85 suite). Each gets its own tier, and
-// a fourth holds whole answers, each tier an independent entry-count
-// bound (0 disables the tier):
+// The daemon keeps what a request's *text* fixes: its parsed netlist, and
+// its whole answer. Each tier is an independent entry-count bound (0
+// disables the tier):
 //
 //   * netlist — key: a hash of the request's *source* (built-in circuit
 //     name + generator seed, or the full .bench text). Value: the parsed
 //     Hypergraph plus its structural hash (artifact_key.hpp), computed
 //     once at insert.
-//   * csr — key: the structural netlist hash (of the whole graph or of a
-//     subproblem — per-subproblem metrics cache their sub-CSRs the same
-//     way). Value: the immutable CsrView.
-//   * metric — key: combine(netlist-hash, spec-hash, injection-params-
-//     hash); the injection hash covers the seed, so different seeds are
-//     different artifacts. Value: the full FlowInjectionResult. Only
-//     converged-or-round-capped results are cached — a result truncated
-//     by a fired cancellation token is returned to its requester but
-//     never inserted, so a deadline can shrink one response, not poison
-//     later ones.
 //   * response — key: HashResponseRequest (artifact_key.hpp), every
 //     request member that reaches the wire's deterministic section.
 //     Value: that section (protocol.hpp's ResponseSection), its partition
@@ -28,22 +15,26 @@
 //     connection's reader thread and answers a hit without the pool; it
 //     stores only runs that completed untouched by a deadline.
 //
+// Everything a run derives from its netlist — CSR lowerings, spreading
+// metrics — lives and dies with the run: a request that misses the
+// response tier lowers and converges exactly as htp_cli does.
+//
 // Concurrency: requests run on pool workers, so every tier is guarded by
-// one mutex. The artifact tiers add an in-flight map for deduplication —
-// when N identical computations race, one thread computes while the rest
-// wait on a condvar and share the result (counted as hits: they did not
+// one mutex. The netlist tier adds an in-flight map for deduplication —
+// when N identical builds race, one thread computes while the rest wait
+// on a condvar and share the result (counted as hits: they did not
 // compute). The compute callback runs OUTSIDE the lock; distinct keys
 // never serialize on each other. The response tier has no in-flight map:
 // its lookup and its store happen on different threads, so identical
 // requests in flight together each run, and the first store wins.
 //
-// Observability: serve.cache_{hit,miss,evict}_{netlist,csr,metric,response}
-// counters record every lookup outcome (a dedup wait counts as a hit). Like
-// every obs record they belong to the looking-up thread's scope: inside
+// Observability: serve.cache_{hit,miss,evict}_{netlist,response} counters
+// record every lookup outcome (a dedup wait counts as a hit). Like every
+// obs record they belong to the looking-up thread's scope: inside
 // RunSession, that run's; on the daemon's reader threads, the process's.
 // Stats() keeps the same totals per cache, for the daemon's "stats" reply.
-// The wire response's per-request `cache` section comes from the booleans
-// GetOrCompute returns.
+// The wire response's per-request `cache` section comes from the boolean
+// GetOrComputeNetlist returns.
 #pragma once
 
 #include <cstddef>
@@ -52,8 +43,6 @@
 #include <memory>
 #include <utility>
 
-#include "core/flow_injection.hpp"
-#include "graph/csr_view.hpp"
 #include "netlist/hypergraph.hpp"
 
 namespace htp::serve {
@@ -71,8 +60,6 @@ struct NetlistArtifact {
 /// reports a miss and computes).
 struct CacheConfig {
   std::size_t netlist_capacity = 8;
-  std::size_t csr_capacity = 16;
-  std::size_t metric_capacity = 256;
   /// htp_serve has no flag for this one: the daemon always keeps 256.
   std::size_t response_capacity = 256;
 };
@@ -87,7 +74,7 @@ struct TierStats {
 };
 
 struct CacheStats {
-  TierStats netlist, csr, metric, response;
+  TierStats netlist, response;
 };
 
 class ArtifactCache {
@@ -98,22 +85,14 @@ class ArtifactCache {
   ArtifactCache& operator=(const ArtifactCache&) = delete;
 
   bool netlist_enabled() const;
-  bool csr_enabled() const;
-  bool metric_enabled() const;
   bool response_enabled() const;
 
-  /// Each GetOrCompute returns (value, hit): `hit` is true when the value
-  /// came from the cache or from another thread's in-flight computation,
-  /// false when this call computed it. Compute callbacks run unlocked and
-  /// may throw — the exception propagates to every deduplicated waiter.
+  /// Returns (value, hit): `hit` is true when the value came from the
+  /// cache or from another thread's in-flight build, false when this call
+  /// built it. `fn` runs unlocked and may throw — the exception propagates
+  /// to every deduplicated waiter, and the key stays uncached.
   std::pair<NetlistArtifact, bool> GetOrComputeNetlist(
       std::uint64_t source_key, const std::function<NetlistArtifact()>& fn);
-  std::pair<std::shared_ptr<const CsrView>, bool> GetOrComputeCsr(
-      std::uint64_t netlist_hash,
-      const std::function<std::shared_ptr<const CsrView>()>& fn);
-  /// Never caches results with `cancelled == true` (see file comment).
-  std::pair<FlowInjectionResult, bool> GetOrComputeMetric(
-      std::uint64_t key, const std::function<FlowInjectionResult()>& fn);
 
   /// The response tier: a lookup that never computes (null on a miss or
   /// a disabled tier), and the store the daemon makes once a missed

@@ -23,10 +23,10 @@ const std::set<std::string, std::less<>>& KnownRequestKeys() {
       "id",              "circuit",           "bench_text",
       "algo",            "height",            "branching",
       "slack",           "weights",           "iterations",
-      "threads",         "metric_threads",    "refine",
-      "multilevel",      "coarsen_threshold", "seed",
-      "deadline_ms",     "max_rounds",        "report",
-      "delta_text",      "warm_text",         "emit_warm_state",
+      "refine",          "multilevel",        "coarsen_threshold",
+      "seed",            "deadline_ms",       "max_rounds",
+      "report",          "delta_text",        "warm_text",
+      "emit_warm_state",
   };
   return keys;
 }
@@ -150,8 +150,6 @@ ServeRequest ParseServeRequest(const JsonValue& doc) {
     }
   }
   s.iterations = GetCount(doc, "iterations", 4);
-  s.threads = GetCount(doc, "threads", 0);
-  s.metric_threads = GetCount(doc, "metric_threads", 1);
   s.refine = GetBool(doc, "refine", false);
   s.multilevel = GetBool(doc, "multilevel", false);
   s.coarsen_threshold = GetCount(doc, "coarsen_threshold", 800);
@@ -317,27 +315,12 @@ std::string RenderServeResponse(const std::string& id_json,
   }
   w.EndObject();  // deterministic
 
-  const SessionCacheOutcome& artifacts = envelope.artifacts;
   w.Key("cache");
   w.BeginObject();
   w.Key("response");
   w.String(envelope.response_cache);
   w.Key("netlist");
-  w.String(artifacts.netlist);
-  w.Key("csr");
-  w.BeginObject();
-  w.Key("hits");
-  w.Number(static_cast<std::uint64_t>(artifacts.csr_hits));
-  w.Key("misses");
-  w.Number(static_cast<std::uint64_t>(artifacts.csr_misses));
-  w.EndObject();
-  w.Key("metric");
-  w.BeginObject();
-  w.Key("hits");
-  w.Number(static_cast<std::uint64_t>(artifacts.metric_hits));
-  w.Key("misses");
-  w.Number(static_cast<std::uint64_t>(artifacts.metric_misses));
-  w.EndObject();
+  w.String(envelope.netlist_cache);
   w.EndObject();  // cache
 
   w.Key("wall");
@@ -360,7 +343,7 @@ std::string RenderServeResponse(const ServeRequest& request,
                                 const SessionResult& result,
                                 double queue_wait_ms) {
   ResponseEnvelope envelope;
-  envelope.artifacts = result.cache;
+  envelope.netlist_cache = result.cache.netlist;
   envelope.run_seconds = result.run_seconds;
   envelope.queue_wait_ms = queue_wait_ms;
   if (request.want_report) envelope.report = result.report;
@@ -390,10 +373,8 @@ std::string RenderServeStats(const std::string& id_json,
   w.String("stats");
   w.Key("cache");
   w.BeginObject();
-  for (const auto& [name, tier] :
-       {std::pair{"netlist", &cache.netlist}, std::pair{"csr", &cache.csr},
-        std::pair{"metric", &cache.metric},
-        std::pair{"response", &cache.response}}) {
+  for (const auto& [name, tier] : {std::pair{"netlist", &cache.netlist},
+                                   std::pair{"response", &cache.response}}) {
     w.Key(name);
     w.BeginObject();
     w.Key("entries");

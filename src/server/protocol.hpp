@@ -78,7 +78,7 @@ struct ResponseSection {
 /// Everything a success response carries outside its deterministic section.
 struct ResponseEnvelope {
   std::string_view response_cache = "off";  ///< "hit" | "miss" | "off"
-  SessionCacheOutcome artifacts;            ///< the artifact tiers' outcomes
+  std::string_view netlist_cache = "off";   ///< "hit" | "miss" | "off"
   double run_seconds = 0.0;
   double queue_wait_ms = 0.0;
   std::string_view report;  ///< embedded under "report" when non-empty

@@ -229,7 +229,7 @@ class Daemon {
             MakeResponseSection(req, result));
         ResponseEnvelope envelope;
         envelope.response_cache = tiered ? "miss" : "off";
-        envelope.artifacts = result.cache;
+        envelope.netlist_cache = result.cache.netlist;
         envelope.run_seconds = result.run_seconds;
         envelope.queue_wait_ms = static_cast<double>(wait_ns) / 1e6;
         if (req.want_report) envelope.report = result.report;
@@ -237,7 +237,7 @@ class Daemon {
         // A run its deadline cut short is not the request's answer.
         if (tiered && result.completed) cache_.StoreResponse(key, section);
         served_.fetch_add(1);
-        RecordServed(section->cost, result.completed, result.cache);
+        RecordServed(section->cost, result.completed);
       } catch (const std::exception& e) {
         errors_.fetch_add(1);
         c_errors.Add();
@@ -253,7 +253,7 @@ class Daemon {
 
   // Answers a request from the response tier on the reader thread, without
   // the pool: no run, so run_seconds and queue_wait_ms read 0, and the
-  // artifact tiers read "off" with no lookups. Returns false on a miss.
+  // netlist tier reads "off". Returns false on a miss.
   bool AnswerFromTier(Connection& conn, const ServeRequest& request,
                       std::uint64_t key) {
     const std::shared_ptr<const ResponseSection> section =
@@ -263,17 +263,12 @@ class Daemon {
     envelope.response_cache = "hit";
     conn.WriteLine(RenderServeResponse(request.id_json, *section, envelope));
     served_.fetch_add(1);
-    RecordServed(section->cost, true, envelope.artifacts);
+    RecordServed(section->cost, true);
     return true;
   }
 
-  static void RecordServed(double cost, bool completed,
-                           const SessionCacheOutcome& artifacts) {
-    e_request.Record(
-        {{"cost", cost},
-         {"completed", completed ? 1.0 : 0.0},
-         {"metric_hits", static_cast<double>(artifacts.metric_hits)},
-         {"metric_misses", static_cast<double>(artifacts.metric_misses)}});
+  static void RecordServed(double cost, bool completed) {
+    e_request.Record({{"cost", cost}, {"completed", completed ? 1.0 : 0.0}});
   }
 
   const ServeOptions options_;

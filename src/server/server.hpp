@@ -2,10 +2,11 @@
 //
 // RunServer listens on an AF_UNIX stream socket, reads newline-delimited
 // JSON requests (protocol.hpp) from each connection, and schedules every
-// partition request as one task on the shared ThreadPool — the inner
-// parallelism knobs of a request degrade serially inside a pool worker
-// via the runtime's nested-parallelism guard, so a busy daemon never
-// oversubscribes the machine with pools-within-pools. Responses are
+// partition request as one task on the shared ThreadPool. A request runs
+// serially inside its pool worker (the runtime's nested-parallelism guard
+// makes its FLOW iterations and candidate scan serial there), so a busy
+// daemon never oversubscribes the machine with pools-within-pools, and
+// the wire carries no thread knobs. Responses are
 // written back on the request's connection in *completion* order, tagged
 // with the request's echoed id (docs/server.md documents the matching
 // rule). "ping", "stats" and "shutdown" are answered inline on the reader
@@ -16,8 +17,8 @@
 // partition request is queued, the reader thread looks it up in the
 // response tier and answers a hit itself, never touching the pool; a miss
 // runs on the pool, and its section is stored if no deadline cut it
-// short. Repeats of a request that was evicted from that tier still skip
-// parsing, CSR lowering, and metric convergence through the other tiers.
+// short. A run that shares its netlist source with an earlier request
+// skips parsing through the netlist tier, and computes the rest.
 //
 // Observability: serve.requests / serve.errors counters, the
 // serve.queue_wait time histogram (enqueue -> start of execution, for

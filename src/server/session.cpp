@@ -1,10 +1,10 @@
 #include "server/session.hpp"
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "core/cost.hpp"
@@ -55,22 +55,14 @@ NetlistArtifact BuildNetlist(const SessionRequest& request) {
   return NetlistArtifact{std::move(shared), hash};
 }
 
-// Per-request tallies the cache-aware metric provider accumulates from
-// pool workers; folded into SessionCacheOutcome after the run joins them.
-struct ProviderStats {
-  std::atomic<std::size_t> csr_hits{0};
-  std::atomic<std::size_t> csr_misses{0};
-  std::atomic<std::size_t> metric_hits{0};
-  std::atomic<std::size_t> metric_misses{0};
-};
-
 // The run's one RunReport (obs/report.hpp), rendered after the last stage
 // so it covers every stage: `cost` is the final (post-refinement) cost and
 // `algo_cost` the constructor's, as in the wire response. It runs inside
 // the run's obs::RunScope, so the snapshot and the journal are this run's
 // alone, and RunSession is the one place a run's telemetry is collected.
 std::string RenderRunReport(const SessionRequest& request,
-                            const SessionResult& result) {
+                            const SessionResult& result,
+                            const obs::Snapshot& snapshot) {
   const Hypergraph& hg = *result.netlist;
   obs::RunReportBuilder rb(request.report_tool);
   rb.MetaString("algorithm", request.algo);
@@ -123,7 +115,14 @@ std::string RenderRunReport(const SessionRequest& request,
   }
   rb.WallNumber("threads", static_cast<double>(request.threads));
   rb.WallNumber("metric_threads", static_cast<double>(request.metric_threads));
-  return rb.Render(obs::TakeSnapshot(), obs::DrainEvents());
+  return rb.Render(snapshot, obs::DrainEvents());
+}
+
+std::uint64_t CounterTotal(const obs::Snapshot& snapshot,
+                           std::string_view name) {
+  for (const obs::CounterValue& c : snapshot.counters)
+    if (c.name == name) return c.value;
+  return 0;
 }
 
 }  // namespace
@@ -242,7 +241,6 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     throw Error("--multilevel requires --algo flow or flow-mst");
 
   TreePartition tp(hg, 0);
-  auto provider_stats = std::make_shared<ProviderStats>();
   // Converged metric retained for request.emit_warm_state (set on every
   // path that can emit: plain flow via keep_best_metric, ECO directly).
   std::optional<SpreadingMetric> emit_metric;
@@ -256,37 +254,6 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     params.budget.max_rounds = request.budget.max_rounds;
     params.cancel = run_token;
     if (request.algo == "flow-mst") params.carver = CarverKind::kMstSplit;
-
-    if (cache && (cache->metric_enabled() || cache->csr_enabled())) {
-      // The cache-aware provider intercepts every metric computation —
-      // the global per-iteration one and the per-subproblem locals alike.
-      // It must be thread-safe (pool workers call it concurrently) and
-      // bit-transparent: a served artifact is exactly what the direct
-      // ComputeSpreadingMetric call would have returned, because the key
-      // covers every result-affecting input (artifact_key.hpp).
-      ArtifactCache* const c = cache;
-      params.metric_compute = [c, provider_stats](
-                                  const Hypergraph& g, const HierarchySpec& s,
-                                  const FlowInjectionParams& p) {
-        FlowInjectionParams pp = p;
-        const std::uint64_t g_hash = HashNetlist(g);
-        if (c->csr_enabled()) {
-          auto [view, hit] = c->GetOrComputeCsr(
-              g_hash, [&] { return std::make_shared<const CsrView>(g); });
-          pp.csr = std::move(view);
-          (hit ? provider_stats->csr_hits : provider_stats->csr_misses)
-              .fetch_add(1, std::memory_order_relaxed);
-        }
-        if (!c->metric_enabled()) return ComputeSpreadingMetric(g, s, pp);
-        const std::uint64_t key = CombineHashes(std::array<std::uint64_t, 3>{
-            g_hash, HashSpec(s), HashInjectionParams(pp)});
-        auto [metric, hit] = c->GetOrComputeMetric(
-            key, [&] { return ComputeSpreadingMetric(g, s, pp); });
-        (hit ? provider_stats->metric_hits : provider_stats->metric_misses)
-            .fetch_add(1, std::memory_order_relaxed);
-        return metric;
-      };
-    }
 
     if (request.multilevel) {
       MultilevelParams ml;
@@ -382,17 +349,12 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
         MakeWarmStartState(hg, *emit_metric, *result.partition, request.seed);
   }
 
+  const obs::Snapshot snapshot = obs::TakeSnapshot();
   if (request.collect_report)
-    result.report = RenderRunReport(request, result);
-
-  result.cache.csr_hits =
-      provider_stats->csr_hits.load(std::memory_order_relaxed);
-  result.cache.csr_misses =
-      provider_stats->csr_misses.load(std::memory_order_relaxed);
-  result.cache.metric_hits =
-      provider_stats->metric_hits.load(std::memory_order_relaxed);
-  result.cache.metric_misses =
-      provider_stats->metric_misses.load(std::memory_order_relaxed);
+    result.report = RenderRunReport(request, result, snapshot);
+  // No metric provider is installed, so every metric computation lowered
+  // one private CsrView.
+  result.cache.csr_misses = CounterTotal(snapshot, "flow.metrics");
   result.run_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -14,9 +14,10 @@
 // Determinism: for a fixed request (and no wall-clock deadline) the
 // partition, cost, and iteration stats are bit-identical whether cache is
 // null or warm, and identical between htp_cli and htp_serve — the serve
-// smoke test diffs the two binaries' partitions byte for byte. The cache
-// preserves bits because every artifact it serves is a pure function of
-// the key (docs/server.md, "Cache key derivation").
+// smoke test diffs the two binaries' partitions byte for byte. The one
+// tier a run consults, the netlist tier, serves a parse that is a pure
+// function of its key (docs/server.md, "Cache key derivation"); every
+// metric is computed afresh, with no provider installed.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +53,8 @@ struct SessionRequest {
   double slack = 0.10;
   std::vector<double> weights;  ///< per-level; empty = all 1.0
   std::size_t iterations = 4;
+  /// In-process callers only: htp_serve's wire carries neither, since a
+  /// daemon request runs serially on its pool worker.
   std::size_t threads = 0;
   std::size_t metric_threads = 1;
   bool refine = false;
@@ -92,16 +95,12 @@ struct SessionRequest {
   std::string report_tool = "htp_cli";
 };
 
-/// Per-request cache outcome. The netlist tier resolves exactly once per
-/// request; the csr and metric tiers are consulted once per metric
-/// computation (the per-subproblem metrics of MetricScope::kPerSubproblem
-/// included), so they report counts.
+/// Per-request cache outcome: the netlist tier resolves exactly once per
+/// request.
 struct SessionCacheOutcome {
   std::string netlist = "off";  ///< "hit" | "miss" | "off"
-  std::size_t csr_hits = 0;
+  /// CsrViews lowered (the run's `flow.metrics`); perfbench's replay reads it.
   std::size_t csr_misses = 0;
-  std::size_t metric_hits = 0;
-  std::size_t metric_misses = 0;
 };
 
 /// Everything the drivers print or serialize.

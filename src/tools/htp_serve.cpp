@@ -5,10 +5,8 @@
 // answers each with a schema-versioned JSON response carrying the
 // partition, cost, stop reason, and per-tier cache outcome. A bounded LRU
 // cache spans the daemon's lifetime: a word-for-word repeat is answered
-// from its stored response without running, and other requests skip
-// parsing, CSR lowering, and metric convergence they share with earlier
-// ones (the serve section of bench/regression_suite fails unless a warm
-// repeat hits the metric tier once per cold miss and computes nothing).
+// from its stored response without running, and a request that names an
+// earlier request's netlist source skips parsing it.
 //
 //   htp_serve --socket /tmp/htp.sock --threads 2 &
 //   printf '%s\n' '{"circuit":"c1355","height":3,"iterations":2,"id":1}'
@@ -42,11 +40,6 @@ void Usage(const char* argv0) {
                "                     all hardware threads; at most 256)\n"
                "  --cache-netlists N netlist cache entries (default 8; 0 "
                "disables)\n"
-               "  --cache-csr N      CSR-view cache entries (default 16; 0 "
-               "disables)\n"
-               "  --cache-metrics N  spreading-metric cache entries "
-               "(default 256;\n"
-               "                     0 disables)\n"
                "  --max-requests N   exit after N partition requests "
                "(default 0 =\n"
                "                     run until a shutdown request)\n"
@@ -82,10 +75,6 @@ int main(int argc, char** argv) {
         options.threads = ParseUnsigned(argv[++i], tools::kMaxThreads);
       else if (arg("--cache-netlists"))
         options.cache.netlist_capacity = ParseUnsigned(argv[++i]);
-      else if (arg("--cache-csr"))
-        options.cache.csr_capacity = ParseUnsigned(argv[++i]);
-      else if (arg("--cache-metrics"))
-        options.cache.metric_capacity = ParseUnsigned(argv[++i]);
       else if (arg("--max-requests"))
         options.max_requests = ParseUnsigned(argv[++i]);
       else if (arg("--report")) report_file = argv[++i];

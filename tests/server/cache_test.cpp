@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -18,13 +19,6 @@ NetlistArtifact MakeArtifact(std::uint64_t seed) {
   auto hg = std::make_shared<const Hypergraph>(
       testutil::RandomConnectedHypergraph(16, 8, 4, seed));
   return NetlistArtifact{hg, HashNetlist(*hg)};
-}
-
-FlowInjectionResult MakeMetric(double cost, bool cancelled = false) {
-  FlowInjectionResult r;
-  r.metric_cost = cost;
-  r.cancelled = cancelled;
-  return r;
 }
 
 TEST(ArtifactCache, NetlistHitMissAndLruEviction) {
@@ -56,62 +50,23 @@ TEST(ArtifactCache, NetlistHitMissAndLruEviction) {
 
 TEST(ArtifactCache, DisabledTierAlwaysComputes) {
   CacheConfig config;
-  config.metric_capacity = 0;
+  config.netlist_capacity = 0;
   ArtifactCache cache(config);
-  EXPECT_FALSE(cache.metric_enabled());
+  EXPECT_FALSE(cache.netlist_enabled());
 
   std::size_t computes = 0;
   for (int i = 0; i < 3; ++i) {
-    auto [value, hit] =
-        cache.GetOrComputeMetric(7, [&] {
-          ++computes;
-          return MakeMetric(42.0);
-        });
-    EXPECT_FALSE(hit);
-    EXPECT_EQ(value.metric_cost, 42.0);
-  }
-  EXPECT_EQ(computes, 3u);
-  EXPECT_EQ(cache.Stats().metric.entries, 0u);
-}
-
-TEST(ArtifactCache, CsrTierCachesByStructuralHash) {
-  ArtifactCache cache;
-  const Hypergraph hg = testutil::RandomConnectedHypergraph(32, 16, 4, 9);
-  const std::uint64_t key = HashNetlist(hg);
-
-  auto [first, hit1] = cache.GetOrComputeCsr(
-      key, [&] { return std::make_shared<const CsrView>(hg); });
-  auto [second, hit2] = cache.GetOrComputeCsr(
-      key, [&] { return std::make_shared<const CsrView>(hg); });
-  EXPECT_FALSE(hit1);
-  EXPECT_TRUE(hit2);
-  EXPECT_EQ(first.get(), second.get());  // the very same immutable view
-  EXPECT_EQ(cache.Stats().csr.entries, 1u);
-}
-
-TEST(ArtifactCache, CancelledMetricsAreServedButNeverCached) {
-  ArtifactCache cache;
-  std::size_t computes = 0;
-  for (int i = 0; i < 2; ++i) {
-    auto [value, hit] = cache.GetOrComputeMetric(11, [&] {
+    auto [value, hit] = cache.GetOrComputeNetlist(7, [&] {
       ++computes;
-      return MakeMetric(5.0, /*cancelled=*/true);
+      return MakeArtifact(42);
     });
     EXPECT_FALSE(hit);
-    EXPECT_TRUE(value.cancelled);
+    EXPECT_EQ(value.structural_hash, HashNetlist(*value.hg));
   }
-  EXPECT_EQ(computes, 2u);
-  EXPECT_EQ(cache.Stats().metric.entries, 0u);
-
-  // A later clean result under the same key does get cached.
-  auto [clean_value, clean_hit] =
-      cache.GetOrComputeMetric(11, [&] { return MakeMetric(5.0); });
-  EXPECT_FALSE(clean_hit);
-  EXPECT_FALSE(clean_value.cancelled);
-  EXPECT_EQ(cache.Stats().metric.entries, 1u);
-  EXPECT_TRUE(cache.GetOrComputeMetric(11, [&] {
-                     return MakeMetric(-1.0);
-                   }).second);
+  EXPECT_EQ(computes, 3u);
+  const TierStats stats = cache.Stats().netlist;
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.misses, 3u);
 }
 
 TEST(ArtifactCache, ConcurrentIdenticalRequestsComputeOnce) {
@@ -119,40 +74,42 @@ TEST(ArtifactCache, ConcurrentIdenticalRequestsComputeOnce) {
   std::atomic<int> computes{0};
   std::atomic<int> hits{0};
   constexpr int kThreads = 8;
+  const NetlistArtifact built = MakeArtifact(99);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      auto [value, hit] = cache.GetOrComputeMetric(99, [&] {
+      auto [value, hit] = cache.GetOrComputeNetlist(99, [&] {
         computes.fetch_add(1);
-        // Hold the computation long enough that the other threads pile
-        // into the in-flight wait instead of racing past it.
+        // Hold the build long enough that the other threads pile into the
+        // in-flight wait instead of racing past it.
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        return MakeMetric(7.0);
+        return built;
       });
-      EXPECT_EQ(value.metric_cost, 7.0);
+      EXPECT_EQ(value.hg.get(), built.hg.get());  // the one shared parse
       if (hit) hits.fetch_add(1);
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(computes.load(), 1);
   EXPECT_EQ(hits.load(), kThreads - 1);  // dedup waiters count as hits
-  EXPECT_EQ(cache.Stats().metric.entries, 1u);
+  EXPECT_EQ(cache.Stats().netlist.entries, 1u);
 }
 
 TEST(ArtifactCache, ComputeExceptionPropagatesAndLeavesNoEntry) {
   ArtifactCache cache;
-  EXPECT_THROW(cache.GetOrComputeMetric(
-                   5, []() -> FlowInjectionResult {
+  EXPECT_THROW(cache.GetOrComputeNetlist(
+                   5, []() -> NetlistArtifact {
                      throw std::runtime_error("boom");
                    }),
                std::runtime_error);
-  EXPECT_EQ(cache.Stats().metric.entries, 0u);
+  EXPECT_EQ(cache.Stats().netlist.entries, 0u);
   // The key is usable again after the failure.
   auto [value, hit] =
-      cache.GetOrComputeMetric(5, [] { return MakeMetric(1.0); });
+      cache.GetOrComputeNetlist(5, [] { return MakeArtifact(5); });
   EXPECT_FALSE(hit);
-  EXPECT_EQ(value.metric_cost, 1.0);
+  ASSERT_NE(value.hg, nullptr);
+  EXPECT_EQ(cache.Stats().netlist.entries, 1u);
 }
 
 TEST(ArtifactCache, ResponseTierFindsStoresAndEvicts) {

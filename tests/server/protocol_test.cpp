@@ -119,6 +119,14 @@ TEST(Protocol, RejectsUnknownMembersAndBadTypes) {
   EXPECT_THROW(ParseServeRequest(ParseJson(
                    R"({"circuit":"c1355","oracle_sample":0.02})")),
                Error);
+  // A daemon request runs serially on its pool worker, so the thread knobs
+  // it could never honour are not members either.
+  EXPECT_THROW(
+      ParseServeRequest(ParseJson(R"({"circuit":"c1355","threads":4})")),
+      Error);
+  EXPECT_THROW(ParseServeRequest(
+                   ParseJson(R"({"circuit":"c1355","metric_threads":2})")),
+               Error);
   // Counts past the exact-integer range of a JSON number (2^53), or past
   // the member's own type, are rejected instead of truncated.
   EXPECT_THROW(ParseServeRequest(
@@ -200,9 +208,7 @@ TEST(Protocol, AckAndErrorResponsesAreWellFormed) {
 TEST(Protocol, StatsReplyCarriesEveryTierAndThePool) {
   CacheStats cache;
   cache.netlist = {1, 8, 2, 3, 0};
-  cache.csr = {4, 16, 5, 6, 1};
-  cache.metric = {7, 256, 8, 9, 2};
-  cache.response = {10, 256, 11, 12, 3};
+  cache.response = {4, 256, 5, 6, 3};
   const JsonValue doc =
       ParseJson(RenderServeStats("\"s\"", cache, /*queued=*/13,
                                  /*in_flight=*/2));
@@ -212,9 +218,9 @@ TEST(Protocol, StatsReplyCarriesEveryTierAndThePool) {
   EXPECT_EQ(doc.Find("op")->string_value, "stats");
   const JsonValue* tiers = doc.Find("cache");
   ASSERT_NE(tiers, nullptr);
-  ASSERT_EQ(tiers->object_value.size(), 4u);
+  ASSERT_EQ(tiers->object_value.size(), 2u);
   double expect = 1;
-  for (const char* name : {"netlist", "csr", "metric", "response"}) {
+  for (const char* name : {"netlist", "response"}) {
     SCOPED_TRACE(name);
     const JsonValue* tier = tiers->Find(name);
     ASSERT_NE(tier, nullptr);
@@ -224,7 +230,8 @@ TEST(Protocol, StatsReplyCarriesEveryTierAndThePool) {
     EXPECT_EQ(tier->Find("misses")->number_value, expect + 2);
     expect += 3;
   }
-  EXPECT_EQ(tiers->Find("metric")->Find("capacity")->number_value, 256.0);
+  EXPECT_EQ(tiers->Find("netlist")->Find("capacity")->number_value, 8.0);
+  EXPECT_EQ(tiers->Find("response")->Find("capacity")->number_value, 256.0);
   EXPECT_EQ(tiers->Find("response")->Find("evictions")->number_value, 3.0);
   const JsonValue* pool = doc.Find("pool");
   ASSERT_NE(pool, nullptr);

@@ -26,16 +26,26 @@ SessionRequest SmallRequest() {
 }
 
 TEST(Session, MatchesDirectPipeline) {
-  const SessionResult run = RunSession(SmallRequest(), nullptr);
+  SessionRequest request = SmallRequest();
+  request.collect_report = true;
+  const SessionResult run = RunSession(request, nullptr);
   ASSERT_TRUE(run.partition.has_value());
   EXPECT_TRUE(run.completed);
   EXPECT_EQ(run.stop_reason, StopReason::kCompleted);
   EXPECT_EQ(run.iterations.size(), 1u);
   EXPECT_DOUBLE_EQ(run.cost, PartitionCost(*run.partition, run.spec));
   EXPECT_NE(run.netlist_hash, 0u);
-  // No cache attached: every tier reports zero traffic.
+  // No cache attached: the netlist tier was never consulted.
   EXPECT_EQ(run.cache.netlist, "off");
-  EXPECT_EQ(run.cache.metric_hits + run.cache.metric_misses, 0u);
+  // No metric provider either: every metric computation lowered its own
+  // CsrView, one per `flow.metrics`.
+  const double metrics = ParseJson(run.report)
+                             .Find("deterministic")
+                             ->Find("counters")
+                             ->Find("flow.metrics")
+                             ->number_value;
+  EXPECT_GT(metrics, 0.0);
+  EXPECT_EQ(static_cast<double>(run.cache.csr_misses), metrics);
 }
 
 TEST(Session, WarmCacheRunIsBitIdenticalToCold) {
@@ -44,16 +54,15 @@ TEST(Session, WarmCacheRunIsBitIdenticalToCold) {
 
   const SessionResult cold = RunSession(request, &cache);
   EXPECT_EQ(cold.cache.netlist, "miss");
-  EXPECT_EQ(cold.cache.metric_hits, 0u);
-  EXPECT_GT(cold.cache.metric_misses, 0u);
 
   const SessionResult warm = RunSession(request, &cache);
   EXPECT_EQ(warm.cache.netlist, "hit");
-  EXPECT_GT(warm.cache.metric_hits, 0u);
-  EXPECT_EQ(warm.cache.metric_misses, 0u);
+  // The warm run shares the cold run's parse, and computes the same work.
+  EXPECT_EQ(warm.netlist.get(), cold.netlist.get());
+  EXPECT_EQ(warm.cache.csr_misses, cold.cache.csr_misses);
 
   // The serve determinism contract: partition, cost, and iteration stats
-  // are bit-identical whether every tier missed or every tier hit.
+  // are bit-identical whether the netlist tier missed or hit.
   EXPECT_EQ(WritePartitionText(*cold.partition),
             WritePartitionText(*warm.partition));
   EXPECT_EQ(cold.cost, warm.cost);
@@ -89,10 +98,9 @@ TEST(Session, CacheUnaffectedByDifferentSeed) {
   const SessionResult first = RunSession(request, &cache);
   request.seed = 2;
   // A built-in circuit instantiates from the seed, so seed 2 is a
-  // different netlist source AND different injection keys: nothing hits.
+  // different netlist source: the netlist tier misses.
   const SessionResult second = RunSession(request, &cache);
   EXPECT_EQ(second.cache.netlist, "miss");
-  EXPECT_EQ(second.cache.metric_hits, 0u);
   EXPECT_NE(first.netlist_hash, second.netlist_hash);
 }
 
