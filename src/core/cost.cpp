@@ -53,7 +53,7 @@ double NetCostWith(SpanCounter& counter, const TreePartition& tp,
   const double capacity = tp.hypergraph().net_capacity(e);
   double cost = 0.0;
   counter.ForEachSpan(e, tp.root_level(), [&](Level l, std::size_t f) {
-    cost += spec.weight(l) * static_cast<double>(f) * capacity;
+    cost += SpanCost(spec.weight(l), f, capacity);
   });
   return cost;
 }
@@ -90,8 +90,7 @@ std::vector<double> PartitionCostByLevel(const TreePartition& tp,
   SpanCounter counter(tp);
   for (NetId e = 0; e < hg.num_nets(); ++e)
     counter.ForEachSpan(e, tp.root_level(), [&](Level l, std::size_t f) {
-      by_level[l] +=
-          spec.weight(l) * static_cast<double>(f) * hg.net_capacity(e);
+      by_level[l] += SpanCost(spec.weight(l), f, hg.net_capacity(e));
     });
   return by_level;
 }

@@ -10,11 +10,20 @@
 // apples.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "core/tree_partition.hpp"
 
 namespace htp {
+
+/// One level's term of cost(e): w_l * f * c(e) for a net whose pins touch
+/// f >= 2 level-l blocks. PartitionCost sums it over l = 0, 1, ... per net
+/// and then over nets in id order; HtpMoveOracle::Cost sums it in the same
+/// order from its span tables, so the two agree bit for bit.
+inline double SpanCost(double weight, std::size_t f, double capacity) {
+  return weight * static_cast<double>(f) * capacity;
+}
 
 /// span(e, l) for one net at one level (0 when the net stays in one block).
 std::size_t NetSpan(const TreePartition& tp, NetId e, Level l);

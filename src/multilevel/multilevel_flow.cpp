@@ -169,16 +169,15 @@ MultilevelResult RunMultilevelFlow(const Hypergraph& hg,
   if (!completed && stop_reason == StopReason::kCompleted)
     stop_reason = token.FiredReason();
 
-  MultilevelResult result{std::move(tp)};
-  result.cost = cost;
-  result.coarsen_levels = stack.size();
-  result.feasibility_fallbacks = fallbacks;
-  result.coarsest_nodes = coarsest_nodes;
-  result.coarse_cost = coarse->cost;
-  result.level_stats = std::move(level_stats);
-  result.completed = completed;
-  result.stop_reason = stop_reason;
-  return result;
+  return MultilevelResult{.partition = std::move(tp),
+                          .cost = cost,
+                          .coarsen_levels = stack.size(),
+                          .feasibility_fallbacks = fallbacks,
+                          .coarsest_nodes = coarsest_nodes,
+                          .coarse_cost = coarse->cost,
+                          .level_stats = std::move(level_stats),
+                          .completed = completed,
+                          .stop_reason = stop_reason};
 }
 
 }  // namespace htp

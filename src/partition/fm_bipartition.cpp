@@ -55,7 +55,8 @@ class FmState {
     std::priority_queue<HeapEntry> heap[2];
     for (NodeId v = 0; v < hg_.num_nodes(); ++v) {
       ++stamp_[v];
-      heap[part_.side[v]].push({Gain(v), v, stamp_[v]});
+      heap[static_cast<unsigned char>(part_.side[v])].push(
+          {Gain(v), v, stamp_[v]});
     }
 
     std::vector<NodeId> log;
@@ -128,7 +129,8 @@ class FmState {
         for (NodeId u : hg_.pins(e)) {
           if (locked_[u]) continue;
           ++stamp_[u];
-          heap[part_.side[u]].push({Gain(u), u, stamp_[u]});
+          heap[static_cast<unsigned char>(part_.side[u])].push(
+              {Gain(u), u, stamp_[u]});
         }
       }
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <optional>
 #include <queue>
 #include <utility>
@@ -40,14 +39,19 @@ class Refiner {
  public:
   Refiner(TreePartition& tp, const HierarchySpec& spec)
       : tp_(tp), hg_(tp.hypergraph()), oracle_(tp, spec),
-        stamp_(hg_.num_nodes(), 0), locked_(hg_.num_nodes(), 0) {}
+        seed_table_(tp.num_blocks()), stamp_(hg_.num_nodes(), 0),
+        locked_(hg_.num_nodes(), 0) {}
+
+  // cost(P) of the current partition, from the oracle's span tables.
+  double Cost() const { return oracle_.Cost(); }
 
   struct Best {
     double gain;
     BlockId target;
   };
-  // The best feasible move of v. `seeding` is set while the pass has
-  // applied no move yet, so the memoized feasible targets hold.
+  // The best feasible move of v: the first target in leaf order with the
+  // largest gain. `seeding` is set while the pass has applied no move yet,
+  // so the seeding table holds.
   std::optional<Best> BestMove(NodeId v, bool seeding) {
     const BlockId from = tp_.leaf_of(v);
     const bool interior = oracle_.InteriorDeltas(v, by_lca_);
@@ -58,8 +62,9 @@ class Refiner {
       if (!best || gain > best->gain) best = Best{gain, leaf};
     };
     if (seeding) {
-      const auto [begin, end] = FeasibleTargets(v);
-      for (std::size_t i = begin; i < end; ++i) consider(memo_targets_[i]);
+      const SeedTargets targets = SeedTargetsOf(v);
+      const auto [begin, end] = interior ? targets.first : targets.all;
+      for (std::size_t i = begin; i < end; ++i) consider(seed_targets_[i]);
     } else {
       for (BlockId leaf : oracle_.leaves())
         if (leaf != from && oracle_.Feasible(v, leaf)) consider(leaf);
@@ -70,18 +75,41 @@ class Refiner {
   // Before a pass applies its first move every block has its start size,
   // so Feasible(v, t) depends on v only through its leaf and its size. The
   // seeding loop therefore finds each (leaf, size)'s feasible targets once,
-  // in leaf order, and BestMove visits exactly the leaves the unmemoized
-  // loop would not skip. Returns a [begin, end) range of memo_targets_.
-  std::pair<std::size_t, std::size_t> FeasibleTargets(NodeId v) {
-    const auto key = std::make_pair(tp_.leaf_of(v), hg_.node_size(v));
-    const auto [it, inserted] = memo_.try_emplace(key);
-    if (inserted) {
-      it->second.first = memo_targets_.size();
-      for (BlockId leaf : oracle_.leaves())
-        if (oracle_.Feasible(v, leaf)) memo_targets_.push_back(leaf);
-      it->second.second = memo_targets_.size();
+  // in leaf order: `all`, which BestMove visits for a node with a cut net,
+  // exactly the leaves the unmemoized loop would not skip. An interior
+  // node's gain depends only on the target's LCA level, so among targets
+  // at one level only the first in leaf order can win; `first` holds those
+  // targets, still in leaf order. Both are [begin, end) ranges of
+  // seed_targets_.
+  using Range = std::pair<std::size_t, std::size_t>;
+  struct SeedTargets {
+    double size;
+    Range all;
+    Range first;
+  };
+  SeedTargets SeedTargetsOf(NodeId v) {
+    const BlockId from = tp_.leaf_of(v);
+    const double size = hg_.node_size(v);
+    std::vector<SeedTargets>& entries = seed_table_[from];  // by size
+    const auto it = std::lower_bound(
+        entries.begin(), entries.end(), size,
+        [](const SeedTargets& t, double s) { return t.size < s; });
+    if (it != entries.end() && it->size == size) return *it;
+
+    SeedTargets targets{size, {seed_targets_.size(), 0}, {}};
+    for (BlockId leaf : oracle_.leaves())
+      if (oracle_.Feasible(v, leaf)) seed_targets_.push_back(leaf);
+    targets.all.second = targets.first.first = seed_targets_.size();
+    std::vector<char> seen(tp_.root_level() + 1, 0);  // per LCA level
+    for (std::size_t i = targets.all.first; i < targets.all.second; ++i) {
+      const BlockId leaf = seed_targets_[i];
+      char& level_seen = seen[oracle_.LcaLevel(from, leaf)];
+      if (!level_seen) seed_targets_.push_back(leaf);
+      level_seen = 1;
     }
-    return it->second;
+    targets.first.second = seed_targets_.size();
+    entries.insert(it, targets);
+    return targets;
   }
 
   // Marks every node incident to a net spanning >= 2 leaves: one O(nets)
@@ -119,8 +147,11 @@ class Refiner {
       c_boundary_seeds.Add(static_cast<std::uint64_t>(
           std::count(boundary.begin(), boundary.end(), char{1})));
     }
-    memo_.clear();
-    memo_targets_.clear();
+    for (std::vector<SeedTargets>& entries : seed_table_) entries.clear();
+    seed_targets_.clear();
+    // One push per node, in node order, never one heapify: a re-pushed
+    // stale entry can tie a valid one on (gain, node), and which pops first
+    // depends on the heap's layout (docs/algorithms.md).
     for (NodeId v = 0; v < hg_.num_nodes(); ++v) {
       ++stamp_[v];
       if (!boundary_only || boundary[v]) push_best(v, true);
@@ -188,10 +219,10 @@ class Refiner {
   const Hypergraph& hg_;
   HtpMoveOracle oracle_;
   std::vector<double> by_lca_;  // BestMove's InteriorDeltas buffer
-  // The seeding memo: (leaf, node size) -> range of memo_targets_.
-  std::map<std::pair<BlockId, double>, std::pair<std::size_t, std::size_t>>
-      memo_;
-  std::vector<BlockId> memo_targets_;
+  // The seeding table: per leaf (by block id), its entries sorted by node
+  // size.
+  std::vector<std::vector<SeedTargets>> seed_table_;
+  std::vector<BlockId> seed_targets_;
   std::vector<std::uint32_t> stamp_;
   std::vector<char> locked_;
 };
@@ -204,8 +235,8 @@ HtpFmStats RefineHtpFm(TreePartition& tp, const HierarchySpec& spec,
   obs::PhaseScope obs_span(t_refine);
   c_refines.Add();
   HtpFmStats stats;
-  stats.initial_cost = PartitionCost(tp, spec);
   Refiner refiner(tp, spec);
+  stats.initial_cost = refiner.Cost();
   for (std::size_t pass = 0; pass < params.max_passes; ++pass) {
     // Safepoint: between passes. The best-prefix rollback has run, so the
     // partition is valid and no worse than the input here.
@@ -219,9 +250,9 @@ HtpFmStats RefineHtpFm(TreePartition& tp, const HierarchySpec& spec,
     if (refiner.Pass(params.boundary_only, stats.moves_kept) <= 1e-12) break;
   }
   // Summed pass gains drift from Equation (1) under fractional capacities
-  // or weights, so a changed partition is re-costed.
+  // or weights, so a changed partition is re-costed from the span tables.
   stats.final_cost =
-      stats.moves_kept > 0 ? PartitionCost(tp, spec) : stats.initial_cost;
+      stats.moves_kept > 0 ? refiner.Cost() : stats.initial_cost;
   return stats;
 }
 

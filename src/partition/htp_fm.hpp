@@ -14,7 +14,10 @@
 //    interior node (all nets inside its own leaf) is evaluated once per
 //    LCA level, since its gain depends on nothing else; until a pass
 //    applies its first move, each (leaf, node size)'s feasible leaves are
-//    found once (docs/algorithms.md);
+//    found once, and an interior node visits only the first of them at
+//    each LCA level (docs/algorithms.md);
+//  * the reported initial and final costs are read off the span tables,
+//    bit-equal to PartitionCost;
 //  * passes follow FM discipline: each node moves at most once per pass,
 //    and moves are applied best-gain-first (lazy max-heap with version
 //    stamps). A pass ends when its heap empties or once 300 consecutive

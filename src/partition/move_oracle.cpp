@@ -37,26 +37,62 @@ HtpMoveOracle::HtpMoveOracle(TreePartition& tp, const HierarchySpec& spec)
       lca_[i * num_leaves + j] = l;
     }
 
-  // Level 0 counts the pins' leaves; level l + 1 lifts level l's blocks to
-  // their parents, summing the counts.
+  // One pass per net: level 0 counts the pins' leaves, and level l + 1
+  // lifts level l's pairs to their parents, summing the counts. A block's
+  // pair is found through per-block stamps, so a net costs
+  // O(deg(e) * levels) however many blocks it touches.
+  if (levels_ == 0) return;
   const NetId m = hg_->num_nets();
   slot_begin_.resize(m);
-  std::size_t total = 0;
+  distinct_ = std::make_unique_for_overwrite<std::uint32_t[]>(
+      static_cast<std::size_t>(m) * levels_);
+  pairs_ = std::make_unique_for_overwrite<BlockCount[]>(levels_ *
+                                                         hg_->num_pins());
+  std::vector<std::uint64_t> stamp(tp.num_blocks(), 0);
+  std::vector<std::uint32_t> index(tp.num_blocks());  // its pair, if stamped
+  std::uint64_t tag = 0;
+  std::size_t begin = 0;
   for (NetId e = 0; e < m; ++e) {
-    slot_begin_[e] = total;
-    total += levels_ * hg_->net_degree(e);
-  }
-  pairs_.resize(total);
-  distinct_.assign(static_cast<std::size_t>(m) * levels_, 0);
-  if (levels_ == 0) return;
-  for (NetId e = 0; e < m; ++e) {
-    for (NodeId v : hg_->pins(e)) Add(e, 0, tp.leaf_of(v), 1);
-    for (Level l = 0; l + 1 < levels_; ++l) {
-      const BlockCount* below = Slot(e, l);
-      for (std::size_t i = 0, n = Distinct(e, l); i < n; ++i)
-        Add(e, l + 1, tp.parent(below[i].block), below[i].count);
+    const std::size_t degree = hg_->net_degree(e);
+    slot_begin_[e] = begin;
+    BlockCount* slot = &pairs_[begin];
+    begin += levels_ * degree;
+    std::uint32_t n = 0;
+    const auto keep = [&](BlockId q, std::uint32_t count) {
+      if (stamp[q] == tag) {
+        slot[index[q]].count += count;
+      } else {
+        stamp[q] = tag;
+        index[q] = n;
+        slot[n++] = {q, count};
+      }
+    };
+    ++tag;
+    for (NodeId v : hg_->pins(e)) keep(tp.leaf_of(v), 1);
+    distinct_[e * levels_] = n;
+    for (Level l = 1; l < levels_; ++l) {
+      const BlockCount* below = slot;
+      const std::uint32_t below_n = n;
+      slot += degree;
+      n = 0;
+      ++tag;
+      for (std::uint32_t i = 0; i < below_n; ++i)
+        keep(tp.parent(below[i].block), below[i].count);
+      distinct_[e * levels_ + l] = n;
     }
   }
+}
+
+double HtpMoveOracle::Cost() const {
+  double total = 0.0;
+  for (NetId e = 0; e < hg_->num_nets(); ++e) {
+    const double capacity = hg_->net_capacity(e);
+    double cost = 0.0;
+    for (Level l = 0; l < levels_ && Distinct(e, l) >= 2; ++l)
+      cost += SpanCost(weight_[l], Distinct(e, l), capacity);
+    total += cost;
+  }
+  return total;
 }
 
 HtpMoveOracle::BlockCount* HtpMoveOracle::Slot(NetId e, Level l) {

@@ -8,14 +8,16 @@
 // The oracle keeps, per net and level, the distinct blocks holding the
 // net's pins with their pin counts, all in one flat array (a net's slot
 // has room for deg(e) pairs), so Delta costs O(deg(v) * LCA-level). The
-// tree does not change while the oracle lives, so each leaf's ancestors
-// and every leaf pair's LCA level are tabled once at construction.
-// InteriorDeltas is Delta's shortcut for a node whose nets all lie inside
-// its own leaf: such a gain depends only on the target's LCA level, so one
-// evaluation per level replaces one per leaf.
+// tables are filled in one pass per net, and Cost() reads Equation (1)
+// off them. The tree does not change while the oracle lives, so each
+// leaf's ancestors and every leaf pair's LCA level are tabled once at
+// construction. InteriorDeltas is Delta's shortcut for a node whose nets
+// all lie inside its own leaf: such a gain depends only on the target's
+// LCA level, so one evaluation per level replaces one per leaf.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/cost.hpp"
@@ -29,6 +31,10 @@ namespace htp {
 class HtpMoveOracle {
  public:
   HtpMoveOracle(TreePartition& tp, const HierarchySpec& spec);
+
+  /// cost(P) of the current partition, read from the span tables. Equal
+  /// to PartitionCost bit for bit: both sum SpanCost in the same order.
+  double Cost() const;
 
   /// Exact change of cost(P) if `v` moved to `target` (0 when target is
   /// v's current leaf).
@@ -98,8 +104,11 @@ class HtpMoveOracle {
   std::vector<BlockId> ancestors_;       // per leaf, levels 0 .. root
   std::vector<Level> lca_;               // per ordered leaf pair
   std::vector<std::size_t> slot_begin_;  // per net
-  std::vector<std::uint32_t> distinct_;  // per (net, level)
-  std::vector<BlockCount> pairs_;
+  // Per (net, level), and the pairs. Neither is zero-filled: construction
+  // writes every count, and only a slot's first Distinct(e, l) pairs are
+  // ever read.
+  std::unique_ptr<std::uint32_t[]> distinct_;
+  std::unique_ptr<BlockCount[]> pairs_;
 };
 
 }  // namespace htp

@@ -151,8 +151,8 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     req = &normalized;
   }
   if (req->netlist) {
+    // Fingerprinted below only if an ECO reports it as its pre-delta hash.
     result.netlist = req->netlist;
-    result.netlist_hash = HashNetlist(*result.netlist);
   } else {
     if (req->circuit.empty() && req->bench_text.empty())
       throw Error("session: no netlist source (circuit or bench_text)");
@@ -208,7 +208,8 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
   if (eco_mode) {
     base = result.netlist;
     result.eco = true;
-    result.pre_delta_hash = result.netlist_hash;
+    result.pre_delta_hash =
+        req->netlist ? HashNetlist(*base) : result.netlist_hash;
     app.emplace(ApplyDelta(*base, delta));
     result.netlist = app->hg;
     result.netlist_hash = HashNetlist(*app->hg);
@@ -268,6 +269,7 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
       result.level_stats = std::move(ml_result.level_stats);
       result.completed = ml_result.completed;
       result.stop_reason = ml_result.stop_reason;
+      result.cost = ml_result.cost;
       tp = std::move(ml_result.partition);
     } else if (warm_state) {
       // Full ECO: warm metric re-convergence plus delta-scoped re-carving,
@@ -290,6 +292,7 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
                                  ? StopReason::kCancelled
                                  : StopReason::kDeadline;
       }
+      result.cost = er.cost;
       tp = std::move(er.partition);
       if (request.emit_warm_state) emit_metric = std::move(er.metric);
     } else {
@@ -297,6 +300,7 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
       result.completed = flow_result.completed;
       result.stop_reason = flow_result.stop_reason;
       result.iterations = std::move(flow_result.iterations);
+      result.cost = flow_result.cost;
       tp = std::move(flow_result.partition);
       if (request.emit_warm_state)
         emit_metric = std::move(flow_result.best_metric);
@@ -314,15 +318,16 @@ SessionResult RunSession(const SessionRequest& request, ArtifactCache* cache) {
     rfm_params.seed = request.seed;
     rfm_params.cancel = run_token;
     tp = RunRfm(hg, spec, rfm_params);
+    result.cost = PartitionCost(tp, spec);
   } else if (request.algo == "gfm") {
     GfmParams gfm_params;
     gfm_params.seed = request.seed;
     gfm_params.cancel = run_token;
     tp = RunGfm(hg, spec, gfm_params);
+    result.cost = PartitionCost(tp, spec);
   } else {
     throw Error("unknown --algo '" + request.algo + "'");
   }
-  result.cost = PartitionCost(tp, spec);
 
   if (request.refine) {
     HtpFmParams fm_params;

@@ -106,15 +106,20 @@ struct SessionCacheOutcome {
 /// Everything the drivers print or serialize.
 struct SessionResult {
   std::shared_ptr<const Hypergraph> netlist;
-  /// Structural fingerprint (artifact_key.hpp), always computed — it is
-  /// the identity serve responses report.
+  /// Structural fingerprint (artifact_key.hpp) of the netlist the run
+  /// partitioned — the identity serve responses report. Computed for a
+  /// built-in circuit or .bench source (the netlist tier stores it) and
+  /// for an ECO's edited netlist; 0 for a caller-provided `netlist`, which
+  /// no wire request carries.
   std::uint64_t netlist_hash = 0;
   HierarchySpec spec;
   /// Always engaged on a successful return (optional only because
   /// TreePartition needs its hypergraph to construct).
   std::optional<TreePartition> partition;
   /// Interconnection cost of `partition` as the algorithm produced it
-  /// (before refinement; `fm.final_cost` is the post-refinement cost).
+  /// (before refinement; `fm.final_cost` is the post-refinement cost). A
+  /// FLOW, multilevel or ECO run reports the PartitionCost it computed for
+  /// the partition it returned.
   double cost = 0.0;
   bool completed = true;
   StopReason stop_reason = StopReason::kCompleted;
@@ -135,8 +140,8 @@ struct SessionResult {
   /// ECO extras, populated iff `eco` (a delta or warm source was given).
   /// All of them are deterministic — pure functions of the request.
   bool eco = false;
-  /// Structural hash of the PRE-delta netlist (`netlist_hash` above is
-  /// the post-delta hash).
+  /// Structural hash of the PRE-delta netlist, caller-provided ones
+  /// included (`netlist_hash` above is the post-delta hash).
   std::uint64_t pre_delta_hash = 0;
   std::string warm_source = "none";  ///< "state" | "none"
   std::size_t eco_blocks_reused = 0;

@@ -5,7 +5,8 @@
 // layout, including tie-heavy length functions that exercise the
 // (dist, node) tie-break, and the radix heap's edge cases: pushes at the
 // last popped key, keys spanning the whole double range, -0.0 and +inf
-// lengths, truncated growths, and one workspace across many views.
+// lengths, truncated growths, and one workspace across many views. A
+// negative or NaN length throws, and leaves the workspace usable.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -364,6 +365,33 @@ TEST(CsrDijkstraDiff, GrowthAfterAThrowingVisitorStartsClean) {
                    [](const GrowState&) { return GrowAction::kContinue; },
                    tree);
     ExpectSameTree(ReferenceDijkstra(hg, source, len), tree);
+  }
+}
+
+TEST(CsrDijkstraDiff, NegativeOrNanLengthThrowsAndTheWorkspaceStaysClean) {
+  // Grow's precondition: a negative or NaN length would push a frontier key
+  // below the last pop, so the staging pass throws before the growth
+  // starts. The same workspace's next growth must match the reference.
+  const Hypergraph hg = testutil::RandomConnectedHypergraph(60, 50, 4, 21);
+  const CsrView view(hg);
+  const std::vector<double> good = RandomLengths(hg, 21, 1.0);
+  DijkstraWorkspace workspace;
+  ShortestPathTree tree;
+  const auto all = [](const GrowState&) { return GrowAction::kContinue; };
+  for (const double bad : {-1e-300, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(testing::Message() << "length " << bad);
+    std::vector<double> len = good;
+    len[hg.num_nets() / 2] = bad;
+    EXPECT_THROW(workspace.Grow(view, 0, len, all, tree), Error);
+    for (NodeId source : {NodeId{0}, NodeId{41}}) {
+      DijkstraStats want, got;
+      const ShortestPathTree expect =
+          ReferenceGrow(hg, source, good, all, &want);
+      workspace.Grow(view, source, good, all, tree, &got);
+      ExpectSameTree(expect, tree);
+      EXPECT_EQ(want.pops, got.pops);
+      EXPECT_EQ(want.relaxations, got.relaxations);
+    }
   }
 }
 

@@ -2,8 +2,9 @@
 // Rent circuits with fractional net capacities and level weights, for
 // random (node, leaf) pairs: Delta is the cost change Apply makes, Feasible
 // is the capacity check recomputed along the target's chain, a move and its
-// reverse restore the cost and the span tables, and the interior shortcut
-// equals Delta bit for bit.
+// reverse restore the cost and the span tables, the cost read off the span
+// tables equals PartitionCost bit for bit after every move, and the
+// interior shortcut equals Delta bit for bit.
 #include "partition/move_oracle.hpp"
 
 #include <gtest/gtest.h>
@@ -72,10 +73,12 @@ std::size_t CheckInteriorShortcut(const HtpMoveOracle& oracle,
 
 // Random (node, leaf) pairs on `tp`: each is checked, applied, checked
 // against the recomputed cost, reversed, and sometimes applied again so
-// later pairs see a changed partition. Returns {feasible, infeasible}.
+// later pairs see a changed partition. The oracle's Cost() must equal
+// PartitionCost exactly after every Apply. Returns {feasible, infeasible}.
 std::pair<std::size_t, std::size_t> CheckRandomMoves(
     TreePartition& tp, const HierarchySpec& spec, Rng& rng) {
   HtpMoveOracle oracle(tp, spec);
+  EXPECT_EQ(oracle.Cost(), PartitionCost(tp, spec));
   const std::vector<BlockId> leaves = tp.Leaves();
   const NodeId n = tp.hypergraph().num_nodes();
   std::size_t feasible = 0, infeasible = 0;
@@ -95,11 +98,16 @@ std::pair<std::size_t, std::size_t> CheckRandomMoves(
     const double after = PartitionCost(tp, spec);
     EXPECT_NEAR(after - before, delta, 1e-9 * std::max(1.0, before))
         << "node " << v << " target " << target;
+    EXPECT_EQ(oracle.Cost(), after) << "node " << v << " target " << target;
 
     oracle.Apply(v, from);
     EXPECT_EQ(PartitionCost(tp, spec), before);
+    EXPECT_EQ(oracle.Cost(), before);
     EXPECT_EQ(oracle.Delta(v, target), delta);  // span tables restored
-    if (ok && rng.next_bool(0.5)) oracle.Apply(v, target);
+    if (ok && rng.next_bool(0.5)) {
+      oracle.Apply(v, target);
+      EXPECT_EQ(oracle.Cost(), after);
+    }
   }
   CheckInteriorShortcut(oracle, tp);
   return {feasible, infeasible};

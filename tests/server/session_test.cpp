@@ -9,7 +9,9 @@
 
 #include "core/cost.hpp"
 #include "core/partition_io.hpp"
+#include "incremental/warm_start.hpp"
 #include "obs/report.hpp"
+#include "server/artifact_key.hpp"
 #include "server/json_parse.hpp"
 #include "server/protocol.hpp"
 #include "test_util.hpp"
@@ -25,6 +27,25 @@ SessionRequest SmallRequest() {
   return request;
 }
 
+// `cost` is the algorithm's own PartitionCost of the partition it
+// returned, bit for bit. With refinement, FM starts from exactly that cost
+// and ends at the refined partition's.
+void ExpectExactCosts(const SessionRequest& request) {
+  SessionRequest plain = request;
+  plain.refine = false;
+  const SessionResult run = RunSession(plain, nullptr);
+  ASSERT_TRUE(run.partition.has_value());
+  EXPECT_EQ(run.cost, PartitionCost(*run.partition, run.spec));
+
+  plain.refine = true;
+  const SessionResult refined = RunSession(plain, nullptr);
+  ASSERT_TRUE(refined.refined);
+  EXPECT_EQ(refined.cost, run.cost);
+  EXPECT_EQ(refined.fm.initial_cost, run.cost);
+  EXPECT_EQ(refined.fm.final_cost,
+            PartitionCost(*refined.partition, refined.spec));
+}
+
 TEST(Session, MatchesDirectPipeline) {
   SessionRequest request = SmallRequest();
   request.collect_report = true;
@@ -33,7 +54,7 @@ TEST(Session, MatchesDirectPipeline) {
   EXPECT_TRUE(run.completed);
   EXPECT_EQ(run.stop_reason, StopReason::kCompleted);
   EXPECT_EQ(run.iterations.size(), 1u);
-  EXPECT_DOUBLE_EQ(run.cost, PartitionCost(*run.partition, run.spec));
+  EXPECT_EQ(run.cost, PartitionCost(*run.partition, run.spec));
   EXPECT_NE(run.netlist_hash, 0u);
   // No cache attached: the netlist tier was never consulted.
   EXPECT_EQ(run.cache.netlist, "off");
@@ -46,6 +67,32 @@ TEST(Session, MatchesDirectPipeline) {
                              ->number_value;
   EXPECT_GT(metrics, 0.0);
   EXPECT_EQ(static_cast<double>(run.cache.csr_misses), metrics);
+
+  {
+    SCOPED_TRACE("flow");
+    ExpectExactCosts(SmallRequest());
+  }
+  {
+    SCOPED_TRACE("multilevel");
+    SessionRequest multilevel = SmallRequest();
+    multilevel.multilevel = true;
+    multilevel.coarsen_threshold = 200;
+    const SessionResult coarse = RunSession(multilevel, nullptr);
+    EXPECT_GT(coarse.coarsen_levels, 0u);
+    ExpectExactCosts(multilevel);
+  }
+  {
+    SCOPED_TRACE("eco");
+    SessionRequest emit = SmallRequest();
+    emit.emit_warm_state = true;
+    SessionRequest eco = SmallRequest();
+    eco.warm_text = WriteWarmStartText(*RunSession(emit, nullptr).warm_state);
+    eco.delta_text = "htp-delta v1\nremove-net 17\nadd-net 1 3 40\n";
+    const SessionResult edited = RunSession(eco, nullptr);
+    EXPECT_TRUE(edited.eco);
+    EXPECT_EQ(edited.warm_source, "state");
+    ExpectExactCosts(eco);
+  }
 }
 
 TEST(Session, WarmCacheRunIsBitIdenticalToCold) {
@@ -116,6 +163,25 @@ TEST(Session, ProvidedNetlistSkipsSourceResolution) {
   EXPECT_EQ(run.netlist.get(), hg.get());
   EXPECT_EQ(run.cache.netlist, "off");  // tier never consulted
   ASSERT_TRUE(run.partition.has_value());
+  EXPECT_EQ(run.netlist_hash, 0u);  // not fingerprinted: no one reads it
+}
+
+TEST(Session, ProvidedNetlistIsFingerprintedForAnEco) {
+  auto hg = std::make_shared<const Hypergraph>(
+      testutil::RandomConnectedHypergraph(64, 48, 4, 3));
+  SessionRequest request;
+  request.netlist = hg;
+  request.height = 2;
+  request.iterations = 1;
+  request.emit_warm_state = true;
+  const SessionResult cold = RunSession(request, nullptr);
+  request.emit_warm_state = false;
+  request.warm_text = WriteWarmStartText(*cold.warm_state);
+  request.delta_text = "htp-delta v1\nremove-net 5\n";
+  const SessionResult eco = RunSession(request, nullptr);
+  EXPECT_EQ(eco.pre_delta_hash, HashNetlist(*hg));
+  EXPECT_EQ(eco.netlist_hash, HashNetlist(*eco.netlist));
+  EXPECT_NE(eco.netlist_hash, eco.pre_delta_hash);
 }
 
 TEST(Session, ExpiredDeadlineStillReturnsValidPartition) {
